@@ -179,11 +179,10 @@ def metric_column_map(rep):
         return rep._colmap
     out = {}
     for b in all_bitcodes(rep.n_bits):
-        row = rep.eps.rows[b.index()]
-        hits = [(j, s) for j, s in enumerate(row) if not s.is_zero()]
-        if len(hits) != 1:
+        row = rep.eps.sparse_rows[b.index()]
+        if len(row) != 1:
             raise AssertionError("metric row is not a signed unit row")
-        out[b] = hits[0]
+        out[b] = next(iter(row.items()))
     rep._colmap = out
     return out
 
@@ -210,12 +209,11 @@ def outer_basis_matrix(rep, a, b):
 def reconstruct_from_outer(rep, coeffs):
     # each e_a e_b. has one nonzero entry, so accumulate by position
     colmap = metric_column_map(rep)
-    grid = [[ZERO] * rep.dim for _ in range(rep.dim)]
+    items = []
     for (a, b), c in coeffs.items():
         j, sign = colmap[b]
-        i = rep.spinor_index(a)
-        grid[i][j] = grid[i][j] + c * sign
-    return Matrix(grid)
+        items.append((rep.spinor_index(a), j, c * sign))
+    return Matrix.from_items(rep.dim, rep.dim, items)
 
 
 # -- blade decomposition ------------------------------------------------------
@@ -223,11 +221,11 @@ def reconstruct_from_outer(rep, coeffs):
 
 def blade_coefficient(rep, blade, m):
     """Coefficient of a basis blade in m: trace(raised_blade @ m) / 2**n."""
-    raised = raised_blade_matrix(rep, blade)
+    raised = raised_blade_matrix(rep, blade).sparse_rows
     acc = ZERO
     for i, j, v in m.nonzero_items():
-        r = raised.rows[j][i]
-        if not r.is_zero():
+        r = raised[j].get(i)
+        if r is not None:
             acc = acc + r * v
     return acc * rep.inv_dim
 
@@ -284,11 +282,11 @@ def decompose_multivector(rep, m, all_blades=False):
 
 
 def reconstruct_from_blades(rep, coeffs):
-    grid = [[ZERO] * rep.dim for _ in range(rep.dim)]
-    for blade, c in coeffs.items():
-        for i, j, v in blade_matrix(rep, blade).nonzero_items():
-            grid[i][j] = grid[i][j] + c * v
-    return Matrix(grid)
+    return Matrix.from_items(rep.dim, rep.dim, (
+        (i, j, c * v)
+        for blade, c in coeffs.items()
+        for i, j, v in blade_matrix(rep, blade).nonzero_items()
+    ))
 
 
 def gamma_coefficients(rep, blade, a, b):

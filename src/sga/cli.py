@@ -61,7 +61,6 @@ def _add_signature_args(parser):
         choices=[m.replace("_", "-") for m in ODD_MODES],
         default="project",
     )
-    parser.add_argument("--scalar-mode", choices=("exact", "float"), default="exact")
 
 
 def _rep_from_args(args):

@@ -1,9 +1,13 @@
-"""Dense matrices over the exact scalar ring.
+"""Matrices over the exact scalar ring, stored by their nonzero entries.
 
-Matrices are immutable row-tuples of Scalars.  The product skips zero
-entries, which makes products of the very sparse basis matrices (gammas,
-metrics, blades) cost O(dim) instead of O(dim^3) without introducing a
-sparse storage format.
+Every basis matrix of the chiral construction (gammas, metrics, kappa,
+Gamma, C and blades) is a signed partial permutation: a spinor index is a
+bitcode, and each row holds at most one nonzero.  A Matrix therefore keeps
+each row as a {column: Scalar} dict of its nonzero entries only, in
+increasing column order.  Sums, products, negation, transposition and
+comparison cost O(nnz) and never scan a zero, and entries that cancel are
+dropped, so equal matrices have equal rows.  The dense ``rows`` view is
+built on demand for elimination, numpy and JSON.
 """
 
 from __future__ import annotations
@@ -11,34 +15,37 @@ from __future__ import annotations
 from .scalars import ONE, ZERO, Scalar, approx_equal
 
 
+def _canonical(acc):
+    """A row dict with its zero entries dropped and its columns in increasing order."""
+    return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
+
+
 class Matrix:
-    __slots__ = ("rows", "nrows", "ncols", "_nnz")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        self._nnz = None
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix rows")
+    def __init__(self, rows, ncols=None):
+        """A matrix from dense rows of Scalars.
 
-    def _nnz_rows(self):
-        """Per-row (column, value) pairs of nonzero entries, cached."""
-        if self._nnz is None:
-            self._nnz = tuple(
-                tuple((j, s) for j, s in enumerate(row) if not s.is_zero())
-                for row in self.rows
-            )
-        return self._nnz
+        With ``ncols`` given, ``rows`` are {column: Scalar} dicts that hold
+        only nonzero entries, in increasing column order, and are kept as
+        they are.  Either way the rows are read-only from then on.
+        """
+        if ncols is None:
+            dense = [tuple(r) for r in rows]
+            ncols = len(dense[0]) if dense else 0
+            for r in dense:
+                if len(r) != ncols:
+                    raise ValueError("ragged matrix rows")
+            rows = [{j: s for j, s in enumerate(r) if not s.is_zero()} for r in dense]
+        self.sparse_rows = tuple(rows)
+        self.nrows = len(self.sparse_rows)
+        self.ncols = ncols
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        ncols = nrows if ncols is None else ncols
-        row = (ZERO,) * ncols
-        return cls([row] * nrows)
+        return cls([{}] * nrows, nrows if ncols is None else ncols)
 
     @classmethod
     def identity(cls, n):
@@ -46,13 +53,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries):
-        n = len(entries)
-        rows = []
-        for i, s in enumerate(entries):
-            row = [ZERO] * n
-            row[i] = s
-            rows.append(row)
-        return cls(rows)
+        return cls([{} if s.is_zero() else {i: s} for i, s in enumerate(entries)], len(entries))
 
     @classmethod
     def column(cls, entries):
@@ -64,24 +65,35 @@ class Matrix:
 
     @classmethod
     def unit_column(cls, dim, index):
-        entries = [ZERO] * dim
-        entries[index] = ONE
-        return cls.column(entries)
+        rows = [{}] * dim
+        rows[index] = {0: ONE}
+        return cls(rows, 1)
+
+    @classmethod
+    def from_items(cls, nrows, ncols, items):
+        """The matrix whose (i, j) entry is the sum of the values given for it in (i, j, value) items."""
+        rows = [{} for _ in range(nrows)]
+        for i, j, v in items:
+            row = rows[i]
+            row[j] = row[j] + v if j in row else v
+        return cls([_canonical(r) for r in rows], ncols)
 
     @classmethod
     def block2(cls, tl, tr, bl, br, half):
         """Assemble a 2x2 block matrix; None blocks are zero, each half x half."""
-        zero_row = (ZERO,) * half
+        for m in (tl, tr, bl, br):
+            if m is not None and (m.nrows != half or m.ncols != half):
+                raise ValueError("block shape does not match the half size")
 
-        def block_row(m, i):
-            return m.rows[i] if m is not None else zero_row
+        def band(left, right):
+            for i in range(half):
+                row = left.sparse_rows[i] if left is not None else {}
+                if right is not None and right.sparse_rows[i]:
+                    row = dict(row)
+                    row.update((j + half, s) for j, s in right.sparse_rows[i].items())
+                yield row
 
-        rows = []
-        for i in range(half):
-            rows.append(block_row(tl, i) + block_row(tr, i))
-        for i in range(half):
-            rows.append(block_row(bl, i) + block_row(br, i))
-        return cls(rows)
+        return cls([*band(tl, tr), *band(bl, br)], 2 * half)
 
     # -- shape ----------------------------------------------------------
 
@@ -95,34 +107,54 @@ class Matrix:
             raise ValueError("dim of a non-square matrix")
         return self.nrows
 
+    @property
+    def rows(self):
+        """Dense read-only view: a tuple of row tuples, zeros included."""
+        out = []
+        for r in self.sparse_rows:
+            dense = [ZERO] * self.ncols
+            for j, s in r.items():
+                dense[j] = s
+            out.append(tuple(dense))
+        return tuple(out)
+
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        if not -self.ncols <= j < self.ncols:
+            raise IndexError("matrix column index out of range")
+        return self.sparse_rows[i].get(j % self.ncols, ZERO)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shape mismatch in addition")
-        return Matrix(
-            [
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        rows = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            if not rb or not ra:
+                rows.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, t in rb.items():
+                acc[j] = acc[j] + t if j in acc else t
+            rows.append(_canonical(acc))
+        return Matrix(rows, self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([tuple(-s for s in r) for r in self.rows])
+        return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
 
     def scale(self, s):
         if not isinstance(s, Scalar):
             s = Scalar(s) if isinstance(s, int) else Scalar(_float=complex(s))
         if s.is_exact and s == ONE:
             return self
-        return Matrix([tuple(s * x for x in r) for r in self.rows])
+        return Matrix(
+            [{j: v for j, x in r.items() if not (v := s * x).is_zero()} for r in self.sparse_rows],
+            self.ncols,
+        )
 
     def __mul__(self, s):
         return self.scale(s)
@@ -132,39 +164,44 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        left = self._nnz_rows()
-        right = other._nnz_rows()
+        right = other.sparse_rows
         out = []
-        ncols = other.ncols
-        for row in left:
-            acc = [ZERO] * ncols
-            for k, s in row:
-                for j, t in right[k]:
-                    acc[j] = acc[j] + s * t
-            out.append(tuple(acc))
-        return Matrix(out)
+        for row in self.sparse_rows:
+            acc = {}
+            for k, s in row.items():
+                for j, t in right[k].items():
+                    acc[j] = acc[j] + s * t if j in acc else s * t
+            out.append(_canonical(acc))
+        return Matrix(out, other.ncols)
 
     def transpose(self):
-        return Matrix(list(zip(*self.rows)))
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, s in row.items():
+                cols[j][i] = s
+        return Matrix(cols, self.nrows)
 
     def conj(self):
         """Entrywise complex conjugation with respect to i."""
-        return Matrix([tuple(s.conjugate() for s in r) for r in self.rows])
+        return Matrix(
+            [{j: s.conjugate() for j, s in r.items()} for r in self.sparse_rows], self.ncols
+        )
 
     def dagger(self):
         return self.conj().transpose()
 
     def trace(self):
         t = ZERO
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.rows[i][i]
+        for i, row in enumerate(self.sparse_rows[: self.ncols]):
+            if i in row:
+                t = t + row[i]
         return t
 
     def inverse(self):
         """Exact inverse by Gaussian elimination over the scalar field."""
         n = self.dim
-        aug = [list(self.rows[i]) + [ONE if j == i else ZERO for j in range(n)]
-               for i, _ in enumerate(self.rows)]
+        aug = [list(row) + [ONE if j == i else ZERO for j in range(n)]
+               for i, row in enumerate(self.rows)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
             if pivot is None:
@@ -202,23 +239,27 @@ class Matrix:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return all(s.is_zero() for r in self.rows for s in r)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (
+            self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.sparse_rows == other.sparse_rows
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nrows, self.ncols, tuple(tuple(r.items()) for r in self.sparse_rows)))
 
     def approx_equal(self, other, tol=1e-12):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
         return all(
-            approx_equal(a, b, tol)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
+            approx_equal(ra.get(j, ZERO), rb.get(j, ZERO), tol)
+            for ra, rb in zip(self.sparse_rows, other.sparse_rows)
+            for j in ra.keys() | rb.keys()
         )
 
     def is_identity(self):
@@ -228,17 +269,18 @@ class Matrix:
         """Return s if the matrix equals s*identity, else None."""
         if not self.is_square:
             return None
-        s = self.rows[0][0]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                want = s if i == j else ZERO
-                if self.rows[i][j] != want:
-                    return None
+        s = self[0, 0]
+        if s.is_zero():
+            return s if self.is_zero() else None
+        for i, row in enumerate(self.sparse_rows):
+            if len(row) != 1 or i not in row or row[i] != s:
+                return None
         return s
 
     def nonzero_items(self):
-        for i, row in enumerate(self._nnz_rows()):
-            for j, s in row:
+        """(i, j, value) of every nonzero entry, row by row, columns increasing."""
+        for i, row in enumerate(self.sparse_rows):
+            for j, s in row.items():
                 yield i, j, s
 
     # -- conversions -------------------------------------------------------
@@ -246,15 +288,24 @@ class Matrix:
     def to_numpy(self):
         import numpy as np
 
-        return np.array(
-            [[s.to_complex() for s in row] for row in self.rows], dtype=complex
-        )
+        out = np.zeros((self.nrows, self.ncols), dtype=complex)
+        for i, j, s in self.nonzero_items():
+            out[i, j] = s.to_complex()
+        return out
 
     def to_json(self):
-        return [[s.to_json() for s in row] for row in self.rows]
+        """Dense list of rows of JSON scalars; zero entries share one JSON object."""
+        zero = ZERO.to_json()
+        return [
+            [r[j].to_json() if j in r else zero for j in range(self.ncols)]
+            for r in self.sparse_rows
+        ]
 
     @classmethod
     def from_json(cls, obj):
+        """Parse a dense list of rows of JSON scalars; ValueError if malformed."""
+        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+            raise ValueError("matrix JSON must be a list of rows")
         return cls([[Scalar.from_json(x) for x in row] for row in obj])
 
     def __repr__(self):

@@ -256,13 +256,24 @@ class Scalar:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, (int, float)):
-            return cls(_float=complex(obj))
-        if isinstance(obj, list):
+        """Parse a JSON scalar; ValueError if it is malformed.
+
+        An int is exact; a float or an [re, im] pair of numbers is a float
+        scalar; {"re": [rat, rt2], "im": [rat, rt2]} with rationals such as
+        "1/2" is exact.
+        """
+        if _is_json_number(obj):
+            return cls(obj) if isinstance(obj, int) else cls(_float=complex(obj))
+        if isinstance(obj, list) and len(obj) == 2 and all(map(_is_json_number, obj)):
             return cls(_float=complex(float(obj[0]), float(obj[1])))
-        re = [Fraction(s) for s in obj["re"]]
-        im = [Fraction(s) for s in obj["im"]]
-        return cls.from_parts(re[0], re[1], im[0], im[1])
+        if isinstance(obj, dict) and set(obj) == {"re", "im"}:
+            parts = (obj["re"], obj["im"])
+            if all(isinstance(p, list) and len(p) == 2 for p in parts):
+                try:
+                    return cls.from_parts(*(Fraction(x) for p in parts for x in p))
+                except (TypeError, ValueError, ZeroDivisionError):
+                    pass
+        raise ValueError(f"not a JSON scalar: {obj!r:.60}")
 
     # -- comparison / hashing -------------------------------------------
 
@@ -283,6 +294,9 @@ class Scalar:
     def __hash__(self):
         if self.f is not None:
             return hash(self.f)
+        if self.b == 0 and self.c == 0 and self.d == 0:
+            # hash like the equal int, Fraction or float
+            return hash(self.a) if self.q == 1 else hash(Fraction(self.a, self.q))
         return hash((self.a, self.b, self.c, self.d, self.q))
 
     def __bool__(self):
@@ -297,6 +311,10 @@ class Scalar:
                 frac = Fraction(coef, self.q)
                 terms.append(f"{frac}{unit}")
         return "Scalar(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _is_json_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _coerce(x):

@@ -194,7 +194,7 @@ def is_real_element(rep, m, tol=None):
     if isinstance(m, Element):
         m = m.payload
     conj = rep.C @ m.conj() @ rep.C.dagger()
-    exact = all(s.is_exact for row in m.rows for s in row)
+    exact = all(s.is_exact for _, _, s in m.nonzero_items())
     if exact and tol is None:
         return conj == m
     return conj.approx_equal(m, tol or 1e-12)

@@ -117,6 +117,28 @@ def test_decompose_float_matrix(tmp_path, capsys):
     assert set(blob) == {"g1"}
 
 
+def test_decompose_int_matrix_is_exact(tmp_path, capsys):
+    path = tmp_path / "ident.json"
+    path.write_text(json.dumps([[1, 0], [0, 1]]))
+    code, out, _ = run(capsys, "decompose", "-K", "2", "--input", str(path))
+    assert code == 0
+    assert json.loads(out) == {"unit": {"re": ["1", "0"], "im": ["0", "0"]}}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [{"entries": 5}, 5, [[1, 0], [0]], [1, 0], [["x"]], [[{"re": ["1", "0"]}, 0], [0, 1]]],
+    ids=["entries-not-a-list", "not-a-list", "ragged", "rows-not-lists", "string-entry",
+         "dict-entry-without-im"],
+)
+def test_decompose_malformed_matrix_exit_two(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "decompose", "-K", "2", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_reflection(capsys):
     code, out, _ = run(capsys, "classify-reflection", "-K", "3", "-M", "1", "--generators", "4")
     assert code == 0 and out.strip() == "P"

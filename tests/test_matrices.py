@@ -3,9 +3,10 @@
 import json
 from random import Random
 
+import numpy as np
 import pytest
 
-from sga.matrices import Matrix, anti_block, block_diag
+from sga.matrices import Matrix, anti_block, anticommutator, block_diag, commutator
 from sga.scalars import I, ONE, SQRT2, ZERO, Scalar
 
 
@@ -16,6 +17,18 @@ def rand_scalar(rng):
 def rand_matrix(rng, n, m=None):
     m = n if m is None else m
     return Matrix([[rand_scalar(rng) for _ in range(m)] for _ in range(n)])
+
+
+def rand_sparse_matrix(rng, n, m, density=0.2):
+    return Matrix([
+        [rand_scalar(rng) if rng.random() < density else ZERO for _ in range(m)]
+        for _ in range(n)
+    ])
+
+
+def dense_items(m):
+    """Nonzero entries in row-major order, read from the dense view."""
+    return [(i, j, s) for i, row in enumerate(m.rows) for j, s in enumerate(row) if not s.is_zero()]
 
 
 def naive_product(a, b):
@@ -106,3 +119,119 @@ def test_unit_column():
 def test_nonzero_items():
     m = Matrix([[ZERO, ONE], [SQRT2, ZERO]])
     assert list(m.nonzero_items()) == [(0, 1, ONE), (1, 0, SQRT2)]
+
+
+def test_sparse_products_match_oracles():
+    rng = Random(17)
+    for _ in range(40):
+        n, k, m = (rng.randint(1, 9) for _ in range(3))
+        a = rand_sparse_matrix(rng, n, k)
+        b = rand_sparse_matrix(rng, k, m)
+        product = a @ b
+        assert product == naive_product(a, b)
+        assert np.allclose(product.to_numpy(), a.to_numpy() @ b.to_numpy())
+        assert list(product.nonzero_items()) == dense_items(product)
+
+
+def test_sparse_entrywise_operations_match_dense():
+    rng = Random(19)
+    for _ in range(40):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        a = rand_sparse_matrix(rng, n, m)
+        b = rand_sparse_matrix(rng, n, m)
+        s = rand_scalar(rng)
+        pairs = list(zip(a.rows, b.rows))
+        assert (a + b).rows == tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in pairs)
+        assert (a - b).rows == tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in pairs)
+        assert (-a).rows == tuple(tuple(-x for x in r) for r in a.rows)
+        assert a.scale(s).rows == tuple(tuple(s * x for x in r) for r in a.rows)
+        assert a.conj().rows == tuple(tuple(x.conjugate() for x in r) for r in a.rows)
+        assert a.transpose().rows == tuple(zip(*a.rows))
+        assert np.allclose((a + b).to_numpy(), a.to_numpy() + b.to_numpy())
+        assert a.trace() == sum((a[i, i] for i in range(min(n, m))), ZERO)
+        for i in range(n):
+            for j in range(m):
+                assert a[i, j] == a.rows[i][j]
+
+
+def test_exact_cancellation_leaves_no_entries():
+    rng = Random(23)
+    for _ in range(20):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        a = rand_sparse_matrix(rng, n, m, density=0.5)
+        zero = a + (-a)
+        assert zero.is_zero() and list(zero.nonzero_items()) == []
+        assert zero == Matrix.zeros(n, m) and hash(zero) == hash(Matrix.zeros(n, m))
+        assert a - a == Matrix.zeros(n, m)
+        assert zero != Matrix.zeros(m, n) or n == m
+
+
+def test_products_whose_entries_cancel():
+    ones = Matrix([[ONE, ONE], [ONE, ONE]])
+    alternating = Matrix([[ONE, -ONE], [-ONE, ONE]])
+    assert ones @ alternating == Matrix.zeros(2)
+    assert list((ones @ alternating).nonzero_items()) == []
+    # half the entries of the product cancel
+    mixed = Matrix([[ONE, ONE], [ONE, -ONE]])
+    assert list((mixed @ mixed).nonzero_items()) == [(0, 0, Scalar(2)), (1, 1, Scalar(2))]
+    rng = Random(29)
+    for _ in range(10):
+        a = rand_sparse_matrix(rng, 5, 5, density=0.4)
+        assert commutator(a, a @ a).is_zero()
+        assert commutator(a, a @ a) == naive_product(a, a @ a) - naive_product(a @ a, a)
+    sigma1 = Matrix([[ZERO, ONE], [ONE, ZERO]])
+    sigma2 = Matrix([[ZERO, -I], [I, ZERO]])
+    assert anticommutator(sigma1, sigma2) == Matrix.zeros(2)
+
+
+def test_scalar_multiple_of_identity_with_zero_first_entry():
+    assert Matrix.zeros(3).scalar_multiple_of_identity() == ZERO
+    assert Matrix.diagonal([ZERO, ONE]).scalar_multiple_of_identity() is None
+    assert Matrix([[ZERO, ONE], [ZERO, ZERO]]).scalar_multiple_of_identity() is None
+    assert Matrix([[ONE, ZERO], [ONE, ONE]]).scalar_multiple_of_identity() is None
+    assert Matrix.zeros(2, 3).scalar_multiple_of_identity() is None
+
+
+def test_block2_with_none_blocks():
+    rng = Random(31)
+    a, b = rand_sparse_matrix(rng, 3, 3, 0.5), rand_sparse_matrix(rng, 3, 3, 0.5)
+    zero_row = (ZERO,) * 3
+    for tl, tr, bl, br in [(a, None, None, b), (None, a, b, None), (a, b, None, None),
+                           (None, None, None, None), (a, a, b, b)]:
+        want = [
+            (tl.rows[i] if tl else zero_row) + (tr.rows[i] if tr else zero_row) for i in range(3)
+        ] + [
+            (bl.rows[i] if bl else zero_row) + (br.rows[i] if br else zero_row) for i in range(3)
+        ]
+        got = Matrix.block2(tl, tr, bl, br, 3)
+        assert got == Matrix(want)
+        assert list(got.nonzero_items()) == dense_items(got)
+    with pytest.raises(ValueError):
+        Matrix.block2(a, None, None, Matrix.identity(2), 3)
+
+
+def test_nonzero_items_stay_row_major_after_product_and_transpose():
+    rng = Random(37)
+    for _ in range(20):
+        a = rand_sparse_matrix(rng, 6, 7, 0.3)
+        b = rand_sparse_matrix(rng, 7, 5, 0.3)
+        for m in (a @ b, a.transpose(), (a @ b).transpose(), b.transpose() @ a.transpose()):
+            items = list(m.nonzero_items())
+            assert [(i, j) for i, j, _ in items] == sorted((i, j) for i, j, _ in items)
+            assert items == dense_items(m)
+
+
+def test_hash_agrees_with_equality_across_construction_paths():
+    eps = Matrix([[ZERO, ONE], [-ONE, ZERO]])
+    swap = Matrix([[ZERO, ONE], [ONE, ZERO]])
+    reached = [
+        Matrix.diagonal([ONE, -ONE]) @ swap,
+        -(-eps),
+        -(swap @ Matrix.diagonal([ONE, -ONE])),
+        (eps @ eps) @ (-eps),
+        Matrix.from_items(2, 2, [(0, 1, ONE), (1, 0, -ONE), (1, 1, ONE), (1, 1, -ONE)]),
+        eps.scale(Scalar(1.0)),
+    ]
+    for m in reached:
+        assert m == eps and hash(m) == hash(eps)
+    assert len({eps, *reached}) == 1

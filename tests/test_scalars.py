@@ -119,3 +119,33 @@ def test_power(x):
     assert x**3 == x * x * x
     if not x.is_zero():
         assert x**-2 == (x * x).inverse()
+
+
+def test_rational_hash_agrees_with_equality():
+    assert hash(Scalar(1)) == hash(1) == hash(Scalar(1.0)) == hash(Scalar.from_complex(1))
+    assert hash(Scalar(1, 0, 0, 0, 2)) == hash(Fraction(1, 2)) == hash(Scalar(0.5))
+    assert hash(Scalar(-3)) == hash(-3)
+    assert len({Scalar(1), Scalar(1.0), 1}) == 1
+
+
+@given(ints, denoms)
+def test_rational_hash_matches_fraction(a, q):
+    x = Scalar(a, 0, 0, 0, q)
+    assert x == Fraction(a, q) and hash(x) == hash(Fraction(a, q))
+
+
+def test_json_ints_are_exact():
+    assert Scalar.from_json(3).is_exact and Scalar.from_json(3) == Scalar(3)
+    assert not Scalar.from_json(3.0).is_exact
+    assert not Scalar.from_json([1, 0]).is_exact
+
+
+@pytest.mark.parametrize(
+    "blob",
+    ["1", True, None, [1], [1, 2, 3], ["1", "0"], {"re": ["1", "0"]},
+     {"re": ["x", "0"], "im": ["0", "0"]}, {"re": ["1/0", "0"], "im": ["0", "0"]},
+     {"re": "10", "im": ["0", "0"]}],
+)
+def test_json_rejects_malformed(blob):
+    with pytest.raises(ValueError):
+        Scalar.from_json(blob)
