@@ -3,8 +3,12 @@
 Subcommands: build (dump a representation as JSON), tables (classification
 tables), verify (identity suites), decompose (blade/outer coefficients of
 a matrix file), eval (chain expressions), classify-reflection.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  Identical arguments and
-seed produce byte-identical output.
+0 success, 1 verification failure, 2 usage error or unreadable input.
+Identical arguments and seed produce byte-identical output.
+
+Matrices are written sparse, as {"shape": [nrows, ncols], "entries":
+[[i, j, value], ...]} over their nonzero entries.  ``decompose --input``
+reads that form, a dense list of rows, or an {"entries": dense rows} object.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def cmd_decompose(args):
     rep = _rep_from_args(args)
     with open(args.input) as fh:
         data = json.load(fh)
-    matrix = Matrix.from_json(data["entries"] if isinstance(data, dict) else data)
+    matrix = Matrix.from_json(data)
     if args.basis == "blades":
         coeffs = decompose_multivector(rep, matrix)
         payload = {blade.label(): c.to_json() for blade, c in sorted(
@@ -237,7 +241,11 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="dump all matrices of a representation as JSON")
+    p = sub.add_parser(
+        "build",
+        help='dump all matrices of a representation as JSON, each as sparse '
+             '{"shape": [rows, cols], "entries": [[i, j, value], ...]}',
+    )
     _add_signature_args(p)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_build)
@@ -266,7 +274,12 @@ def _parser():
 
     p = sub.add_parser("decompose", help="decompose a matrix from a JSON file")
     _add_signature_args(p)
-    p.add_argument("--input", required=True)
+    p.add_argument(
+        "--input",
+        required=True,
+        help='JSON matrix: sparse {"shape", "entries": [[i, j, value], ...]} as build '
+             'writes it, a dense list of rows, or {"entries": dense rows}',
+    )
     p.add_argument("--basis", choices=("blades", "outer"), default="blades")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_decompose)
@@ -298,7 +311,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

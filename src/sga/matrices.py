@@ -7,12 +7,35 @@ each row as a {column: Scalar} dict of its nonzero entries only, in
 increasing column order.  Sums, products, negation, transposition and
 comparison cost O(nnz) and never scan a zero, and entries that cancel are
 dropped, so equal matrices have equal rows.  The dense ``rows`` view is
-built on demand for elimination, numpy and JSON.
+built on demand for elimination and the tests.  JSON holds the nonzero
+entries only: {"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
 """
 
 from __future__ import annotations
 
+import os
+
 from .scalars import ONE, ZERO, Scalar, approx_equal
+
+
+DEFAULT_MAX_DIM = 256
+
+
+def max_dimension():
+    """Matrix dimension cap; override with the SGA_MAX_DIM environment variable.
+
+    Unset or empty gives the default; anything but an integer of at least 1
+    is a ValueError that names the variable.
+    """
+    value = os.environ.get("SGA_MAX_DIM")
+    if not value:
+        return DEFAULT_MAX_DIM
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"SGA_MAX_DIM must be an integer of at least 1, not {value!r:.30}")
 
 
 def _canonical(acc):
@@ -294,19 +317,61 @@ class Matrix:
         return out
 
     def to_json(self):
-        """Dense list of rows of JSON scalars; zero entries share one JSON object."""
-        zero = ZERO.to_json()
-        return [
-            [r[j].to_json() if j in r else zero for j in range(self.ncols)]
-            for r in self.sparse_rows
-        ]
+        """{"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
+
+        ``entries`` lists the nonzero entries row by row, columns increasing,
+        each value a JSON scalar; a zero matrix has no entries.
+        """
+        return {
+            "shape": [self.nrows, self.ncols],
+            "entries": [[i, j, s.to_json()] for i, j, s in self.nonzero_items()],
+        }
 
     @classmethod
     def from_json(cls, obj):
-        """Parse a dense list of rows of JSON scalars; ValueError if malformed."""
+        """Parse a JSON matrix; ValueError if it is malformed.
+
+        Three forms are read: the sparse {"shape", "entries"} object that
+        ``to_json`` writes, a dense list of rows of JSON scalars, and an
+        {"entries": dense rows} object.  Sparse input is built from its
+        entries alone; an (i, j) given twice is an error, not a sum, and
+        neither side of its shape may exceed ``max_dimension()``.
+        """
+        if isinstance(obj, dict):
+            if "shape" in obj:
+                return cls._from_sparse_json(obj["shape"], obj.get("entries"))
+            if "entries" not in obj:
+                raise ValueError("matrix JSON object needs a 'shape' or an 'entries' key")
+            obj = obj["entries"]
         if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
             raise ValueError("matrix JSON must be a list of rows")
         return cls([[Scalar.from_json(x) for x in row] for row in obj])
+
+    @classmethod
+    def _from_sparse_json(cls, shape, entries):
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError("matrix JSON 'shape' must be two non-negative ints")
+        cap = max_dimension()
+        if max(shape) > cap:
+            # the shape alone sizes the row tuple, so bound it before allocating
+            raise ValueError(f"matrix JSON shape {shape} exceeds the dimension cap {cap}; "
+                             "raise SGA_MAX_DIM to override")
+        if not isinstance(entries, list):
+            raise ValueError("matrix JSON 'entries' must be a list")
+        nrows, ncols = shape
+        rows = {}
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ValueError(f"matrix JSON entry is not an [i, j, value] triple: {entry!r:.60}")
+            i, j, value = entry
+            if not (type(i) is int and 0 <= i < nrows and type(j) is int and 0 <= j < ncols):
+                raise ValueError(f"matrix JSON entry index ({i!r:.20}, {j!r:.20}) is not in shape {shape}")
+            row = rows.setdefault(i, {})
+            if j in row:
+                raise ValueError(f"matrix JSON entry ({i}, {j}) is given twice")
+            row[j] = Scalar.from_json(value)
+        return cls([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -26,23 +26,14 @@ enables the primed metric variants.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .bitcodes import Bitcode
-from .matrices import Matrix, block_diag
+from .matrices import Matrix, block_diag, max_dimension
 from .scalars import I, ONE, SQRT2, ZERO, Scalar, i_power
 
 METRIC_CHOICES = ("standard", "alternative", "prime_standard", "prime_alternative")
 ODD_MODES = ("project", "embed_scalar_n", "embed_scalar_n_plus_1")
-
-DEFAULT_MAX_DIM = 256
-
-
-def max_dimension():
-    """Matrix dimension cap; override with the SGA_MAX_DIM environment variable."""
-    value = os.environ.get("SGA_MAX_DIM")
-    return int(value) if value else DEFAULT_MAX_DIM
 
 
 @dataclass(frozen=True)

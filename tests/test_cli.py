@@ -166,6 +166,20 @@ def test_missing_input_file(capsys):
     assert code == 2 and err
 
 
+def test_unreadable_input_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "decompose", "-K", "2", "--input", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4"])
+def test_bad_max_dim_env_exit_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("SGA_MAX_DIM", value)
+    code, out, err = run(capsys, "build", "-K", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "SGA_MAX_DIM" in err
+
+
 def test_max_dim_env(capsys, monkeypatch):
     monkeypatch.setenv("SGA_MAX_DIM", "4")
     code, _, err = run(capsys, "build", "-K", "6")
@@ -180,3 +194,44 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "-K", "2", "-o", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["dim"] == 2
+
+
+def test_build_matrices_decode_to_the_representation(capsys):
+    code, out, _ = run(capsys, "build", "-K", "3", "-M", "1")
+    assert code == 0
+    blob = json.loads(out)
+    rep = build_representation(RepConfig(Signature(spacelike=3, timelike=1)))
+    expected = {
+        "epsilon": rep.eps,
+        "epsilon_alt": rep.eps_alt,
+        "kappa": rep.kappa,
+        "pseudoscalar": rep.pseudoscalar,
+        "Gamma": rep.Gamma,
+        "C": rep.C,
+    }
+    for k in range(1, rep.n_bits + 1):
+        expected[f"gamma_plus_{k}"] = rep.gamma_plus(k)
+        expected[f"gamma_minus_{k}"] = rep.gamma_minus(k)
+        expected[f"gamma_chiral_{k}"] = rep.gamma_chiral(k)
+        expected[f"gamma_chiral_{k}bar"] = rep.gamma_chiral(k, barred=True)
+    assert set(blob) == set(expected) | {"config", "dim"}
+    for key, matrix in expected.items():
+        assert Matrix.from_json(blob[key]) == matrix, key
+
+
+def test_eval_multivector_value_decodes(capsys):
+    code, out, _ = run(capsys, "eval", "-K", "4", "g[1] g[2bar]")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["species"] == "multivector"
+    rep = build_representation(RepConfig(Signature(spacelike=4)))
+    assert Matrix.from_json(blob["value"]) == rep.gamma_chiral(1) @ rep.gamma_chiral(2, barred=True)
+
+
+def test_build_k17_is_compact(tmp_path, capsys):
+    target = tmp_path / "k17.json"
+    code, _, _ = run(capsys, "build", "-K", "17", "-o", str(target))
+    assert code == 0
+    assert target.stat().st_size < 5_000_000
+    blob = json.loads(target.read_text())
+    assert Matrix.from_json(blob["C"]) == build_representation(spacelike=17).C

@@ -6,7 +6,16 @@ from random import Random
 import numpy as np
 import pytest
 
-from sga.matrices import Matrix, anti_block, anticommutator, block_diag, commutator
+from sga.cli import main
+from sga.matrices import (
+    DEFAULT_MAX_DIM,
+    Matrix,
+    anti_block,
+    anticommutator,
+    block_diag,
+    commutator,
+    max_dimension,
+)
 from sga.scalars import I, ONE, SQRT2, ZERO, Scalar
 
 
@@ -109,6 +118,115 @@ def test_json_round_trip_is_bit_exact():
     a = rand_matrix(rng, 3)
     blob = json.dumps(a.to_json())
     assert Matrix.from_json(json.loads(blob)) == a
+
+
+def rand_float_scalar(rng):
+    return Scalar(_float=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+
+
+def json_round_trip(m):
+    return Matrix.from_json(json.loads(json.dumps(m.to_json())))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 1), (1, 4)])
+def test_sparse_json_round_trips(shape):
+    rng = Random(31)
+    n, m = shape
+    for _ in range(20):
+        exact = rand_sparse_matrix(rng, n, m, density=0.4)
+        floats = Matrix([
+            [rand_float_scalar(rng) if rng.random() < 0.4 else ZERO for _ in range(m)]
+            for _ in range(n)
+        ])
+        for a in (exact, floats):
+            blob = a.to_json()
+            assert blob["shape"] == [n, m]
+            assert [(i, j) for i, j, _ in blob["entries"]] == [(i, j) for i, j, _ in a.nonzero_items()]
+            assert json_round_trip(a) == a
+    zero = Matrix.zeros(n, m)
+    assert zero.to_json() == {"shape": [n, m], "entries": []}
+    assert json_round_trip(zero) == zero
+
+
+def test_dense_json_forms_decode_like_sparse():
+    rng = Random(5)
+    for shape in ((4, 4), (4, 1), (1, 4)):
+        m = rand_sparse_matrix(rng, *shape, density=0.5)
+        dense = [[s.to_json() for s in row] for row in m.rows]
+        assert Matrix.from_json(dense) == m
+        assert Matrix.from_json({"entries": dense}) == m
+        assert Matrix.from_json(m.to_json()) == m
+
+
+def test_sparse_json_drops_zero_values_and_sorts_columns():
+    m = Matrix.from_json({"shape": [2, 3], "entries": [[1, 2, 5], [1, 0, 0], [0, 1, -1]]})
+    assert m == Matrix([[ZERO, -ONE, ZERO], [ZERO, ZERO, Scalar(5)]])
+    assert hash(m) == hash(Matrix([[ZERO, -ONE, ZERO], [ZERO, ZERO, Scalar(5)]]))
+    assert list(m.sparse_rows[1]) == [2]
+
+
+MALFORMED_SPARSE = {
+    "shape-one-int": {"shape": [2], "entries": []},
+    "shape-negative": {"shape": [2, -1], "entries": []},
+    "shape-float": {"shape": [2, 2.0], "entries": []},
+    "shape-bool": {"shape": [True, 2], "entries": []},
+    "shape-not-a-list": {"shape": "2x2", "entries": []},
+    "entries-missing": {"shape": [2, 2]},
+    "entries-not-a-list": {"shape": [2, 2], "entries": {"0": 1}},
+    "entry-pair": {"shape": [2, 2], "entries": [[0, 0]]},
+    "entry-quad": {"shape": [2, 2], "entries": [[0, 0, 1, 1]]},
+    "entry-not-a-list": {"shape": [2, 2], "entries": [5]},
+    "row-index-float": {"shape": [2, 2], "entries": [[0.0, 0, 1]]},
+    "column-index-float": {"shape": [2, 2], "entries": [[0, 1.0, 1]]},
+    "row-index-bool": {"shape": [2, 2], "entries": [[True, 0, 1]]},
+    "column-index-bool": {"shape": [2, 2], "entries": [[0, True, 1]]},
+    "index-string": {"shape": [2, 2], "entries": [["0", 0, 1]]},
+    "row-out-of-range": {"shape": [2, 2], "entries": [[2, 0, 1]]},
+    "column-out-of-range": {"shape": [2, 2], "entries": [[0, 2, 1]]},
+    "index-negative": {"shape": [2, 2], "entries": [[0, -1, 1]]},
+    "repeated": {"shape": [2, 2], "entries": [[0, 0, 1], [1, 1, 1], [0, 0, 1]]},
+    "repeated-zero": {"shape": [2, 2], "entries": [[1, 1, 0], [1, 1, 2]]},
+    "bad-value": {"shape": [2, 2], "entries": [[0, 0, "x"]]},
+    "object-without-keys": {"rows": [[1, 0], [0, 1]]},
+    "shape-over-cap": {"shape": [257, 257], "entries": []},
+    "shape-huge": {"shape": [2, 10**12], "entries": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPARSE))
+def test_malformed_sparse_json(name, tmp_path, capsys):
+    blob = MALFORMED_SPARSE[name]
+    with pytest.raises(ValueError):
+        Matrix.from_json(blob)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code = main(["decompose", "-K", "2", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sparse_json_shape_follows_the_dimension_cap(monkeypatch):
+    monkeypatch.setenv("SGA_MAX_DIM", "4")
+    assert Matrix.from_json({"shape": [4, 1], "entries": [[3, 0, 1]]}) == Matrix.unit_column(4, 3)
+    with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+        Matrix.from_json({"shape": [1, 8], "entries": []})
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+def test_max_dimension_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("SGA_MAX_DIM", value)
+    with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+        max_dimension()
+
+
+def test_max_dimension_default_and_override(monkeypatch):
+    monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    assert max_dimension() == DEFAULT_MAX_DIM
+    monkeypatch.setenv("SGA_MAX_DIM", "")
+    assert max_dimension() == DEFAULT_MAX_DIM
+    monkeypatch.setenv("SGA_MAX_DIM", "1")
+    assert max_dimension() == 1
 
 
 def test_unit_column():
