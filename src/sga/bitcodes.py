@@ -83,9 +83,6 @@ class Bitcode:
                 sign = -sign
         return sign
 
-    def up_count(self):
-        return sum(1 for b in self.bits if b)
-
 
 def all_bitcodes(n):
     """All 2**n bitcodes of length n, in column-index order."""

@@ -4,30 +4,36 @@ Chiral basis blades are wedges of the 2n chiral generators taken in the
 canonical order g_1 < g_1bar < g_2 < ... ; orthonormal blades are wedges
 of distinct orthonormal axes.  Because factors from different planes
 anticommute with vanishing dot products, a canonical chiral blade
-factorises into a matrix product of per-plane factors, the paired factor
-being g_k g_kbar - 1.
+factorises into a product of per-plane factors, the paired factor being
+g_k g_kbar - 1 = -i plus_k minus_k.  Every blade is built as that ordered
+product of the representation's generator monomials, so it is a signed
+monomial too: one unit i**p * sqrt2**e per row.
 
 The two directions of the dictionary are:
 
   * every matrix decomposes exactly over basis blades, the coefficient of
-    a blade being trace(raised_blade @ m) / 2**n;
+    a blade being trace(raised_blade @ m) / 2**n; with one unit per row
+    of the raised blade, that is one index compare per nonzero of m;
   * every matrix decomposes exactly over the basis outer products
     e_a e_b., each of which has a single nonzero entry, so that direction
     is a direct read-off against the metric's sign pattern.
 
 Raising a blade bars every chiral index (k <-> kbar), applies the metric
 sign to orthonormal indices, and reverses the factor order.
+``blade_matrix`` and ``raised_blade_matrix`` give the equal ``Matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
+from operator import add
 
-from .bitcodes import Bitcode, all_bitcodes
+from .bitcodes import all_bitcodes
 from .elements import outer_product, row_of
-from .matrices import Matrix
-from .scalars import HALF, ONE, Scalar, ZERO
+from .matrices import Matrix, Monomial
+from .scalars import HALF, ONE, Scalar, ZERO, unit
 
 CHIRAL = "chiral"
 ORTHONORMAL = "orthonormal"
@@ -45,7 +51,7 @@ class BladeIndex:
             raise ValueError(f"unknown blade kind {self.kind!r}")
         if len(set(self.factors)) != len(self.factors):
             raise ValueError("repeated generator in blade index")
-        if tuple(sorted(self.factors, key=_factor_key)) != self.factors:
+        if tuple(sorted(self.factors)) != self.factors:
             raise ValueError("blade index not in canonical order")
 
     @property
@@ -73,10 +79,6 @@ class BladeIndex:
         return charge
 
 
-def _factor_key(f):
-    return f
-
-
 def chiral_blade(factors):
     canon, sign = canonicalize(factors)
     if sign != 1:
@@ -90,7 +92,7 @@ def canonicalize(factors):
     sign = 1
     for i in range(1, len(items)):
         j = i
-        while j > 0 and _factor_key(items[j - 1]) > _factor_key(items[j]):
+        while j > 0 and items[j - 1] > items[j]:
             items[j - 1], items[j] = items[j], items[j - 1]
             sign = -sign
             j -= 1
@@ -115,57 +117,60 @@ def all_chiral_blades(rep):
 
 def blade_matrix(rep, blade):
     """Exact matrix of a canonical basis blade."""
+    return blade_monomial(rep, blade).to_matrix()
+
+
+def blade_monomial(rep, blade):
+    """A canonical basis blade as a signed monomial: the ordered product of its generators."""
     cached = rep._blade_cache.get(blade)
     if cached is not None:
         return cached
     if blade.kind == CHIRAL:
-        m = _chiral_blade_matrix(rep, blade)
+        m = _chiral_blade_monomial(rep, blade)
     else:
-        m = Matrix.identity(rep.dim)
+        m = Monomial.identity(rep.dim)
         for axis in blade.factors:
-            m = m @ rep.gamma(axis)
+            m = m @ rep.gamma_monomial(axis)
     rep._blade_cache[blade] = m
     return m
 
 
-def _plane_factor(rep, k, flags):
-    if len(flags) == 2:
-        g = rep.gamma_chiral(k)
-        gb = rep.gamma_chiral(k, barred=True)
-        return g @ gb - Matrix.identity(rep.dim)  # the paired wedge
-    return rep.gamma_chiral(k, barred=flags[0])
-
-
-def _chiral_blade_matrix(rep, blade):
+def _chiral_blade_monomial(rep, blade):
     # peel off the last plane so prefixes are shared through the cache
-    per_plane = {}
-    for k, barred in blade.factors:
-        per_plane.setdefault(k, []).append(barred)
-    if not per_plane:
-        return Matrix.identity(rep.dim)
-    last = max(per_plane)
-    prefix_factors = tuple(f for f in blade.factors if f[0] != last)
-    prefix = blade_matrix(rep, BladeIndex(CHIRAL, prefix_factors))
-    return prefix @ _plane_factor(rep, last, per_plane[last])
+    factors = blade.factors
+    if not factors:
+        return Monomial.identity(rep.dim)
+    last = factors[-1][0]
+    prefix = tuple(f for f in factors if f[0] != last)
+    if prefix:
+        plane = BladeIndex(CHIRAL, factors[len(prefix):])
+        return blade_monomial(rep, BladeIndex(CHIRAL, prefix)) @ blade_monomial(rep, plane)
+    if len(factors) == 2:  # the paired wedge g gbar - 1 = -i plus_k minus_k
+        return (rep.orth_monomial(last) @ rep.orth_monomial(last, minus=True)).scale(3)
+    return rep.chiral_monomial(last, barred=factors[0][1])
 
 
 def raised_blade_matrix(rep, blade):
     """Matrix of the index-raised blade (bar, metric signs, reversed order)."""
+    return _raised_monomial(rep, blade).to_matrix()
+
+
+def _raised_monomial(rep, blade):
     cached = rep._raised_cache.get(blade)
     if cached is not None:
         return cached
     if blade.kind == CHIRAL:
         barred = [(k, not b) for k, b in blade.factors]
         canon, sign = canonicalize(barred)
-        m = blade_matrix(rep, BladeIndex(CHIRAL, canon))
+        m = blade_monomial(rep, BladeIndex(CHIRAL, canon))
         s = sign * blade.reversal_sign()
     else:
-        m = blade_matrix(rep, blade)
+        m = blade_monomial(rep, blade)
         s = blade.reversal_sign()
         for axis in blade.factors:
             if rep.signature.is_timelike(axis):
                 s = -s
-    out = m.scale(Scalar(s)) if s != 1 else m
+    out = m.scale(2) if s != 1 else m
     rep._raised_cache[blade] = out
     return out
 
@@ -220,14 +225,22 @@ def reconstruct_from_outer(rep, coeffs):
 
 
 def blade_coefficient(rep, blade, m):
-    """Coefficient of a basis blade in m: trace(raised_blade @ m) / 2**n."""
-    raised = raised_blade_matrix(rep, blade).sparse_rows
+    """Coefficient of a basis blade in m: trace(raised_blade @ m) / 2**n.
+
+    Row j of the raised blade holds one unit, so a nonzero m[i, j] meets
+    it only when that unit sits in column i.
+    """
+    raised = _raised_monomial(rep, blade)
+    cols, phases, exps = raised.cols, raised.phases, raised.exps
+    shift = -2 * rep.n_bits  # the 1 / 2**n as a power of sqrt2
     acc = ZERO
-    for i, j, v in m.nonzero_items():
-        r = raised[j].get(i)
-        if r is not None:
-            acc = acc + r * v
-    return acc * rep.inv_dim
+    for i, row in enumerate(m.sparse_rows):
+        if not row:
+            continue
+        for j, v in row.items():
+            if cols[j] == i:
+                acc = acc + unit(phases[j], exps[j] + shift) * v
+    return acc
 
 
 def _candidate_blades(rep, m):
@@ -237,23 +250,16 @@ def _candidate_blades(rep, m):
     unbarred generator for up<-down, the barred one for down<-up, and
     either nothing or the full pair on the diagonal.
     """
-    n = rep.n_bits
+    planes = []
+    for k in range(1, rep.n_bits + 1):
+        planes.append((1 << (k - 1), (((k, False),),), (((k, True),),), ((), ((k, False), (k, True)))))
     seen = set()
     out = []
     for i, j, _ in m.nonzero_items():
-        a = rep.bitcode_of_index(i)
-        b = rep.bitcode_of_index(j)
-        choices = []
-        for k in range(1, n + 1):
-            ra, rb = a.bit(k), b.bit(k)
-            if ra and not rb:
-                choices.append((((k, False),),))
-            elif rb and not ra:
-                choices.append((((k, True),),))
-            else:
-                choices.append(((), ((k, False), (k, True))))
         stack = [()]
-        for opts in choices:
+        for bit, up, down, diagonal in planes:
+            row_down, col_down = i & bit, j & bit
+            opts = diagonal if bool(row_down) == bool(col_down) else (down if row_down else up)
             stack = [acc + opt for acc in stack for opt in opts]
         for factors in stack:
             blade = BladeIndex(CHIRAL, factors)
@@ -282,11 +288,46 @@ def decompose_multivector(rep, m, all_blades=False):
 
 
 def reconstruct_from_blades(rep, coeffs):
+    """The Matrix sum of c * blade over the blade coefficients.
+
+    Each coefficient is multiplied once by each distinct unit of its
+    blade, in integers.  Per entry the exact products are summed as
+    numerators over one common denominator and normalised once; float
+    products are summed apart and added last.
+    """
+    terms = [(blade_monomial(rep, blade), c) for blade, c in coeffs.items()]
+    den = lcm(*(c.q << max(0, -(e >> 1)) for mono, c in terms for _, e in mono.units))
+    acc = {}
+    for mono, c in terms:
+        parts = {(p, e): _unit_product(c, p, e, den) for p, e in mono.units}
+        for i, j, p, e in mono.entries:
+            t = parts[p, e]
+            old = acc.get((i, j))
+            acc[i, j] = t if old is None else tuple(map(add, old, t))
     return Matrix.from_items(rep.dim, rep.dim, (
-        (i, j, c * v)
-        for blade, c in coeffs.items()
-        for i, j, v in blade_matrix(rep, blade).nonzero_items()
+        (i, j, _from_parts(t, den)) for (i, j), t in acc.items() if any(t)
     ))
+
+
+def _unit_product(s, p, e, den):
+    """s * i**p * sqrt2**e as (a, b, c, d, f): exact numerators over den and a float part (int 0 if exact)."""
+    if s.f is not None:
+        return 0, 0, 0, 0, (s * unit(p, e)).f
+    a, b, c, d = s.a, s.b, s.c, s.d
+    if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
+        a, b, c, d = 2 * b, a, 2 * d, c
+    m = e >> 1  # the remaining power of two
+    k = (den // s.q) << m if m >= 0 else den // (s.q << -m)
+    a, b, c, d = a * k, b * k, c * k, d * k
+    for _ in range(p):  # times i
+        a, b, c, d = -c, -d, a, b
+    return a, b, c, d, 0
+
+
+def _from_parts(t, den):
+    a, b, c, d, f = t
+    s = Scalar(a, b, c, d, den)
+    return s if type(f) is int else s + Scalar(_float=f)
 
 
 def gamma_coefficients(rep, blade, a, b):

@@ -3,12 +3,15 @@
 Subcommands: build (dump a representation as JSON), tables (classification
 tables), verify (identity suites), decompose (blade/outer coefficients of
 a matrix file), eval (chain expressions), classify-reflection.  Exit codes:
-0 success, 1 verification failure, 2 usage error or unreadable input.
-Identical arguments and seed produce byte-identical output.
+0 success, 1 verification failure, 2 usage error or unreadable input, 141
+(128 + SIGPIPE) when the reader of stdout closes it early, as in
+``sga build | head -1``; that case prints nothing.  Identical arguments and
+seed produce byte-identical output.
 
 Matrices are written sparse, as {"shape": [nrows, ncols], "entries":
-[[i, j, value], ...]} over their nonzero entries.  ``decompose --input``
-reads that form, a dense list of rows, or an {"entries": dense rows} object.
+[[i, j, value], ...]} over their nonzero entries, one entry per line.
+``decompose --input`` reads that form (however it is indented), a dense
+list of rows, or an {"entries": dense rows} object.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .blades import decompose_multivector, spinor_outer_decompose
@@ -89,10 +93,25 @@ def _emit(args, text):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
-def _json_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _json_dumps(obj, indent=""):
+    """json.dumps(obj, indent=2, sort_keys=True), except that each [i, j, value]
+    entry of a sparse matrix object goes on one line."""
+    if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    inner = indent + "  "
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        if key == "entries" and "shape" in obj and isinstance(value, list) and value:
+            lines = ",\n".join(f"{inner}  {json.dumps(e, sort_keys=True)}" for e in value)
+            text = f"[\n{lines}\n{inner}]"
+        else:
+            text = _json_dumps(value, inner)
+        items.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
 # ---------------------------------------------------------------- subcommands
@@ -311,6 +330,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

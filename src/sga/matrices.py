@@ -1,21 +1,27 @@
-"""Matrices over the exact scalar ring, stored by their nonzero entries.
+"""Matrices over the exact scalar ring, and the signed monomials among them.
 
-Every basis matrix of the chiral construction (gammas, metrics, kappa,
-Gamma, C and blades) is a signed partial permutation: a spinor index is a
-bitcode, and each row holds at most one nonzero.  A Matrix therefore keeps
-each row as a {column: Scalar} dict of its nonzero entries only, in
-increasing column order.  Sums, products, negation, transposition and
-comparison cost O(nnz) and never scan a zero, and entries that cancel are
-dropped, so equal matrices have equal rows.  The dense ``rows`` view is
-built on demand for elimination and the tests.  JSON holds the nonzero
-entries only: {"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
+A spinor index is a bitcode, so every basis operator of the chiral
+construction (gammas, metrics, kappa, Gamma, C and blades) is a signed
+monomial: each row holds at most one nonzero, a unit i**p * sqrt2**e.
+``Monomial`` stores such an operator as three flat int tuples, the column
+of each row (-1 for an empty row), p mod 4 and e, so a product is one
+gather and two integer adds per row and never touches a Scalar.
+
+``Matrix`` is the general exact type, for user input, random matrices,
+products with spinors and JSON.  It keeps each row as a {column: Scalar}
+dict of its nonzero entries only, in increasing column order.  Sums,
+products, negation, transposition and comparison cost O(nnz) and never
+scan a zero, and entries that cancel are dropped, so equal matrices have
+equal rows.  The dense ``rows`` view is built on demand for elimination
+and the tests.  JSON holds the nonzero entries only: {"shape": [nrows,
+ncols], "entries": [[i, j, value], ...]}.
 """
 
 from __future__ import annotations
 
 import os
 
-from .scalars import ONE, ZERO, Scalar, approx_equal
+from .scalars import ONE, ZERO, Scalar, approx_equal, unit
 
 
 DEFAULT_MAX_DIM = 256
@@ -40,6 +46,8 @@ def max_dimension():
 
 def _canonical(acc):
     """A row dict with its zero entries dropped and its columns in increasing order."""
+    if not acc:
+        return acc
     return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
 
 
@@ -95,28 +103,11 @@ class Matrix:
     @classmethod
     def from_items(cls, nrows, ncols, items):
         """The matrix whose (i, j) entry is the sum of the values given for it in (i, j, value) items."""
-        rows = [{} for _ in range(nrows)]
+        rows = {}
         for i, j, v in items:
-            row = rows[i]
+            row = rows.setdefault(i, {})
             row[j] = row[j] + v if j in row else v
-        return cls([_canonical(r) for r in rows], ncols)
-
-    @classmethod
-    def block2(cls, tl, tr, bl, br, half):
-        """Assemble a 2x2 block matrix; None blocks are zero, each half x half."""
-        for m in (tl, tr, bl, br):
-            if m is not None and (m.nrows != half or m.ncols != half):
-                raise ValueError("block shape does not match the half size")
-
-        def band(left, right):
-            for i in range(half):
-                row = left.sparse_rows[i] if left is not None else {}
-                if right is not None and right.sparse_rows[i]:
-                    row = dict(row)
-                    row.update((j + half, s) for j, s in right.sparse_rows[i].items())
-                yield row
-
-        return cls([*band(tl, tr), *band(bl, br)], 2 * half)
+        return cls([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
 
     # -- shape ----------------------------------------------------------
 
@@ -377,14 +368,108 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def block_diag(m, bottom):
-    """diag(m, bottom) for two equal-shaped square matrices."""
-    return Matrix.block2(m, None, None, bottom, m.dim)
+class Monomial:
+    """A square signed-monomial matrix (a signed partial permutation).
 
+    Row i holds i**phases[i] * sqrt2**exps[i] in column cols[i], or
+    nothing when cols[i] is -1 (its phase and exponent are then 0); no
+    two rows share a column, so products and transposes are monomials too.
+    Immutable; equal operators have equal tuples.
+    """
 
-def anti_block(top_right, bottom_left):
-    """Antidiagonal block matrix [[0, tr], [bl, 0]]."""
-    return Matrix.block2(None, top_right, bottom_left, None, top_right.dim)
+    __slots__ = ("cols", "phases", "exps", "_entries", "_units")
+
+    def __init__(self, cols, phases, exps):
+        cols = tuple(cols)
+        used = [j for j in cols if j >= 0]
+        if len(set(used)) != len(used) or (used and max(used) >= len(cols)):
+            raise ValueError("monomial columns must be distinct and inside the matrix")
+        self.cols = cols
+        self.phases = tuple(p & 3 if j >= 0 else 0 for j, p in zip(cols, phases))
+        self.exps = tuple(e if j >= 0 else 0 for j, e in zip(cols, exps))
+        self._entries = self._units = None
+
+    @classmethod
+    def _of(cls, cols, phases, exps):
+        """A monomial from tuples that are already valid and normalised."""
+        m = cls.__new__(cls)
+        m.cols, m.phases, m.exps = cols, phases, exps
+        m._entries = m._units = None
+        return m
+
+    @property
+    def entries(self):
+        """(i, j, p, e) of every nonempty row, i increasing; listed once, on first use."""
+        if self._entries is None:
+            self._entries = tuple(
+                (i, j, p, e)
+                for i, (j, p, e) in enumerate(zip(self.cols, self.phases, self.exps))
+                if j >= 0
+            )
+        return self._entries
+
+    @property
+    def units(self):
+        """The distinct (p, e) of the nonempty rows."""
+        if self._units is None:
+            self._units = frozenset((p, e) for _, _, p, e in self.entries)
+        return self._units
+
+    @classmethod
+    def identity(cls, dim):
+        return cls(range(dim), (0,) * dim, (0,) * dim)
+
+    @property
+    def dim(self):
+        return len(self.cols)
+
+    def __matmul__(self, other):
+        """The product self @ other: row i of self picks row cols[i] of other."""
+        if self.dim != other.dim:
+            raise ValueError("monomial dimension mismatch in product")
+        cols, phases, exps = other.cols, other.phases, other.exps
+        out_cols, out_phases, out_exps = [], [], []
+        for k, p, e in zip(self.cols, self.phases, self.exps):
+            j = cols[k] if k >= 0 else -1
+            if j < 0:
+                out_cols.append(-1)
+                out_phases.append(0)
+                out_exps.append(0)
+            else:
+                out_cols.append(j)
+                out_phases.append((p + phases[k]) & 3)
+                out_exps.append(e + exps[k])
+        return Monomial._of(tuple(out_cols), tuple(out_phases), tuple(out_exps))
+
+    def scale(self, p, e=0):
+        """This operator times the unit i**p * sqrt2**e."""
+        return Monomial(self.cols, [q + p for q in self.phases], [f + e for f in self.exps])
+
+    def transpose(self):
+        dim = self.dim
+        cols, phases, exps = [-1] * dim, [0] * dim, [0] * dim
+        for i, (j, p, e) in enumerate(zip(self.cols, self.phases, self.exps)):
+            if j >= 0:
+                cols[j], phases[j], exps[j] = i, p, e
+        return Monomial(cols, phases, exps)
+
+    def to_matrix(self):
+        return Matrix(
+            [{j: unit(p, e)} if j >= 0 else {}
+             for j, p, e in zip(self.cols, self.phases, self.exps)],
+            self.dim,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return (self.cols, self.phases, self.exps) == (other.cols, other.phases, other.exps)
+
+    def __hash__(self):
+        return hash((self.cols, self.phases, self.exps))
+
+    def __repr__(self):
+        return f"Monomial({self.dim}x{self.dim})"
 
 
 def commutator(a, b):

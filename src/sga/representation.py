@@ -1,17 +1,24 @@
 """Chiral representation of spinors and Clifford algebras.
 
-The construction is inductive over pairs of dimensions.  Starting from the
-one-dimensional spinor space, each step doubles the spinor space, embeds
-every previously built basis vector g as diag(g, -g), and adjoins a new
-pair of orthonormal vectors
+A basis spinor is labelled by a bitcode of n bits, one per rotation
+plane, and its index reads the bits as a binary number: a down bit at
+plane k contributes bit = 2**(k-1).  Every generator is a signed monomial
+on those indices, written down in closed form (the Jordan-Wigner
+construction) rather than by doubling the spinor space plane by plane.
+With s(j) = (-1)**popcount(j >> k), the sign of the planes above k, the
+generators of plane k send column j to row j ^ bit:
 
-    plus = [[0, 1], [1, 0]]        minus = [[0, -i], [i, 0]]
+    g_k      (bit set in j)    value sqrt2 * s(j)
+    gbar_k   (bit clear in j)  value sqrt2 * s(j)
+    plus_k   (every j)         value s(j)
+    minus_k  (every j)         value -i s(j) if the bit is set, i s(j) if not
 
-(in blocks), together with the chiral combinations (plus +- i*minus)/sqrt2
-which carry charge +-1 under rotations in the new plane.  The spinor
-metric is the product of the real basis vectors (one per pair), built by
-the same doubling with an alternating block sign; the alternative metric
-multiplies in the chiral operator instead and uses the imaginary vectors.
+so g_k and gbar_k = (plus_k +- i minus_k)/sqrt2 carry charge +-1 under
+rotations in plane k, and every generator anticommutes with those of the
+other planes.  The chiral operator kappa is diagonal with entries
+(-1)**popcount(j).  The standard spinor metric sends column j to row
+j ^ (2**n - 1) with one factor -1 per even plane whose bit is clear in j;
+the alternative metric counts the odd planes instead.
 
 Timelike dimensions are realised as i times the spacelike matrix; the
 metrics are computed from the spacelike forms regardless of signature.
@@ -22,6 +29,9 @@ operator of the even subalgebra; the ``embed_*`` modes build the even
 (N+1)-dimensional representation and tag either the final odd vector or
 the extra vector as a scalar (rotation-inert) dimension, which also
 enables the primed metric variants.
+
+Every operator is built and multiplied as a ``Monomial``; the accessors
+return the equal ``Matrix``, converted once per operator.
 """
 
 from __future__ import annotations
@@ -29,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bitcodes import Bitcode
-from .matrices import Matrix, block_diag, max_dimension
-from .scalars import I, ONE, SQRT2, ZERO, Scalar, i_power
+from .matrices import Matrix, Monomial, max_dimension
+from .scalars import i_power
 
 METRIC_CHOICES = ("standard", "alternative", "prime_standard", "prime_alternative")
 ODD_MODES = ("project", "embed_scalar_n", "embed_scalar_n_plus_1")
@@ -100,46 +110,39 @@ class RepConfig:
 
 
 def _even_core(pairs):
-    """Inductive data for the even algebra on `pairs` planes."""
-    dim = 1
-    one = Matrix([[ONE]])
-    eps_std = one
-    eps_alt = one
-    kappa = one
+    """The operators of the even algebra on `pairs` planes, as signed monomials."""
+    dim = 1 << pairs
+    rows = range(dim)
+    zeros = (0,) * dim
     chiral = []  # (gamma_k, gamma_k_bar)
     orth = []  # (plus_k, minus_k)
+    for k in range(1, pairs + 1):
+        bit = 1 << (k - 1)
+        flip = [i ^ bit for i in rows]
+        sign = [2 * ((i >> k).bit_count() & 1) for i in rows]  # phase of s(i) = s(i ^ bit)
+        rt2 = (1,) * dim
+        chiral.append((
+            Monomial([-1 if i & bit else i ^ bit for i in rows], sign, rt2),
+            Monomial([i ^ bit if i & bit else -1 for i in rows], sign, rt2),
+        ))
+        orth.append((
+            Monomial(flip, sign, zeros),
+            Monomial(flip, [p + (1 if i & bit else 3) for i, p in zip(rows, sign)], zeros),
+        ))
 
-    for j in range(1, pairs + 1):
-        ident = Matrix.identity(dim)
-        rt2 = ident.scale(SQRT2)
-        chiral = [(block_diag(g, -g), block_diag(gb, -gb)) for g, gb in chiral]
-        orth = [(block_diag(p, -p), block_diag(m, -m)) for p, m in orth]
-        chiral.append(
-            (
-                Matrix.block2(None, rt2, None, None, dim),
-                Matrix.block2(None, None, rt2, None, dim),
-            )
-        )
-        orth.append(
-            (
-                Matrix.block2(None, ident, ident, None, dim),
-                Matrix.block2(None, ident.scale(-I), ident.scale(I), None, dim),
-            )
-        )
-        sign_std = ONE if (j - 1) % 2 == 0 else -ONE
-        sign_alt = ONE if j % 2 == 0 else -ONE
-        eps_std = Matrix.block2(None, eps_std, eps_std.scale(sign_std), None, dim)
-        eps_alt = Matrix.block2(None, eps_alt, eps_alt.scale(sign_alt), None, dim)
-        kappa = block_diag(kappa, -kappa)
-        dim *= 2
+    def metric(planes):
+        # row i = j ^ (dim - 1): a bit clear in column j is set in row i
+        mask = sum(1 << (k - 1) for k in planes)
+        return Monomial([i ^ (dim - 1) for i in rows],
+                        [2 * ((i & mask).bit_count() & 1) for i in rows], zeros)
 
     return {
         "dim": dim,
         "chiral": chiral,
         "orth": orth,
-        "eps_std": eps_std,
-        "eps_alt": eps_alt,
-        "kappa": kappa,
+        "eps_std": metric(range(2, pairs + 1, 2)),
+        "eps_alt": metric(range(1, pairs + 1, 2)),
+        "kappa": Monomial(rows, [2 * (i.bit_count() & 1) for i in rows], zeros),
     }
 
 
@@ -174,61 +177,54 @@ class Representation:
         self.dim = core["dim"]
         self._chiral = core["chiral"]
         self._orth = core["orth"]
-        self.kappa_diag = core["kappa"]
+        self._matrices = {}  # id of an operator monomial -> (that monomial, its Matrix)
+        kappa_diag = core["kappa"]
+        full = [m for pair in self._orth for m in pair]
 
-        # map the algebra's N orthonormal axes onto built matrices (spacelike forms)
-        spacelike = []
-        self.scalar_axis_matrix = None
+        # map the algebra's N orthonormal axes onto built operators (spacelike forms)
+        scalar_axis = None
         if not self.is_odd:
-            for k in range(built_pairs):
-                spacelike.append(self._orth[k][0])
-                spacelike.append(self._orth[k][1])
-            self.kappa = self.kappa_diag
+            spacelike = full
+            kappa = kappa_diag
             eps_std = core["eps_std"]
             eps_alt = core["eps_alt"]
         elif config.odd_mode == "project":
-            for k in range(built_pairs):
-                spacelike.append(self._orth[k][0])
-                spacelike.append(self._orth[k][1])
-            spacelike.append(self.kappa_diag)  # the final vector
-            self.kappa = Matrix.identity(self.dim)
+            spacelike = full + [kappa_diag]  # the final vector
+            kappa = Monomial.identity(self.dim)
             eps_std = eps_alt = core["eps_alt"]
         else:
-            full = []
-            for k in range(built_pairs):
-                full.append(self._orth[k][0])
-                full.append(self._orth[k][1])
             if config.odd_mode == "embed_scalar_n":
                 active = list(range(n_total - 1)) + [n_total]
-                self.scalar_axis_matrix = full[n_total - 1]
+                scalar_axis = full[n_total - 1]
             else:
                 active = list(range(n_total))
-                self.scalar_axis_matrix = full[n_total]
+                scalar_axis = full[n_total]
             spacelike = [full[a] for a in active]
             self._active_built_axes = tuple(a + 1 for a in active)
-            self.kappa = self.kappa_diag
+            kappa = kappa_diag
             eps_std = core["eps_std"]
             eps_alt = self._partial_alt_metric((n_total - 1) // 2)
 
         self._spacelike = spacelike
-        self.eps_std = eps_std
-        self.eps_alt = eps_alt
-        self.eps = self._select_metric(core)
-        self.eps_T = self.eps.transpose()
-
-        sq = (self.eps @ self.eps).scalar_multiple_of_identity()
-        if sq is None or sq not in (ONE, -ONE):
-            raise AssertionError("spinor metric square is not +-1")
-        self.metric_square_sign = 1 if sq == ONE else -1
-
+        eps = self._select_metric(core, eps_std, eps_alt, scalar_axis)
+        self.metric_square_sign = self._square_sign(eps, "spinor metric")
         self._gammas = [
-            g.scale(I) if sig.is_timelike(a + 1) else g
+            g.scale(1) if sig.is_timelike(a + 1) else g
             for a, g in enumerate(spacelike)
         ]
+        Gamma, self.gamma_phase = self._build_time_product()
 
-        self.pseudoscalar = self._build_pseudoscalar()
-        self.Gamma, self.gamma_phase = self._build_time_product()
-        self.C = self.eps @ self.Gamma.transpose()
+        as_matrix = self._matrix
+        self.kappa_diag = as_matrix(kappa_diag)
+        self.kappa = as_matrix(kappa)
+        self.eps_std = as_matrix(eps_std)
+        self.eps_alt = as_matrix(eps_alt)
+        self.eps = as_matrix(eps)
+        self.eps_T = eps.transpose().to_matrix()
+        self.scalar_axis_matrix = None if scalar_axis is None else as_matrix(scalar_axis)
+        self.pseudoscalar = self._build_pseudoscalar().to_matrix()
+        self.Gamma = Gamma.to_matrix()
+        self.C = (eps @ Gamma.transpose()).to_matrix()
 
         self._blade_cache = {}
         self._raised_cache = {}
@@ -236,54 +232,64 @@ class Representation:
         self._codes = tuple(
             Bitcode.from_index(i, self.n_bits) for i in range(self.dim)
         )
-        self.inv_dim = Scalar(1, 0, 0, 0, self.dim)
 
     # -- helpers used during construction --------------------------------
 
+    def _matrix(self, mono):
+        """The Matrix of one of this representation's operator monomials, converted once."""
+        # the entry keeps the monomial alive, so its id is not reused
+        cached = self._matrices.get(id(mono))
+        if cached is None:
+            cached = self._matrices[id(mono)] = (mono, mono.to_matrix())
+        return cached[1]
+
+    def _square_sign(self, m, what):
+        sq = m @ m
+        ident = Monomial.identity(self.dim)
+        if sq == ident:
+            return 1
+        if sq == ident.scale(2):
+            return -1
+        raise AssertionError(f"{what} square is not +-1")
+
     def _partial_alt_metric(self, pairs):
-        m = Matrix.identity(self.dim)
+        m = Monomial.identity(self.dim)
         for k in range(pairs):
-            m = m @ self._orth[k][1].scale(I)
+            m = m @ self._orth[k][1].scale(1)
         return m
 
-    def _select_metric(self, core):
+    def _select_metric(self, core, eps_std, eps_alt, scalar_axis):
         choice = self.config.metric
         if not self.is_odd or self.odd_mode == "project":
-            return self.eps_std if choice in ("standard", "prime_standard") else self.eps_alt
+            return eps_std if choice in ("standard", "prime_standard") else eps_alt
         if choice == "standard":
-            return self.eps_std
+            return eps_std
         if choice == "alternative":
-            return self.eps_alt
+            return eps_alt
         if choice == "prime_standard":
-            return core["eps_std"] @ self.scalar_axis_matrix
+            return core["eps_std"] @ scalar_axis
         return core["eps_alt"]  # prime_alternative
 
     def _build_pseudoscalar(self):
+        ps = Monomial.identity(self.dim)
         if self.is_odd and self.odd_mode == "project":
-            ps = Matrix.identity(self.dim).scale(i_power(self.n_bits))
+            ps = ps.scale(self.n_bits)
         else:
-            ps = Matrix.identity(self.dim)
             for g in self._spacelike:
                 ps = ps @ g
         if self.config.timelike_pseudoscalar_phase and self.signature.timelike:
-            ps = ps.scale(i_power(self.signature.timelike))
+            ps = ps.scale(self.signature.timelike)
         return ps
 
     def _build_time_product(self):
-        sign = Scalar(self.config.gamma_phase_sign)
-        raw = Matrix.identity(self.dim)
+        """Gamma, the phased product of the timelike vectors, and its phase."""
+        raw = Monomial.identity(self.dim)
         for axis in self.signature.timelike_axes:
             raw = raw @ self._gammas[axis - 1]
-        sq = (raw @ raw).scalar_multiple_of_identity()
-        if sq is None or sq not in (ONE, -ONE):
-            raise AssertionError("time product square is not +-1")
-        if sq == ONE:
-            phase = sign
-        elif self.signature.timelike == 1:
-            phase = -I * sign
-        else:
-            phase = I * sign
-        return raw.scale(phase), phase
+        phase = 0 if self.config.gamma_phase_sign == 1 else 2  # as a power of i
+        if self._square_sign(raw, "time product") == -1:
+            phase += 3 if self.signature.timelike == 1 else 1
+        return raw.scale(phase), i_power(phase)
 
     # -- spinor indexing ---------------------------------------------------
 
@@ -310,25 +316,37 @@ class Representation:
         """Orthonormal basis vector for axis in 1..N (timelike carry a factor i)."""
         if not 1 <= axis <= self.N:
             raise ValueError(f"axis {axis} out of range 1..{self.N}")
+        return self._matrix(self.gamma_monomial(axis))
+
+    def gamma_monomial(self, axis):
+        """``gamma(axis)`` as a signed monomial."""
+        if not 1 <= axis <= self.N:
+            raise ValueError(f"axis {axis} out of range 1..{self.N}")
         return self._gammas[axis - 1]
 
     def gamma_spacelike_form(self, axis):
         if not 1 <= axis <= self.N:
             raise ValueError(f"axis {axis} out of range 1..{self.N}")
-        return self._spacelike[axis - 1]
+        return self._matrix(self._spacelike[axis - 1])
 
     def gamma_plus(self, k):
-        self._check_pair(k)
-        return self._orth[k - 1][0]
+        return self._matrix(self.orth_monomial(k))
 
     def gamma_minus(self, k):
+        return self._matrix(self.orth_monomial(k, minus=True))
+
+    def orth_monomial(self, k, minus=False):
+        """``gamma_minus(k)`` or ``gamma_plus(k)`` as a signed monomial."""
         self._check_pair(k)
-        return self._orth[k - 1][1]
+        return self._orth[k - 1][1 if minus else 0]
 
     def gamma_chiral(self, k, barred=False):
+        return self._matrix(self.chiral_monomial(k, barred))
+
+    def chiral_monomial(self, k, barred=False):
+        """``gamma_chiral(k, barred)`` as a signed monomial."""
         self._check_pair(k)
-        pair = self._chiral[k - 1]
-        return pair[1] if barred else pair[0]
+        return self._chiral[k - 1][1 if barred else 0]
 
     def _check_pair(self, k):
         if not 1 <= k <= self.n_bits:
@@ -365,7 +383,7 @@ class Representation:
         """Built orthonormal vector (timelike-adjusted) for a built axis index."""
         k, rem = divmod(built_axis - 1, 2)
         m = self._orth[k][rem]
-        return m.scale(I) if self.built_axis_is_timelike(built_axis) else m
+        return m.scale(1).to_matrix() if self.built_axis_is_timelike(built_axis) else self._matrix(m)
 
     # -- serialization ----------------------------------------------------
 

@@ -9,12 +9,17 @@ Q(i, sqrt2).  A scalar is stored as five integers (a, b, c, d, q) encoding
 with q > 0 and gcd(a, b, c, d, q) = 1, so zero is canonical and equality
 is structural.  A float mode (a bare complex payload) exists for rotor
 tests at angles where cos/sin leave the ring; mixed arithmetic promotes
-to float.
+to float.  An exact value compares with a float exactly, as a Fraction
+does, so a value with a sqrt2 part never equals a float, and equal values
+hash alike.
+
+The entries of the signed-monomial operators are the units
+i**p * sqrt2**e that ``unit`` makes.
 """
 
 from __future__ import annotations
 
-import cmath
+import sys
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -50,10 +55,6 @@ class Scalar:
         self.q = q
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n):
-        return cls(n)
 
     @classmethod
     def from_fraction(cls, x):
@@ -289,15 +290,25 @@ class Scalar:
                 and self.d == other.d
                 and self.q == other.q
             )
-        return self.to_complex() == other.to_complex()
+        if self.f is not None and other.f is not None:
+            return self.f == other.f
+        exact, z = (self, other.f) if self.f is None else (other, self.f)
+        # exactly, as a Fraction compares with a float; a sqrt2 part is irrational
+        return (
+            exact.b == 0
+            and exact.d == 0
+            and _rational(exact.a, exact.q) == z.real
+            and _rational(exact.c, exact.q) == z.imag
+        )
 
     def __hash__(self):
         if self.f is not None:
             return hash(self.f)
-        if self.b == 0 and self.c == 0 and self.d == 0:
-            # hash like the equal int, Fraction or float
-            return hash(self.a) if self.q == 1 else hash(Fraction(self.a, self.q))
-        return hash((self.a, self.b, self.c, self.d, self.q))
+        if self.b or self.d:
+            return hash((self.a, self.b, self.c, self.d, self.q))
+        # hash like the equal int, Fraction, float or complex
+        re = hash(_rational(self.a, self.q))
+        return re if self.c == 0 else _complex_hash(re, hash(_rational(self.c, self.q)))
 
     def __bool__(self):
         return not self.is_zero()
@@ -311,6 +322,20 @@ class Scalar:
                 frac = Fraction(coef, self.q)
                 terms.append(f"{frac}{unit}")
         return "Scalar(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _rational(x, q):
+    """x / q as an int or a Fraction (x may be an int-valued float when q is 1)."""
+    return x if q == 1 else Fraction(x, q)
+
+
+def _complex_hash(re, im):
+    """hash(complex(x, y)) from hash(x) and hash(y), combined as CPython does."""
+    width = sys.hash_info.width
+    h = (re + sys.hash_info.imag * im) % (1 << width)
+    if h >= 1 << (width - 1):
+        h -= 1 << width
+    return -2 if h == -1 else h
 
 
 def _is_json_number(x):
@@ -358,6 +383,18 @@ def sin_quarter_turns(k):
 def i_power(k):
     """Exact i**k."""
     return (ONE, I, -ONE, -I)[k % 4]
+
+
+_UNITS = {}
+
+
+def unit(p, e):
+    """Exact i**p * sqrt2**e, for any int p and e."""
+    key = (p & 3, e)
+    s = _UNITS.get(key)
+    if s is None:
+        s = _UNITS[key] = i_power(p) * SQRT2**e
+    return s
 
 
 def approx_equal(x, y, tol=1e-12):

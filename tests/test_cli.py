@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour, exit codes and determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sga.cli import main
+from sga.cli import _json_dumps, main
 from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
 
@@ -235,3 +238,53 @@ def test_build_k17_is_compact(tmp_path, capsys):
     assert target.stat().st_size < 5_000_000
     blob = json.loads(target.read_text())
     assert Matrix.from_json(blob["C"]) == build_representation(spacelike=17).C
+
+
+def test_build_k17_writes_one_entry_per_line(tmp_path, capsys):
+    target = tmp_path / "k17.json"
+    code, _, _ = run(capsys, "build", "-K", "17", "-o", str(target))
+    assert code == 0
+    text = target.read_text()
+    assert len(text.encode()) < 600_000 and text.count("\n") < 10_000
+    assert '      [0, 255, {"im": ["0", "0"], "re": ["1", "0"]}],\n' in text
+    blob = json.loads(text)
+    rep = build_representation(spacelike=17)
+    assert Matrix.from_json(blob["C"]) == rep.C
+    redumped = json.loads(json.dumps(blob, indent=2, sort_keys=True))
+    assert Matrix.from_json(redumped["C"]) == rep.C
+
+
+def test_json_layout_is_otherwise_indent_2():
+    matrix = {"shape": [1, 2], "entries": [[0, 1, {"re": ["1", "0"], "im": ["0", "0"]}]]}
+    assert _json_dumps({"b": matrix, "a": [1, {"x": None}]}) == """{
+  "a": [
+    1,
+    {
+      "x": null
+    }
+  ],
+  "b": {
+    "entries": [
+      [0, 1, {"im": ["0", "0"], "re": ["1", "0"]}]
+    ],
+    "shape": [
+      1,
+      2
+    ]
+  }
+}"""
+    # without a "shape" key an "entries" list is not a matrix's
+    other = {"entries": [[0, 1, 2]], "n": {"3": [4.5, "x"]}}
+    assert _json_dumps(other) == json.dumps(other, indent=2, sort_keys=True)
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sga.cli", "build", "-K", "13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()  # the reader goes away before anything is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -10,9 +10,7 @@ from sga.cli import main
 from sga.matrices import (
     DEFAULT_MAX_DIM,
     Matrix,
-    anti_block,
     anticommutator,
-    block_diag,
     commutator,
     max_dimension,
 )
@@ -98,14 +96,6 @@ def test_determinant_frozen_cases():
     swap = Matrix([[ZERO, ONE], [ONE, ZERO]])
     assert swap.determinant() == -ONE
     assert Matrix.diagonal([SQRT2, SQRT2]).determinant() == Scalar(2)
-
-
-def test_block_helpers():
-    a = Matrix([[ONE]])
-    d = block_diag(a, -a)
-    assert d == Matrix.diagonal([ONE, -ONE])
-    anti = anti_block(a, a.scale(I))
-    assert anti == Matrix([[ZERO, ONE], [I, ZERO]])
 
 
 def test_scalar_multiple_of_identity():
@@ -308,24 +298,6 @@ def test_scalar_multiple_of_identity_with_zero_first_entry():
     assert Matrix([[ZERO, ONE], [ZERO, ZERO]]).scalar_multiple_of_identity() is None
     assert Matrix([[ONE, ZERO], [ONE, ONE]]).scalar_multiple_of_identity() is None
     assert Matrix.zeros(2, 3).scalar_multiple_of_identity() is None
-
-
-def test_block2_with_none_blocks():
-    rng = Random(31)
-    a, b = rand_sparse_matrix(rng, 3, 3, 0.5), rand_sparse_matrix(rng, 3, 3, 0.5)
-    zero_row = (ZERO,) * 3
-    for tl, tr, bl, br in [(a, None, None, b), (None, a, b, None), (a, b, None, None),
-                           (None, None, None, None), (a, a, b, b)]:
-        want = [
-            (tl.rows[i] if tl else zero_row) + (tr.rows[i] if tr else zero_row) for i in range(3)
-        ] + [
-            (bl.rows[i] if bl else zero_row) + (br.rows[i] if br else zero_row) for i in range(3)
-        ]
-        got = Matrix.block2(tl, tr, bl, br, 3)
-        assert got == Matrix(want)
-        assert list(got.nonzero_items()) == dense_items(got)
-    with pytest.raises(ValueError):
-        Matrix.block2(a, None, None, Matrix.identity(2), 3)
 
 
 def test_nonzero_items_stay_row_major_after_product_and_transpose():

@@ -1,7 +1,7 @@
 """Construction invariants of the chiral representation.
 
-The metrics have two independent routes: the block recursion used by the
-builder and the explicit product of basis vectors.  Tests compare both.
+The metrics have two independent routes: the closed bitcode form used by
+the builder and the explicit product of basis vectors.  Tests compare both.
 """
 
 from itertools import combinations

@@ -149,3 +149,24 @@ def test_json_ints_are_exact():
 def test_json_rejects_malformed(blob):
     with pytest.raises(ValueError):
         Scalar.from_json(blob)
+
+
+def test_irrational_and_inexact_rationals_never_equal_floats():
+    assert SQRT2 != Scalar(_float=2**0.5)
+    assert len({SQRT2, Scalar(_float=2**0.5)}) == 2
+    assert Scalar(1, 0, 0, 0, 3) != Scalar(_float=1 / 3)
+    assert Fraction(1, 3) != 1 / 3  # the rule Scalar follows
+    assert Scalar(1, 0, 0, 0, 4) == Scalar(_float=0.25) and hash(Scalar(1, 0, 0, 0, 4)) == hash(0.25)
+    assert Scalar(1, 0, -3, 0, 2) == complex(0.5, -1.5)
+    assert hash(Scalar(1, 0, -3, 0, 2)) == hash(complex(0.5, -1.5))
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_alike(x, y):
+    values = [x, y, Scalar(_float=x.to_complex()), Scalar(_float=y.to_complex()),
+              Scalar(x.a, 0, x.c, 0, x.q), Scalar(x.a, 0, 0, 0, x.q)]
+    for u in values:
+        u_float = Scalar(_float=u.to_complex())
+        for v in values + [u_float, u.to_complex()]:
+            if u == v:
+                assert hash(u) == hash(v), (u, v)
