@@ -250,16 +250,19 @@ def _candidate_blades(rep, m):
     unbarred generator for up<-down, the barred one for down<-up, and
     either nothing or the full pair on the diagonal.
     """
-    planes = []
-    for k in range(1, rep.n_bits + 1):
-        planes.append((1 << (k - 1), (((k, False),),), (((k, True),),), ((), ((k, False), (k, True)))))
+    # per plane: its index bit, then the factor options for an up<-down
+    # entry, a down<-up entry and a diagonal one
+    planes = [
+        (1 << (k - 1), (((k, False),),), (((k, True),),), ((), ((k, False), (k, True))))
+        for k in range(1, rep.n_bits + 1)
+    ]
     seen = set()
     out = []
     for i, j, _ in m.nonzero_items():
         stack = [()]
-        for bit, up, down, diagonal in planes:
+        for bit, unbarred, barred, diagonal in planes:
             row_down, col_down = i & bit, j & bit
-            opts = diagonal if bool(row_down) == bool(col_down) else (down if row_down else up)
+            opts = diagonal if bool(row_down) == bool(col_down) else (barred if row_down else unbarred)
             stack = [acc + opt for acc in stack for opt in opts]
         for factors in stack:
             blade = BladeIndex(CHIRAL, factors)

@@ -22,6 +22,7 @@ from sga.blades import (
     blade_matrix,
     canonicalize,
     decompose_multivector,
+    _unit_product,
     raised_blade_matrix,
     reconstruct_from_blades,
 )
@@ -258,6 +259,14 @@ def test_dense_decomposition_equals_the_trace_formula(n, metric):
             want = (raised @ m).trace() * inv_dim
             assert coeffs.get(blade, Scalar(0)) == want, blade.label()
         assert reconstruct_from_blades(rep, coeffs) == m
+
+
+@given(st.builds(Scalar, *[st.integers(-9, 9)] * 4, st.integers(1, 12)),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=-7, max_value=7))
+def test_integer_unit_products_equal_scalar_products(x, p, e):
+    den = 3 * (x.q << max(0, -(e >> 1)))
+    a, b, c, d, f = _unit_product(x, p, e, den)
+    assert f == 0 and Scalar(a, b, c, d, den) == x * unit(p, e)
 
 
 def test_float_coefficients_reconstruct():
