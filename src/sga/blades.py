@@ -170,7 +170,7 @@ def _raised_monomial(rep, blade):
         for axis in blade.factors:
             if rep.signature.is_timelike(axis):
                 s = -s
-    out = m.scale(2) if s != 1 else m
+    out = m.scale(2) if s != 1 else m  # scale(2) is times i**2 = -1
     rep._raised_cache[blade] = out
     return out
 

@@ -209,7 +209,7 @@ class Representation:
         eps = self._select_metric(core, eps_std, eps_alt, scalar_axis)
         self.metric_square_sign = self._square_sign(eps, "spinor metric")
         self._gammas = [
-            g.scale(1) if sig.is_timelike(a + 1) else g
+            g.scale(1) if sig.is_timelike(a + 1) else g  # timelike: times i
             for a, g in enumerate(spacelike)
         ]
         Gamma, self.gamma_phase = self._build_time_product()
@@ -248,14 +248,14 @@ class Representation:
         ident = Monomial.identity(self.dim)
         if sq == ident:
             return 1
-        if sq == ident.scale(2):
+        if sq == ident.scale(2):  # -1
             return -1
         raise AssertionError(f"{what} square is not +-1")
 
     def _partial_alt_metric(self, pairs):
         m = Monomial.identity(self.dim)
         for k in range(pairs):
-            m = m @ self._orth[k][1].scale(1)
+            m = m @ self._orth[k][1].scale(1)  # i minus_k
         return m
 
     def _select_metric(self, core, eps_std, eps_alt, scalar_axis):
@@ -383,7 +383,9 @@ class Representation:
         """Built orthonormal vector (timelike-adjusted) for a built axis index."""
         k, rem = divmod(built_axis - 1, 2)
         m = self._orth[k][rem]
-        return m.scale(1).to_matrix() if self.built_axis_is_timelike(built_axis) else self._matrix(m)
+        if self.built_axis_is_timelike(built_axis):
+            return m.scale(1).to_matrix()  # times i
+        return self._matrix(m)
 
     # -- serialization ----------------------------------------------------
 
