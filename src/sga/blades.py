@@ -180,24 +180,27 @@ def _raised_monomial(rep, blade):
 
 def metric_column_map(rep):
     """For each bitcode b, the (column, sign) of the single nonzero of e_b. ."""
-    if rep._colmap is not None:
-        return rep._colmap
-    out = {}
-    for b in all_bitcodes(rep.n_bits):
-        row = rep.eps.sparse_rows[b.index()]
-        if len(row) != 1:
-            raise AssertionError("metric row is not a signed unit row")
-        out[b] = next(iter(row.items()))
-    rep._colmap = out
-    return out
+    return _column_maps(rep)[0]
+
+
+def _column_maps(rep):
+    """``metric_column_map`` and its inverse, column -> (b, sign); built once per representation."""
+    if rep._colmap is None:
+        out = {}
+        for b in all_bitcodes(rep.n_bits):
+            row = rep.eps.sparse_rows[b.index()]
+            if len(row) != 1:
+                raise AssertionError("metric row is not a signed unit row")
+            out[b] = next(iter(row.items()))
+        rep._colmap = out, {col: (b, sign) for b, (col, sign) in out.items()}
+    return rep._colmap
 
 
 def spinor_outer_decompose(rep, m):
     """Coefficients c[(a, b)] with m = sum c * e_a e_b. ; exact read-off."""
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
-    colmap = metric_column_map(rep)
-    by_column = {col: (b, sign) for b, (col, sign) in colmap.items()}
+    by_column = _column_maps(rep)[1]
     out = {}
     for i, j, value in m.nonzero_items():
         a = rep.bitcode_of_index(i)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -33,7 +32,6 @@ from .representation import (
     Signature,
     build_representation,
 )
-from .scalars import Scalar
 from .suites import DEFAULT_SEED, EXTRA_SUITES, SUITES, run_suite
 from .symmetry import axis_reflection_classify
 from .tables import (

@@ -385,8 +385,11 @@ class Monomial:
         if len(set(used)) != len(used) or (used and max(used) >= len(cols)):
             raise ValueError("monomial columns must be distinct and inside the matrix")
         self.cols = cols
-        self.phases = tuple(p & 3 if j >= 0 else 0 for j, p in zip(cols, phases))
-        self.exps = tuple(e if j >= 0 else 0 for j, e in zip(cols, exps))
+        if len(used) == len(cols):
+            self.phases, self.exps = tuple([p & 3 for p in phases]), tuple(exps)
+        else:  # an empty row holds phase and exponent 0
+            self.phases = tuple([p & 3 if j >= 0 else 0 for j, p in zip(cols, phases)])
+            self.exps = tuple([e if j >= 0 else 0 for j, e in zip(cols, exps)])
         self._entries = self._units = None
 
     @classmethod
@@ -443,7 +446,10 @@ class Monomial:
 
     def scale(self, p, e=0):
         """This operator times the unit i**p * sqrt2**e."""
-        return Monomial(self.cols, [q + p for q in self.phases], [f + e for f in self.exps])
+        cols = self.cols
+        phases = tuple((q + p) & 3 if j >= 0 else 0 for j, q in zip(cols, self.phases))
+        exps = tuple(f + e if j >= 0 else 0 for j, f in zip(cols, self.exps)) if e else self.exps
+        return Monomial._of(cols, phases, exps)
 
     def transpose(self):
         dim = self.dim
@@ -451,7 +457,13 @@ class Monomial:
         for i, (j, p, e) in enumerate(zip(self.cols, self.phases, self.exps)):
             if j >= 0:
                 cols[j], phases[j], exps[j] = i, p, e
-        return Monomial(cols, phases, exps)
+        return Monomial._of(tuple(cols), tuple(phases), tuple(exps))
+
+    def sign_against(self, other):
+        """1 if this operator equals `other`, -1 if it equals -other, else 0."""
+        if self == other:
+            return 1
+        return -1 if self == other.scale(2) else 0  # scale(2) is times i**2 = -1
 
     def to_matrix(self):
         return Matrix(

@@ -30,8 +30,9 @@ operator of the even subalgebra; the ``embed_*`` modes build the even
 the extra vector as a scalar (rotation-inert) dimension, which also
 enables the primed metric variants.
 
-Every operator is built and multiplied as a ``Monomial``; the accessors
-return the equal ``Matrix``, converted once per operator.
+Every operator is built, multiplied and held as a ``Monomial``; the
+Matrix attributes and accessors return the equal ``Matrix``, converted
+once per operator, on first read.
 """
 
 from __future__ import annotations
@@ -146,11 +147,48 @@ def _even_core(pairs):
     }
 
 
-class Representation:
-    """All constructed matrices for one (signature, metric, odd-mode) choice.
+# Operators built on first use, since the tables never read them.  They
+# are functions of the representation, not bound to it, so that holding
+# them makes no reference cycle that would keep it alive.
+_DEFERRED = {
+    "eps_T": lambda rep: rep.monomial("eps").transpose(),
+    "pseudoscalar": lambda rep: rep._build_pseudoscalar(),
+    "C": lambda rep: rep.monomial("eps") @ rep.monomial("Gamma").transpose(),
+}
 
-    Immutable after construction; safe to share across threads.
+
+def _converted(name):
+    """A read-only attribute: the Matrix of the operator monomial `name`, converted on first read."""
+
+    def get(self):
+        mono = self.monomial(name)
+        return None if mono is None else self._matrix(mono)
+
+    return property(get, doc=f"The Matrix of ``monomial({name!r})``.")
+
+
+class Representation:
+    """All constructed operators for one (signature, metric, odd-mode) choice.
+
+    Every operator is built and held as a signed monomial.  The Matrix
+    attributes below and the gamma accessors convert their monomial on
+    first read and cache the Matrix; the spinor bitcodes, the blades and
+    the metric column map are likewise cached on first use.  Nothing else
+    changes after construction, and a first use yields equal results in
+    any thread (the Matrix cache keeps the first one stored), so
+    concurrent first use is harmless.
     """
+
+    kappa_diag = _converted("kappa_diag")
+    kappa = _converted("kappa")
+    eps_std = _converted("eps_std")
+    eps_alt = _converted("eps_alt")
+    eps = _converted("eps")
+    eps_T = _converted("eps_T")
+    scalar_axis_matrix = _converted("scalar_axis_matrix")  # None unless an embed odd mode
+    pseudoscalar = _converted("pseudoscalar")
+    Gamma = _converted("Gamma")
+    C = _converted("C")
 
     def __init__(self, config):
         sig = config.signature
@@ -213,25 +251,20 @@ class Representation:
             for a, g in enumerate(spacelike)
         ]
         Gamma, self.gamma_phase = self._build_time_product()
-
-        as_matrix = self._matrix
-        self.kappa_diag = as_matrix(kappa_diag)
-        self.kappa = as_matrix(kappa)
-        self.eps_std = as_matrix(eps_std)
-        self.eps_alt = as_matrix(eps_alt)
-        self.eps = as_matrix(eps)
-        self.eps_T = eps.transpose().to_matrix()
-        self.scalar_axis_matrix = None if scalar_axis is None else as_matrix(scalar_axis)
-        self.pseudoscalar = self._build_pseudoscalar().to_matrix()
-        self.Gamma = Gamma.to_matrix()
-        self.C = (eps @ Gamma.transpose()).to_matrix()
+        self._monomials = {
+            "kappa_diag": kappa_diag,
+            "kappa": kappa,
+            "eps_std": eps_std,
+            "eps_alt": eps_alt,
+            "eps": eps,
+            "scalar_axis_matrix": scalar_axis,
+            "Gamma": Gamma,
+        }
 
         self._blade_cache = {}
         self._raised_cache = {}
-        self._colmap = None
-        self._codes = tuple(
-            Bitcode.from_index(i, self.n_bits) for i in range(self.dim)
-        )
+        self._colmap = None  # (metric column map, its inverse), built by blades on first use
+        self._codes = None
 
     # -- helpers used during construction --------------------------------
 
@@ -240,17 +273,14 @@ class Representation:
         # the entry keeps the monomial alive, so its id is not reused
         cached = self._matrices.get(id(mono))
         if cached is None:
-            cached = self._matrices[id(mono)] = (mono, mono.to_matrix())
+            cached = self._matrices.setdefault(id(mono), (mono, mono.to_matrix()))
         return cached[1]
 
     def _square_sign(self, m, what):
-        sq = m @ m
-        ident = Monomial.identity(self.dim)
-        if sq == ident:
-            return 1
-        if sq == ident.scale(2):  # -1
-            return -1
-        raise AssertionError(f"{what} square is not +-1")
+        sign = (m @ m).sign_against(Monomial.identity(self.dim))
+        if not sign:
+            raise AssertionError(f"{what} square is not +-1")
+        return sign
 
     def _partial_alt_metric(self, pairs):
         m = Monomial.identity(self.dim)
@@ -308,9 +338,26 @@ class Representation:
         return Matrix.unit_column(self.dim, self.spinor_index(b))
 
     def bitcode_of_index(self, index):
+        if self._codes is None:
+            self._codes = tuple(Bitcode.from_index(i, self.n_bits) for i in range(self.dim))
         return self._codes[index]
 
-    # -- matrix accessors ----------------------------------------------------
+    # -- operator accessors --------------------------------------------------
+
+    def monomial(self, name):
+        """The operator behind the Matrix attribute `name` (``eps``, ``C``, ...) as a signed monomial."""
+        if name in _DEFERRED and name not in self._monomials:
+            self._monomials.setdefault(name, _DEFERRED[name](self))
+        return self._monomials[name]
+
+    def monomial_of(self, op):
+        """The signed monomial of `op`, a Matrix this representation returned; a Monomial is returned as it is."""
+        if isinstance(op, Monomial):
+            return op
+        for mono, m in tuple(self._matrices.values()):
+            if m is op:
+                return mono
+        raise ValueError("not an operator matrix of this representation")
 
     def gamma(self, axis):
         """Orthonormal basis vector for axis in 1..N (timelike carry a factor i)."""
@@ -325,9 +372,13 @@ class Representation:
         return self._gammas[axis - 1]
 
     def gamma_spacelike_form(self, axis):
+        return self._matrix(self.spacelike_monomial(axis))
+
+    def spacelike_monomial(self, axis):
+        """``gamma_spacelike_form(axis)`` as a signed monomial."""
         if not 1 <= axis <= self.N:
             raise ValueError(f"axis {axis} out of range 1..{self.N}")
-        return self._matrix(self._spacelike[axis - 1])
+        return self._spacelike[axis - 1]
 
     def gamma_plus(self, k):
         return self._matrix(self.orth_monomial(k))

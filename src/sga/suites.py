@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .bitcodes import Bitcode, all_bitcodes
-from .blades import (
-    all_chiral_blades,
-    blade_matrix,
-    decompose_multivector,
-    reconstruct_from_blades,
-    spinor_outer_decompose,
-    reconstruct_from_outer,
-    verify_isomorphism,
-)
+from .blades import verify_isomorphism
 from .elements import (
     Element,
     ForbiddenProduct,
@@ -39,14 +31,12 @@ from .matrices import Matrix, anticommutator
 from .representation import RepConfig, Signature, build_representation
 from .scalars import HALF, I, INV_SQRT2, ONE, SQRT2, Scalar, ZERO
 from .symmetry import (
-    bivector_rotor,
     conjugate,
     metric_preserved,
     plane_rotor,
     axis_reflection_classify,
 )
 from .tables import (
-    commutation_sign,
     conjugation_symmetry_table,
     gamma_commutation_table,
     metric_symmetry_table,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .blades import blade_matrix, decompose_multivector, reconstruct_from_blades
-from .elements import COLUMN, Element, MULTIVECTOR, ROW, SCALAR
+from .blades import decompose_multivector, reconstruct_from_blades
+from .elements import COLUMN, Element, ROW, SCALAR
 from .matrices import Matrix
 from .scalars import Scalar, cos_quarter_turns, sin_quarter_turns
 

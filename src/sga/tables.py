@@ -1,4 +1,4 @@
-"""Mod-8 classification tables, computed from the built matrices.
+"""Mod-8 classification tables, computed from the built operators.
 
 Three tables are generated from first principles and never hard-coded:
 
@@ -9,6 +9,10 @@ Three tables are generated from first principles and never hard-coded:
   * conjugation table: the symmetry of the conjugation operator per
     signature, which depends only on K - M mod 8.
 
+Every sign is computed on the representation's signed monomials (eps,
+the spacelike generators and C): products, transposes and equality of
+int tuples, with -1 tested as the phase i**2.  No Matrix is built.
+
 The period-8 checker asserts row equality at keys eight apart over a
 range of at least nine consecutive values.
 """
@@ -17,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .matrices import Matrix
+from .matrices import Monomial
 from .representation import RepConfig, Signature, build_representation
-from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -56,21 +59,27 @@ class ConjugationRow:
         return self.difference
 
 
+def _sign(a, b, failure):
+    """+1 if the monomials a == b, -1 if a == -b; otherwise an AssertionError."""
+    sign = a.sign_against(b)
+    if not sign:
+        raise AssertionError(failure)
+    return sign
+
+
 def _square_sign(m):
-    s = (m @ m).scalar_multiple_of_identity()
-    if s == ONE:
-        return 1
-    if s == -ONE:
-        return -1
-    raise AssertionError("matrix square is not +-identity")
+    return _sign(m @ m, Monomial.identity(m.dim), "matrix square is not +-identity")
 
 
 def _symmetry_sign(m):
-    if m.transpose() == m:
-        return 1
-    if m.transpose() == -m:
-        return -1
-    raise AssertionError("matrix is neither symmetric nor antisymmetric")
+    return _sign(m.transpose(), m, "matrix is neither symmetric nor antisymmetric")
+
+
+def _keys(lo, hi, name):
+    """range(lo, hi + 1); a ValueError if it is empty, since a table needs a row."""
+    if hi < lo:
+        raise ValueError(f"the {name} range {lo}..{hi} is empty")
+    return range(lo, hi + 1)
 
 
 def _rep_for(n):
@@ -80,28 +89,28 @@ def _rep_for(n):
 def metric_symmetry_table(n_max, n_min=1):
     """Sign of eps^2 per dimension; equals the symmetry sign of eps."""
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in _keys(n_min, n_max, "N"):
         rep = _rep_for(n)
-        sq_std = _square_sign(rep.eps_std)
-        sq_alt = _square_sign(rep.eps_alt)
-        if _symmetry_sign(rep.eps_std) != sq_std or _symmetry_sign(rep.eps_alt) != sq_alt:
+        eps_std, eps_alt = rep.monomial("eps_std"), rep.monomial("eps_alt")
+        sq_std = _square_sign(eps_std)
+        sq_alt = _square_sign(eps_alt)
+        if _symmetry_sign(eps_std) != sq_std or _symmetry_sign(eps_alt) != sq_alt:
             raise AssertionError("metric symmetry disagrees with its square")
         rows.append(MetricRow(n, sq_std, sq_alt))
     return rows
 
 
 def commutation_sign(rep, eps):
-    """The global sign s with gamma^T eps = s eps gamma for every vector."""
+    """The global sign s with gamma^T eps = s eps gamma for every vector.
+
+    `eps` is a metric monomial of `rep`, or a Matrix that `rep` returned
+    for one (such as ``rep.eps``).
+    """
+    eps = rep.monomial_of(eps)
     sign = None
     for a in range(1, rep.N + 1):
-        g = rep.gamma_spacelike_form(a)
-        lhs = g.transpose() @ eps
-        if lhs == eps @ g:
-            s = 1
-        elif lhs == -(eps @ g):
-            s = -1
-        else:
-            raise AssertionError("vector transpose law has no uniform sign")
+        g = rep.spacelike_monomial(a)
+        s = _sign(g.transpose() @ eps, eps @ g, "vector transpose law has no uniform sign")
         if sign is None:
             sign = s
         elif sign != s:
@@ -111,13 +120,13 @@ def commutation_sign(rep, eps):
 
 def gamma_commutation_table(n_max, n_min=1):
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in _keys(n_min, n_max, "N"):
         rep = _rep_for(n)
         rows.append(
             CommutationRow(
                 n,
-                commutation_sign(rep, rep.eps_std),
-                commutation_sign(rep, rep.eps_alt),
+                commutation_sign(rep, rep.monomial("eps_std")),
+                commutation_sign(rep, rep.monomial("eps_alt")),
             )
         )
     return rows
@@ -127,7 +136,7 @@ def _conjugation_symmetry(spacelike, timelike, metric):
     rep = build_representation(
         RepConfig(Signature(spacelike=spacelike, timelike=timelike), metric=metric)
     )
-    return _symmetry_sign(rep.C)
+    return _symmetry_sign(rep.monomial("C"))
 
 
 def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):
@@ -138,7 +147,7 @@ def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):
     K - M alone is verified rather than assumed.
     """
     rows = []
-    for d in range(d_min, d_max + 1):
+    for d in _keys(d_min, d_max, "K-M"):
         m0 = max(0, -d)
         if d + 2 * m0 < 1:
             m0 += 1

@@ -95,6 +95,25 @@ def test_tables_csv_and_json(capsys):
     assert [r["difference"] for r in blob["conjugation"]] == list(range(-1, 8))
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("--max-dim", "0"), "N"), (("--km-min", "3", "--km-max", "2"), "K-M")],
+)
+def test_tables_empty_range_exit_two(capsys, argv, name):
+    code, out, err = run(capsys, "tables", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{name} range" in err and "empty" in err
+
+
+@pytest.mark.parametrize("code_text, length", [("u", 1), ("uuu", 3)])
+def test_eval_wrong_bitcode_length_exit_two(capsys, code_text, length):
+    code, out, err = run(capsys, "eval", "-K", "4", f"e[{code_text}]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bitcode length {length}" in err
+
+
 def test_decompose_round_trip(tmp_path, capsys):
     rep = build_representation(RepConfig(Signature(spacelike=4)))
     m = rep.gamma_chiral(1)

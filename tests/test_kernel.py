@@ -317,6 +317,23 @@ def test_monomial_transpose_and_listings(a):
     assert a.units == {(p, e) for _, _, p, e in a.entries}
 
 
+@given(monomials(), st.integers(min_value=-5, max_value=5), st.integers(min_value=-4, max_value=4))
+def test_monomial_results_are_normalised(a, p, e):
+    # scale and transpose skip the constructor, so equality of their tuples
+    # needs them to be what the constructor would have made
+    for m in (a.scale(p, e), a.transpose(), a @ a.transpose()):
+        assert m == Monomial(m.cols, m.phases, m.exps)
+        assert hash(m) == hash(Monomial(m.cols, m.phases, m.exps))
+
+
+@given(monomial_pairs(), st.integers(min_value=0, max_value=3))
+def test_monomial_sign_against_agrees_with_matrix(pair, p):
+    a, b = pair
+    for other in (b, a.scale(p)):
+        m, n = a.to_matrix(), other.to_matrix()
+        assert a.sign_against(other) == (1 if m == n else -1 if m == -n else 0)
+
+
 def test_paired_wedge_is_the_plane_bivector():
     rep = build_representation(spacelike=6)
     for k in range(1, 4):

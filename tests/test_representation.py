@@ -4,6 +4,8 @@ The metrics have two independent routes: the closed bitcode form used by
 the builder and the explicit product of basis vectors.  Tests compare both.
 """
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -333,3 +335,38 @@ def test_representation_json_keys():
 def test_odd_rep_dumps_final_vector():
     rep = rep_for(3)
     assert Matrix.from_json(rep.to_json()["gamma_N"]) == rep.gamma(3)
+
+
+def test_matrices_are_converted_once_and_resolve_to_their_monomials():
+    rep = rep_for(4, 1)
+    for name in ("kappa_diag", "kappa", "eps_std", "eps_alt", "eps", "eps_T",
+                 "pseudoscalar", "Gamma", "C"):
+        m = getattr(rep, name)
+        assert getattr(rep, name) is m
+        assert rep.monomial(name).to_matrix() == m
+        assert rep.monomial_of(m) is rep.monomial(name)
+    assert rep.scalar_axis_matrix is None
+    assert rep.eps_T == rep.eps.transpose()
+    with pytest.raises(ValueError):
+        rep.monomial_of(rep.eps.transpose())
+
+
+def test_a_used_representation_is_freed_without_the_cycle_collector():
+    # its caches (blades, matrices, column map) can hold megabytes, so no
+    # reference cycle may keep it alive until the collector runs
+    from sga.blades import verify_isomorphism
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = rep_for(5, 1)
+        for name in ("eps_T", "pseudoscalar", "C", "kappa"):
+            getattr(rep, name)
+        rep.bitcode_of_index(0)
+        verify_isomorphism(rep)
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -3,6 +3,7 @@
 import pytest
 
 from sga.representation import RepConfig, Signature, build_representation
+from sga.scalars import ONE
 from sga.tables import (
     COMMUTATION_FIELDS,
     METRIC_FIELDS,
@@ -122,3 +123,73 @@ def test_commutation_markdown(commutation_rows):
         list(commutation_rows.values()), "Transpose sign", COMMUTATION_FIELDS, "N"
     )
     assert "standard" in md and "alternative" in md
+
+
+# Oracle for all three tables: the same signs computed with Matrix
+# operations on the representation's Matrix views, not on its monomials.
+
+
+def matrix_sign(a, b):
+    """+1 if a == b, -1 if a == -b, 0 otherwise, by Matrix comparison."""
+    if a == b:
+        return 1
+    if a == -b:
+        return -1
+    return 0
+
+
+def matrix_square_sign(m):
+    s = (m @ m).scalar_multiple_of_identity()
+    return 1 if s == ONE else -1 if s == -ONE else 0
+
+
+def matrix_commutation_sign(rep, eps):
+    signs = {
+        matrix_sign(g.transpose() @ eps, eps @ g)
+        for g in (rep.gamma_spacelike_form(a) for a in range(1, rep.N + 1))
+    }
+    assert len(signs) == 1
+    return signs.pop()
+
+
+def test_tables_match_matrix_oracle():
+    metric = metric_symmetry_table(12)
+    commutation = gamma_commutation_table(12)
+    for n, m_row, c_row in zip(range(1, 13), metric, commutation):
+        rep = build_representation(RepConfig(Signature(spacelike=n)))
+        assert (m_row.N, c_row.N) == (n, n)
+        for eps, sq, sign in (
+            (rep.eps_std, m_row.sq_standard, c_row.sign_standard),
+            (rep.eps_alt, m_row.sq_alternative, c_row.sign_alternative),
+        ):
+            assert matrix_square_sign(eps) == sq
+            assert matrix_sign(eps.transpose(), eps) == sq
+            assert matrix_commutation_sign(rep, eps) == sign
+    for row in conjugation_symmetry_table(-4, 10):
+        assert len(row.signatures) == 2
+        for k, m in row.signatures:
+            assert k + m <= 12
+            for metric_name, sym in (("standard", row.sym_standard),
+                                     ("alternative", row.sym_alternative)):
+                rep = build_representation(
+                    RepConfig(Signature(spacelike=k, timelike=m), metric=metric_name))
+                assert matrix_sign(rep.C.transpose(), rep.C) == sym
+
+
+def test_commutation_sign_takes_the_matrix_or_the_monomial():
+    rep = build_representation(RepConfig(Signature(spacelike=6)))
+    for name in ("eps", "eps_std", "eps_alt"):
+        sign = commutation_sign(rep, rep.monomial(name))
+        assert commutation_sign(rep, getattr(rep, name)) == sign
+    with pytest.raises(ValueError):
+        commutation_sign(rep, -rep.eps_std)  # a Matrix the representation never returned
+
+
+@pytest.mark.parametrize("call", [
+    lambda: metric_symmetry_table(0),
+    lambda: gamma_commutation_table(3, n_min=4),
+    lambda: conjugation_symmetry_table(3, 2),
+])
+def test_empty_ranges_are_rejected(call):
+    with pytest.raises(ValueError, match="empty"):
+        call()
