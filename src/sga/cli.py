@@ -196,16 +196,11 @@ def cmd_decompose(args):
     matrix = Matrix.from_json(data)
     if args.basis == "blades":
         coeffs = decompose_multivector(rep, matrix)
-        payload = {blade.label(): c.to_json() for blade, c in sorted(
-            coeffs.items(), key=lambda kv: (kv[0].grade, kv[0].label())
-        )}
+        payload = {blade.label(): c.to_json() for blade, c in coeffs.items()}
     else:
         coeffs = spinor_outer_decompose(rep, matrix)
-        payload = {
-            f"{a},{b}": c.to_json()
-            for (a, b), c in sorted(coeffs.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-        }
-    _emit(args, _json_dumps(payload))
+        payload = {f"{a},{b}": c.to_json() for (a, b), c in coeffs.items()}
+    _emit(args, _json_dumps(payload))  # _json_dumps sorts the keys
     return 0
 
 

@@ -158,10 +158,6 @@ class FormalSum:
         return cls(())
 
 
-def zero_formal_element():
-    return FormalSum.zero()
-
-
 def multiply(x, y, forbidden_as_zero=False):
     """Product of two elements under the species grid."""
     if isinstance(x, FormalSum) or isinstance(y, FormalSum):
@@ -185,7 +181,7 @@ def multiply(x, y, forbidden_as_zero=False):
     if a == ROW and b == MULTIVECTOR:
         return Element.row(rep, x.payload @ y.payload)
     if (a, b) in ((COLUMN, COLUMN), (ROW, ROW)) and forbidden_as_zero:
-        return zero_formal_element()
+        return FormalSum.zero()
     raise ForbiddenProduct(f"product {a} * {b} is excluded")
 
 

@@ -15,16 +15,38 @@ scan a zero, and entries that cancel are dropped, so equal matrices have
 equal rows.  The dense ``rows`` view is built on demand for elimination
 and the tests.  JSON holds the nonzero entries only: {"shape": [nrows,
 ncols], "entries": [[i, j, value], ...]}.
+
+A Matrix made by ``Monomial.to_matrix`` keeps its monomial in the
+``monomial`` attribute, which equality and hashing ignore.  A product
+takes one of two exact paths:
+
+* with such an operand on either side, each row of the other operand is
+  gathered (operator on the left) or each column relabelled (on the
+  right), and each entry is multiplied by its unit with
+  ``Scalar.times_unit``; for e = 0 that only permutes and negates the
+  numerators.  Two operands give the monomial product, and the dagger of
+  such a Matrix is the dagger of its monomial;
+* otherwise every term's numerators come from the Q(i, sqrt2) product
+  formula in plain ints, scaled to one common denominator per output
+  row, and are summed per output entry; each nonzero sum becomes one
+  Scalar, normalised once.
+
+A float entry that has to be multiplied sends the product to the
+Scalar-by-Scalar loop, the only path that multiplies Scalars; a float
+times the unit 1 is kept as it is.
 """
 
 from __future__ import annotations
 
 import os
+from math import lcm
 
 from .scalars import ONE, ZERO, Scalar, approx_equal, unit
 
 
 DEFAULT_MAX_DIM = 256
+
+_MINUS_ONE = -ONE
 
 
 def max_dimension():
@@ -52,7 +74,7 @@ def _canonical(acc):
 
 
 class Matrix:
-    __slots__ = ("sparse_rows", "nrows", "ncols")
+    __slots__ = ("sparse_rows", "nrows", "ncols", "monomial")
 
     def __init__(self, rows, ncols=None):
         """A matrix from dense rows of Scalars.
@@ -71,6 +93,7 @@ class Matrix:
         self.sparse_rows = tuple(rows)
         self.nrows = len(self.sparse_rows)
         self.ncols = ncols
+        self.monomial = None  # the signed monomial this matrix equals, when it was made from one
 
     # -- constructors --------------------------------------------------
 
@@ -163,8 +186,11 @@ class Matrix:
     def scale(self, s):
         if not isinstance(s, Scalar):
             s = Scalar(s) if isinstance(s, int) else Scalar(_float=complex(s))
-        if s.is_exact and s == ONE:
-            return self
+        if s.is_exact:
+            if s == ONE:
+                return self
+            if s == _MINUS_ONE:
+                return -self
         return Matrix(
             [{j: v for j, x in r.items() if not (v := s * x).is_zero()} for r in self.sparse_rows],
             self.ncols,
@@ -178,15 +204,18 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        right = other.sparse_rows
-        out = []
-        for row in self.sparse_rows:
-            acc = {}
-            for k, s in row.items():
-                for j, t in right[k].items():
-                    acc[j] = acc[j] + s * t if j in acc else s * t
-            out.append(_canonical(acc))
-        return Matrix(out, other.ncols)
+        left, right = self.monomial, other.monomial
+        if left is not None and right is not None:
+            return (left @ right).to_matrix()
+        if left is not None:
+            rows = _monomial_times(left, other.sparse_rows)
+        elif right is not None:
+            rows = _times_monomial(self.sparse_rows, right)
+        else:
+            rows = _exact_product(self.sparse_rows, other.sparse_rows)
+        if rows is None:  # a float entry
+            rows = _scalar_product(self.sparse_rows, other.sparse_rows)
+        return Matrix(rows, other.ncols)
 
     def transpose(self):
         cols = [{} for _ in range(self.ncols)]
@@ -202,6 +231,8 @@ class Matrix:
         )
 
     def dagger(self):
+        if self.monomial is not None:
+            return self.monomial.dagger().to_matrix()
         return self.conj().transpose()
 
     def trace(self):
@@ -368,6 +399,130 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
+def _monomial_times(mono, rows):
+    """The rows of mono @ m for m's `rows`: row cols[i] of m times the unit of row i.
+
+    A row whose unit is 1 is shared, not copied.  None if an entry to
+    be multiplied is a float.
+    """
+    out = []
+    for k, p, e in zip(mono.cols, mono.phases, mono.exps):
+        if k < 0:
+            out.append({})
+        elif not (p or e):
+            out.append(rows[k])
+        else:
+            row = {}
+            for j, s in rows[k].items():
+                if s.f is not None:
+                    return None
+                row[j] = s.times_unit(p, e)
+            out.append(row)
+    return out
+
+
+def _times_monomial(rows, mono):
+    """The rows of m @ mono for m's `rows`: column k of m moves to column cols[k], times that row's unit.
+
+    None if an entry to be multiplied is a float.
+    """
+    cols, phases, exps = mono.cols, mono.phases, mono.exps
+    out = []
+    for row in rows:
+        acc = {}
+        for k, s in row.items():
+            j = cols[k]
+            if j >= 0:
+                p, e = phases[k], exps[k]
+                if p or e:
+                    if s.f is not None:
+                        return None
+                    s = s.times_unit(p, e)
+                acc[j] = s
+        out.append({j: acc[j] for j in sorted(acc)} if len(acc) > 1 else acc)
+    return out
+
+
+def _exact_product(left, right):
+    """The rows of the product of two exact matrices, given as their rows.
+
+    The entries of `right` are rescaled once to numerators over the lcm
+    of its denominators, those of each `left` row to numerators over the
+    lcm of that row's, so every term of an output row shares one
+    denominator.  Per output entry the terms' numerators, from the
+    Q(i, sqrt2) product formula, are summed as ints and the sum becomes
+    one Scalar, normalised once.  None if an entry is a float.
+    """
+    qs = {s.q if s.f is None else 0 for r in right for s in r.values()}
+    if 0 in qs:
+        return None
+    q_right = lcm(*qs)
+    scaled = [
+        [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
+        for r in right
+    ]
+    out = []
+    for row in left:
+        if not row:
+            out.append({})
+            continue
+        if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
+            [(k, s)] = row.items()
+            if s.f is not None:
+                return None
+            a1, b1, c1, d1 = s.a, s.b, s.c, s.d
+            tb1, td1 = 2 * b1, 2 * d1  # sqrt2 * sqrt2 = 2
+            den = s.q * q_right
+            out.append({
+                j: Scalar(a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2,
+                          a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                          a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2,
+                          a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, den)
+                for j, a2, b2, c2, d2 in scaled[k]
+            })
+            continue
+        qs = {s.q if s.f is None else 0 for s in row.values()}
+        if 0 in qs:
+            return None
+        q_row = lcm(*qs)
+        acc = {}
+        for k, s in row.items():
+            terms = scaled[k]
+            if not terms:
+                continue
+            m = q_row // s.q
+            a1, b1, c1, d1 = s.a * m, s.b * m, s.c * m, s.d * m
+            tb1, td1 = 2 * b1, 2 * d1
+            for j, a2, b2, c2, d2 in terms:
+                a = a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2
+                b = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+                c = a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2
+                d = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+                t = acc.get(j)
+                if t is None:
+                    acc[j] = [a, b, c, d]
+                else:
+                    t[0] += a
+                    t[1] += b
+                    t[2] += c
+                    t[3] += d
+        den = q_row * q_right
+        out.append({j: Scalar(*t, den) for j in sorted(acc) if any(t := acc[j])})
+    return out
+
+
+def _scalar_product(left, right):
+    """The rows of a product by Scalar arithmetic, term by term; used when an entry is a float."""
+    out = []
+    for row in left:
+        acc = {}
+        for k, s in row.items():
+            for j, t in right[k].items():
+                acc[j] = acc[j] + s * t if j in acc else s * t
+        out.append(_canonical(acc))
+    return out
+
+
 class Monomial:
     """A square signed-monomial matrix (a signed partial permutation).
 
@@ -465,12 +620,20 @@ class Monomial:
             return 1
         return -1 if self == other.scale(2) else 0  # scale(2) is times i**2 = -1
 
+    def dagger(self):
+        """The conjugate transpose: the transpose with every phase negated."""
+        t = self.transpose()
+        return Monomial._of(t.cols, tuple([-p & 3 for p in t.phases]), t.exps)
+
     def to_matrix(self):
-        return Matrix(
+        """The equal Matrix, which keeps this monomial for its products."""
+        m = Matrix(
             [{j: unit(p, e)} if j >= 0 else {}
              for j, p, e in zip(self.cols, self.phases, self.exps)],
             self.dim,
         )
+        m.monomial = self
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):

@@ -32,7 +32,9 @@ enables the primed metric variants.
 
 Every operator is built, multiplied and held as a ``Monomial``; the
 Matrix attributes and accessors return the equal ``Matrix``, converted
-once per operator, on first read.
+once per operator, on first read.  That Matrix keeps its monomial, so a
+product with it gathers or relabels the other factor's entries instead
+of multiplying Scalars.
 """
 
 from __future__ import annotations

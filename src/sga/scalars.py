@@ -13,6 +13,12 @@ to float.  An exact value compares with a float exactly, as a Fraction
 does, so a value with a sqrt2 part never equals a float, and equal values
 hash alike.
 
+A product or sum is computed on the numerators and normalised with one
+five-argument gcd, skipped when q is 1; negation and conjugation only
+flip signs and need none.  ``times_unit`` multiplies by a unit the same
+way.  Matrix products sum raw numerators per entry themselves and make
+one Scalar per entry (see ``matrices``).
+
 The entries of the signed-monomial operators are the units
 i**p * sqrt2**e that ``unit`` makes.
 """
@@ -41,13 +47,9 @@ class Scalar:
                 raise ZeroDivisionError("scalar denominator is zero")
             if q < 0:
                 a, b, c, d, q = -a, -b, -c, -d, -q
-            g = gcd(gcd(abs(a), abs(b)), gcd(gcd(abs(c), abs(d)), q))
+            g = gcd(a, b, c, d, q)
             if g > 1:
-                a //= g
-                b //= g
-                c //= g
-                d //= g
-                q //= g
+                a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
         self.a = a
         self.b = b
         self.c = c
@@ -128,7 +130,10 @@ class Scalar:
         if other.a == 0 and other.b == 0 and other.c == 0 and other.d == 0:
             return self
         q1, q2 = self.q, other.q
-        return Scalar(
+        if q1 == q2:
+            return _normalised(self.a + other.a, self.b + other.b,
+                               self.c + other.c, self.d + other.d, q1)
+        return _normalised(
             self.a * q2 + other.a * q1,
             self.b * q2 + other.b * q1,
             self.c * q2 + other.c * q1,
@@ -141,9 +146,7 @@ class Scalar:
     def __neg__(self):
         if self.f is not None:
             return Scalar(_float=-self.f)
-        s = Scalar.__new__(Scalar)
-        s.a, s.b, s.c, s.d, s.q, s.f = -self.a, -self.b, -self.c, -self.d, self.q, None
-        return s
+        return _raw(-self.a, -self.b, -self.c, -self.d, self.q)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -171,10 +174,10 @@ class Scalar:
         ):
             return ZERO
         # (R1 + i I1)(R2 + i I2) with R, I elements of Q(sqrt2)
-        return Scalar(
-            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+        return _normalised(
+            a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
+            a1 * c2 + 2 * (b1 * d2 + d1 * b2) + c1 * a2,
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
             self.q * other.q,
         )
@@ -227,7 +230,34 @@ class Scalar:
         """Complex conjugation with respect to i; sqrt2 is left fixed."""
         if self.f is not None:
             return Scalar(_float=self.f.conjugate())
-        return Scalar(self.a, self.b, -self.c, -self.d, self.q)
+        return _raw(self.a, self.b, -self.c, -self.d, self.q)
+
+    def times_unit(self, p, e=0):
+        """self * i**p * sqrt2**e.
+
+        An exact value is rotated and rescaled in integers: for e = 0 the
+        numerators are only permuted and negated, so no gcd is needed.
+        """
+        if self.f is not None:
+            return self * unit(p, e)
+        a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
+        p &= 3
+        if p == 1:
+            a, b, c, d = -c, -d, a, b
+        elif p == 2:
+            a, b, c, d = -a, -b, -c, -d
+        elif p == 3:
+            a, b, c, d = c, d, -a, -b
+        if not e:
+            return _raw(a, b, c, d, q)
+        if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
+            a, b, c, d = 2 * b, a, 2 * d, c
+        m = e >> 1  # the remaining power of two
+        if m > 0:
+            a, b, c, d = a << m, b << m, c << m, d << m
+        elif m < 0:
+            q <<= -m
+        return _normalised(a, b, c, d, q)
 
     # -- conversions ---------------------------------------------------
 
@@ -279,9 +309,10 @@ class Scalar:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         if self.f is None and other.f is None:
             return (
                 self.a == other.a
@@ -324,6 +355,24 @@ class Scalar:
         return "Scalar(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+def _raw(a, b, c, d, q):
+    """The exact scalar with these numerators, which are already in lowest terms."""
+    s = _new(Scalar)
+    s.a, s.b, s.c, s.d, s.q, s.f = a, b, c, d, q, None
+    return s
+
+
+def _normalised(a, b, c, d, q):
+    """The exact scalar ((a + b*sqrt2) + i*(c + d*sqrt2)) / q for q > 0, in lowest terms."""
+    if q != 1:
+        g = gcd(a, b, c, d, q)
+        if g > 1:
+            a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+    s = _new(Scalar)
+    s.a, s.b, s.c, s.d, s.q, s.f = a, b, c, d, q, None
+    return s
+
+
 def _rational(x, q):
     """x / q as an int or a Fraction (x may be an int-valued float when q is 1)."""
     return x if q == 1 else Fraction(x, q)
@@ -355,6 +404,8 @@ def _coerce(x):
         return Scalar(_float=x)
     return NotImplemented
 
+
+_new = object.__new__
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

@@ -130,6 +130,20 @@ def test_decompose_round_trip(tmp_path, capsys):
     assert len(json.loads(out)) == 2  # two outer products carry the chiral vector
 
 
+def test_decompose_keys_come_out_sorted(tmp_path, capsys):
+    rep = build_representation(RepConfig(Signature(spacelike=4)))
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps((rep.gamma(1) + rep.pseudoscalar).to_json()))
+    keys = {}
+    for basis in ("blades", "outer"):
+        code, out, _ = run(capsys, "decompose", "-K", "4", "--input", str(path), "--basis", basis)
+        assert code == 0
+        keys[basis] = list(json.loads(out))
+        assert keys[basis] == sorted(keys[basis])
+    # by label, not by grade: the pseudoscalar comes between g1 and g1bar
+    assert keys["blades"] == ["g1", "g1^g1bar^g2^g2bar", "g1bar"]
+
+
 def test_decompose_float_matrix(tmp_path, capsys):
     path = tmp_path / "float.json"
     path.write_text(json.dumps([[[0.0, 0.0], [1.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))

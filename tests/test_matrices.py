@@ -5,6 +5,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sga.cli import main
 from sga.matrices import (
@@ -14,7 +15,9 @@ from sga.matrices import (
     commutator,
     max_dimension,
 )
+from sga.representation import build_representation
 from sga.scalars import I, ONE, SQRT2, ZERO, Scalar
+from sga.symmetry import conjugate
 
 
 def rand_scalar(rng):
@@ -325,3 +328,163 @@ def test_hash_agrees_with_equality_across_construction_paths():
     for m in reached:
         assert m == eps and hash(m) == hash(eps)
     assert len({eps, *reached}) == 1
+
+
+# -- the product kernel ------------------------------------------------------------
+
+
+def scalar_loop_product(a, b):
+    """a @ b term by term in Scalar arithmetic, the reference for products with a float entry."""
+    rows = []
+    for row in a.sparse_rows:
+        acc = {}
+        for k, s in row.items():
+            for j, t in b.sparse_rows[k].items():
+                acc[j] = acc[j] + s * t if j in acc else s * t
+        rows.append({j: acc[j] for j in sorted(acc) if not acc[j].is_zero()})
+    return Matrix(rows, b.ncols)
+
+
+exact_entries = st.builds(
+    Scalar,
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3), st.integers(-2, 2),
+    st.integers(1, 4),
+)
+float_entries = st.builds(
+    lambda x, y: Scalar(_float=complex(x, y)), st.floats(-2, 2), st.floats(-2, 2)
+)
+sides = st.integers(1, 6)
+
+
+@st.composite
+def exact_matrices(draw, nrows, ncols):
+    """nrows x ncols, each entry drawn from `exact_entries` with a drawn density in [0.2, 1]."""
+    density = draw(st.floats(0.2, 1.0))
+    size = nrows * ncols
+    draws = draw(st.lists(st.floats(0, 1), min_size=size, max_size=size))
+    values = draw(st.lists(exact_entries, min_size=size, max_size=size))
+    flat = [v if u < density else ZERO for u, v in zip(draws, values)]
+    return Matrix([flat[i * ncols:(i + 1) * ncols] for i in range(nrows)])
+
+
+@st.composite
+def product_pairs(draw):
+    # n x 1 and 1 x n factors (outer and inner products) come up often
+    n, k, m = draw(st.sampled_from([(4, 1, 4), (1, 4, 1), (1, 1, 1)]) | st.tuples(sides, sides, sides))
+    return draw(exact_matrices(n, k)), draw(exact_matrices(k, m))
+
+
+def with_one_float(draw, m):
+    i, j = draw(st.integers(0, m.nrows - 1)), draw(st.integers(0, m.ncols - 1))
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = draw(float_entries.filter(lambda s: not s.is_zero()))
+    return Matrix(rows)
+
+
+def check_product(a, b):
+    product = a @ b
+    assert product == naive_product(a, b)
+    assert np.allclose(product.to_numpy(), a.to_numpy() @ b.to_numpy(), rtol=0, atol=1e-9)
+    assert list(product.nonzero_items()) == dense_items(product)
+    return product
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_exact_products_match_the_oracles(pair):
+    check_product(*pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_pairs(), st.booleans(), st.data())
+def test_a_float_entry_gives_the_scalar_loop_result(pair, on_left, data):
+    a, b = pair
+    if on_left:
+        a = with_one_float(data.draw, a)
+    else:
+        b = with_one_float(data.draw, b)
+    assert a @ b == scalar_loop_product(a, b)
+
+
+MIXED = build_representation(spacelike=5, timelike=1)  # dim 8; axis 6 is timelike
+
+
+def operators():
+    rep = MIXED
+    return {
+        "C": rep.C,
+        "eps": rep.eps,
+        "Gamma": rep.Gamma,
+        "timelike gamma": rep.gamma(6),
+        "C dagger": rep.C.dagger(),
+        "chiral generator": rep.gamma_chiral(2),  # units sqrt2 * (+-1)
+    }
+
+
+OPERATOR_NAMES = sorted(operators())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(OPERATOR_NAMES), st.integers(1, 8), st.data())
+def test_products_with_operators_match_the_oracles(name, other_side, data):
+    op = operators()[name]
+    assert op.monomial is not None
+    dim = op.nrows
+    right = data.draw(exact_matrices(dim, other_side))
+    left = data.draw(exact_matrices(other_side, dim))
+    for product in (check_product(op, right), check_product(left, op)):
+        assert product.monomial is None
+    square = data.draw(exact_matrices(dim, dim))
+    assert check_product(op, square).monomial is None
+    assert check_product(square, op).monomial is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(OPERATOR_NAMES), st.booleans(), st.data())
+def test_operator_products_with_a_float_entry_give_the_scalar_loop_result(name, on_left, data):
+    op = operators()[name]
+    m = with_one_float(data.draw, data.draw(exact_matrices(op.nrows, op.nrows)))
+    a, b = (op, m) if on_left else (m, op)
+    assert a @ b == scalar_loop_product(a, b)
+
+
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+def test_operator_matrices_compare_and_hash_like_dense_rows(name):
+    op = operators()[name]
+    dense = Matrix(op.rows)
+    assert dense.monomial is None
+    assert dense == op and hash(dense) == hash(op)
+    assert dense.sparse_rows == op.sparse_rows
+    for a, b in ((op, op), (op, operators()["C"])):
+        product = a @ b
+        assert product.monomial == a.monomial @ b.monomial
+        assert product == dense @ Matrix(b.rows) == naive_product(a, b)
+    assert op.dagger().monomial == op.monomial.dagger()
+    for derived, plain in ((-op, -dense), (op.transpose(), dense.transpose()),
+                           (op.dagger(), dense.dagger())):
+        assert derived == plain and hash(derived) == hash(plain)
+
+
+def test_exact_products_make_no_scalar_products(monkeypatch):
+    """The exact paths multiply numerators in plain ints; a fallback to the Scalar loop fails here."""
+    rng = Random(41)
+    a, b = rand_matrix(rng, 16), rand_matrix(rng, 16)
+    rep = MIXED  # N = 6
+    m = rand_matrix(rng, rep.dim)
+    calls = []
+    original = Scalar.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    monkeypatch.setattr(Scalar, "__rmul__", counting)
+    product = a @ b
+    conj = conjugate(rep, m)
+    assert len(calls) == 0
+    assert Scalar(2) * Scalar(3) == Scalar(6) and len(calls) == 1  # the count sees a product
+    monkeypatch.undo()
+    assert product == naive_product(a, b)
+    assert conj == naive_product(naive_product(Matrix(rep.C.rows), m.conj()),
+                                 Matrix(rep.C.rows).dagger())

@@ -2,9 +2,11 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from sga.scalars import (
     HALF,
@@ -170,3 +172,56 @@ def test_equal_scalars_hash_alike(x, y):
         for v in values + [u_float, u.to_complex()]:
             if u == v:
                 assert hash(u) == hash(v), (u, v)
+
+
+# -- exact arithmetic against sympy ------------------------------------------------
+
+RT2 = sympy.sqrt(2)
+
+
+def to_sympy(x):
+    return (x.a + x.b * RT2 + sympy.I * (x.c + x.d * RT2)) / sympy.Integer(x.q)
+
+
+def from_sympy(expr):
+    """The Scalar equal to `expr`, an element of Q(i, sqrt2) written in sympy."""
+    re, im = sympy.expand(sympy.radsimp(expr)).as_real_imag()
+    parts = []
+    for part in (sympy.expand(re), sympy.expand(im)):
+        rt2 = part.coeff(RT2)
+        parts += [sympy.expand(part - rt2 * RT2), rt2]
+    assert all(isinstance(p, sympy.Rational) for p in parts), expr
+    return Scalar.from_parts(*(Fraction(int(p.p), int(p.q)) for p in parts))
+
+
+def in_lowest_terms(x):
+    return x.q > 0 and gcd(x.a, x.b, x.c, x.d, x.q) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@example(Scalar(1, 0, 0, 0, 2), Scalar(2, 2, 0, 0, 1))  # product (2 + 2 sqrt2)/2: numerators share 2
+@example(Scalar(1, 1, 0, 0, 2), Scalar(1, -1, 2, 0, 2))  # sum (2 + 2i)/2
+@example(Scalar(3, 3, 0, 0, 2), Scalar(1, 0, 1, 0, 3))  # product (3 + 3 sqrt2)(1 + i)/6: numerators share 3
+@given(scalars, scalars)
+def test_arithmetic_matches_sympy(x, y):
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert x == from_sympy(sx) and in_lowest_terms(x)
+    results = [
+        (x * y, sx * sy),
+        (x + y, sx + sy),
+        (x - y, sx - sy),
+        (-x, -sx),
+        (x.conjugate(), sympy.conjugate(sx)),
+    ]
+    if not x.is_zero():
+        results.append((x.inverse(), 1 / sx))
+    for got, want in results:
+        assert got == from_sympy(want) and in_lowest_terms(got), (got, want)
+    assert x.real_sign() == sympy.sign(sympy.re(sx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, st.integers(-5, 5), st.integers(-4, 4))
+def test_times_unit_matches_sympy(x, p, e):
+    got = x.times_unit(p, e)
+    assert got == from_sympy(to_sympy(x) * sympy.I**p * RT2**e) and in_lowest_terms(got)
