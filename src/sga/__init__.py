@@ -46,7 +46,6 @@ from .symmetry import (
     axis_reflection_classify,
     bivector_rotor,
     conjugate,
-    conjugation_operator,
     is_real_element,
     plane_rotor,
     reverse_multivector,
@@ -73,7 +72,6 @@ __all__ = [
     "chiral_project",
     "chiral_projector",
     "conjugate",
-    "conjugation_operator",
     "decompose_multivector",
     "evaluate_chain",
     "gamma_coefficients",

@@ -6,14 +6,15 @@ of distinct orthonormal axes.  Because factors from different planes
 anticommute with vanishing dot products, a canonical chiral blade
 factorises into a product of per-plane factors, the paired factor being
 g_k g_kbar - 1 = -i plus_k minus_k.  Every blade is built as that ordered
-product of the representation's generator monomials, so it is a signed
-monomial too: one unit i**p * sqrt2**e per row.
+product of the representation's generator monomials, so it is a masked
+Pauli string too: a few words, with one unit i**p * sqrt2**e per row.
 
 The two directions of the dictionary are:
 
   * every matrix decomposes exactly over basis blades, the coefficient of
-    a blade being trace(raised_blade @ m) / 2**n; with one unit per row
-    of the raised blade, that is one index compare per nonzero of m;
+    a blade being trace(raised_blade @ m) / 2**n; with one unit per
+    column of the raised blade, that is one word test and one lookup per
+    nonzero row of m;
   * every matrix decomposes exactly over the basis outer products
     e_a e_b., each of which has a single nonzero entry, so that direction
     is a direct read-off against the metric's sign pattern.
@@ -128,7 +129,7 @@ def blade_monomial(rep, blade):
     if blade.kind == CHIRAL:
         m = _chiral_blade_monomial(rep, blade)
     else:
-        m = Monomial.identity(rep.dim)
+        m = Monomial.identity(rep.n_bits)
         for axis in blade.factors:
             m = m @ rep.gamma_monomial(axis)
     rep._blade_cache[blade] = m
@@ -139,7 +140,7 @@ def _chiral_blade_monomial(rep, blade):
     # peel off the last plane so prefixes are shared through the cache
     factors = blade.factors
     if not factors:
-        return Monomial.identity(rep.dim)
+        return Monomial.identity(rep.n_bits)
     last = factors[-1][0]
     prefix = tuple(f for f in factors if f[0] != last)
     if prefix:
@@ -230,19 +231,18 @@ def reconstruct_from_outer(rep, coeffs):
 def blade_coefficient(rep, blade, m):
     """Coefficient of a basis blade in m: trace(raised_blade @ m) / 2**n.
 
-    Row j of the raised blade holds one unit, so a nonzero m[i, j] meets
-    it only when that unit sits in column i.
+    Column i of the raised blade holds one unit, in row i ^ x when
+    i & m == v, so row i of m meets it only in its entry m[i, i ^ x].
     """
     raised = _raised_monomial(rep, blade)
-    cols, phases, exps = raised.cols, raised.phases, raised.exps
-    shift = -2 * rep.n_bits  # the 1 / 2**n as a power of sqrt2
+    x, z, mask, v, p = raised.x, raised.z, raised.m, raised.v, raised.p
+    e = raised.e - 2 * rep.n_bits  # the 1 / 2**n as a power of sqrt2
     acc = ZERO
     for i, row in enumerate(m.sparse_rows):
-        if not row:
-            continue
-        for j, v in row.items():
-            if cols[j] == i:
-                acc = acc + unit(phases[j], exps[j] + shift) * v
+        if row and i & mask == v:
+            s = row.get(i ^ x)
+            if s is not None:
+                acc = acc + unit(p ^ 2 * ((i & z).bit_count() & 1), e) * s
     return acc
 
 

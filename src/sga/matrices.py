@@ -3,9 +3,12 @@
 A spinor index is a bitcode, so every basis operator of the chiral
 construction (gammas, metrics, kappa, Gamma, C and blades) is a signed
 monomial: each row holds at most one nonzero, a unit i**p * sqrt2**e.
-``Monomial`` stores such an operator as three flat int tuples, the column
-of each row (-1 for an empty row), p mod 4 and e, so a product is one
-gather and two integer adds per row and never touches a Scalar.
+Under Jordan-Wigner each is a masked Pauli string i**p * sqrt2**e *
+X**x Z**z P(m, v): two bitcodes, a projector onto the indices whose bits
+in m read v, and a phase.  ``Monomial`` stores those words, so a product,
+transpose or comparison is a few integer operations whatever the
+dimension, and the rows are derived from the words when a Matrix needs
+them.
 
 ``Matrix`` is the general exact type, for user input, random matrices,
 products with spinors and JSON.  It keeps each row as a {column: Scalar}
@@ -41,7 +44,7 @@ from __future__ import annotations
 import os
 from math import lcm
 
-from .scalars import ONE, ZERO, Scalar, approx_equal, unit
+from .scalars import ONE, ZERO, Scalar, _coerce, approx_equal, unit
 
 
 DEFAULT_MAX_DIM = 256
@@ -184,8 +187,10 @@ class Matrix:
         return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
 
     def scale(self, s):
-        if not isinstance(s, Scalar):
-            s = Scalar(s) if isinstance(s, int) else Scalar(_float=complex(s))
+        """This matrix times s: a Scalar, an int or Fraction (exact), or a float or complex."""
+        s = _coerce(s)
+        if s is NotImplemented:
+            raise TypeError("a matrix scales by a Scalar, int, Fraction, float or complex")
         if s.is_exact:
             if s == ONE:
                 return self
@@ -197,7 +202,7 @@ class Matrix:
         )
 
     def __mul__(self, s):
-        return self.scale(s)
+        return NotImplemented if _coerce(s) is NotImplemented else self.scale(s)
 
     __rmul__ = __mul__
 
@@ -400,40 +405,40 @@ class Matrix:
 
 
 def _monomial_times(mono, rows):
-    """The rows of mono @ m for m's `rows`: row cols[i] of m times the unit of row i.
+    """The rows of mono @ m for m's `rows`: row i is row j of m times the unit of mono's row i, in column j.
 
     A row whose unit is 1 is shared, not copied.  None if an entry to
     be multiplied is a float.
     """
-    out = []
-    for k, p, e in zip(mono.cols, mono.phases, mono.exps):
-        if k < 0:
-            out.append({})
-        elif not (p or e):
-            out.append(rows[k])
+    out = [{}] * mono.dim
+    e = mono.e
+    for i, j, p in mono.row_items():
+        if not (p or e):
+            out[i] = rows[j]
         else:
             row = {}
-            for j, s in rows[k].items():
+            for k, s in rows[j].items():
                 if s.f is not None:
                     return None
-                row[j] = s.times_unit(p, e)
-            out.append(row)
+                row[k] = s.times_unit(p, e)
+            out[i] = row
     return out
 
 
 def _times_monomial(rows, mono):
-    """The rows of m @ mono for m's `rows`: column k of m moves to column cols[k], times that row's unit.
+    """The rows of m @ mono for m's `rows`: column k of m moves to column k ^ x, times the unit of mono's row k.
 
     None if an entry to be multiplied is a float.
     """
-    cols, phases, exps = mono.cols, mono.phases, mono.exps
+    x, z, mask, q, e = mono.x, mono.z, mono.m, mono.p, mono.e
+    kept = mono.v ^ (x & mask)  # row k of mono is nonempty when k & mask == kept
     out = []
     for row in rows:
         acc = {}
         for k, s in row.items():
-            j = cols[k]
-            if j >= 0:
-                p, e = phases[k], exps[k]
+            if k & mask == kept:
+                j = k ^ x
+                p = q ^ 2 * ((j & z).bit_count() & 1)
                 if p or e:
                     if s.f is not None:
                         return None
@@ -524,95 +529,105 @@ def _scalar_product(left, right):
 
 
 class Monomial:
-    """A square signed-monomial matrix (a signed partial permutation).
+    """The operator i**p * sqrt2**e * X**x Z**z P(m, v) on indices of n bits.
 
-    Row i holds i**phases[i] * sqrt2**exps[i] in column cols[i], or
-    nothing when cols[i] is -1 (its phase and exponent are then 0); no
-    two rows share a column, so products and transposes are monomials too.
-    Immutable; equal operators have equal tuples.
+    Column j goes to row j ^ x with the unit i**(p + 2|j & z|) * sqrt2**e
+    when j & m == v, and is empty otherwise; |.| counts bits.  The words
+    are canonical (z & m == 0, v a submask of m, 0 <= p < 4), so equal
+    operators have equal words.  The zero operator, which a product of
+    nilpotent generators reaches, has v = -1 and every other word 0.
     """
 
-    __slots__ = ("cols", "phases", "exps", "_entries", "_units")
+    __slots__ = ("n", "x", "z", "m", "v", "p", "e", "_entries")
 
-    def __init__(self, cols, phases, exps):
-        cols = tuple(cols)
-        used = [j for j in cols if j >= 0]
-        if len(set(used)) != len(used) or (used and max(used) >= len(cols)):
-            raise ValueError("monomial columns must be distinct and inside the matrix")
-        self.cols = cols
-        if len(used) == len(cols):
-            self.phases, self.exps = tuple([p & 3 for p in phases]), tuple(exps)
-        else:  # an empty row holds phase and exponent 0
-            self.phases = tuple([p & 3 if j >= 0 else 0 for j, p in zip(cols, phases)])
-            self.exps = tuple([e if j >= 0 else 0 for j, e in zip(cols, exps)])
-        self._entries = self._units = None
+    def __init__(self, n, x=0, z=0, m=0, v=0, p=0, e=0):
+        if n < 0 or (x | z | m | v) >> n or v & ~m:
+            raise ValueError("monomial words must lie in the n index bits, with v a submask of m")
+        self.n, self.x, self.z, self.m, self.v = n, x, z & ~m, m, v
+        self.p = (p + 2 * (z & v).bit_count()) & 3
+        self.e = e
+        self._entries = None
 
     @classmethod
-    def _of(cls, cols, phases, exps):
-        """A monomial from tuples that are already valid and normalised."""
-        m = cls.__new__(cls)
-        m.cols, m.phases, m.exps = cols, phases, exps
-        m._entries = m._units = None
-        return m
+    def identity(cls, n):
+        return cls(n)
+
+    @classmethod
+    def zero(cls, n):
+        out = cls(n)
+        out.v = -1
+        return out
+
+    @property
+    def dim(self):
+        return 1 << self.n
+
+    def row_items(self):
+        """(i, j, q) of every nonempty row i, i increasing: its column j and the phase q of its unit.
+
+        Row i is nonempty when i & m == v ^ (x & m); the bits outside m run over their submasks.
+        """
+        if self.v < 0:
+            return
+        x, z, p = self.x, self.z, self.p
+        free = ~self.m & (self.dim - 1)
+        base = self.v ^ (x & self.m)
+        f = 0
+        while True:
+            j = (base | f) ^ x
+            yield base | f, j, p ^ 2 * ((j & z).bit_count() & 1)
+            if f == free:
+                return
+            f = (f - free) & free
 
     @property
     def entries(self):
         """(i, j, p, e) of every nonempty row, i increasing; listed once, on first use."""
         if self._entries is None:
-            self._entries = tuple(
-                (i, j, p, e)
-                for i, (j, p, e) in enumerate(zip(self.cols, self.phases, self.exps))
-                if j >= 0
-            )
+            e = self.e
+            self._entries = tuple((i, j, p, e) for i, j, p in self.row_items())
         return self._entries
 
     @property
     def units(self):
-        """The distinct (p, e) of the nonempty rows."""
-        if self._units is None:
-            self._units = frozenset((p, e) for _, _, p, e in self.entries)
-        return self._units
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(range(dim), (0,) * dim, (0,) * dim)
-
-    @property
-    def dim(self):
-        return len(self.cols)
+        """The distinct (p, e) of the nonempty rows: Z**z signs some kept columns and not others."""
+        if self.v < 0:
+            return frozenset()
+        if self.z:
+            return frozenset({(self.p, self.e), (self.p ^ 2, self.e)})
+        return frozenset({(self.p, self.e)})
 
     def __matmul__(self, other):
-        """The product self @ other: row i of self picks row cols[i] of other."""
-        if self.dim != other.dim:
+        """The product self @ other: column j goes through other, then through self."""
+        n = self.n
+        if n != other.n:
             raise ValueError("monomial dimension mismatch in product")
-        cols, phases, exps = other.cols, other.phases, other.exps
-        out_cols, out_phases, out_exps = [], [], []
-        for k, p, e in zip(self.cols, self.phases, self.exps):
-            j = cols[k] if k >= 0 else -1
-            if j < 0:
-                out_cols.append(-1)
-                out_phases.append(0)
-                out_exps.append(0)
-            else:
-                out_cols.append(j)
-                out_phases.append((p + phases[k]) & 3)
-                out_exps.append(e + exps[k])
-        return Monomial._of(tuple(out_cols), tuple(out_phases), tuple(out_exps))
+        if self.v < 0 or other.v < 0:
+            return Monomial.zero(n)
+        x2, m1, m2 = other.x, self.m, other.m
+        v1 = (self.v ^ x2) & m1  # self keeps the image of column j when j & m1 == v1
+        if (v1 ^ other.v) & m1 & m2:
+            return Monomial.zero(n)
+        return Monomial(n, self.x ^ x2, self.z ^ other.z, m1 | m2, v1 | other.v,
+                        self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
 
     def scale(self, p, e=0):
         """This operator times the unit i**p * sqrt2**e."""
-        cols = self.cols
-        phases = tuple((q + p) & 3 if j >= 0 else 0 for j, q in zip(cols, self.phases))
-        exps = tuple(f + e if j >= 0 else 0 for j, f in zip(cols, self.exps)) if e else self.exps
-        return Monomial._of(cols, phases, exps)
+        if self.v < 0:
+            return self
+        return Monomial(self.n, self.x, self.z, self.m, self.v, self.p + p, self.e + e)
 
     def transpose(self):
-        dim = self.dim
-        cols, phases, exps = [-1] * dim, [0] * dim, [0] * dim
-        for i, (j, p, e) in enumerate(zip(self.cols, self.phases, self.exps)):
-            if j >= 0:
-                cols[j], phases[j], exps[j] = i, p, e
-        return Monomial._of(tuple(cols), tuple(phases), tuple(exps))
+        if self.v < 0:
+            return self
+        x = self.x
+        return Monomial(self.n, x, self.z, self.m, self.v ^ (x & self.m),
+                        self.p + 2 * (x & self.z).bit_count(), self.e)
+
+    def dagger(self):
+        """The conjugate transpose: the transpose with its phase negated."""
+        t = self.transpose()
+        return t.scale(-2 * t.p)
 
     def sign_against(self, other):
         """1 if this operator equals `other`, -1 if it equals -other, else 0."""
@@ -620,31 +635,29 @@ class Monomial:
             return 1
         return -1 if self == other.scale(2) else 0  # scale(2) is times i**2 = -1
 
-    def dagger(self):
-        """The conjugate transpose: the transpose with every phase negated."""
-        t = self.transpose()
-        return Monomial._of(t.cols, tuple([-p & 3 for p in t.phases]), t.exps)
-
     def to_matrix(self):
         """The equal Matrix, which keeps this monomial for its products."""
-        m = Matrix(
-            [{j: unit(p, e)} if j >= 0 else {}
-             for j, p, e in zip(self.cols, self.phases, self.exps)],
-            self.dim,
-        )
+        rows = [{}] * self.dim
+        e = self.e
+        for i, j, p in self.row_items():
+            rows[i] = {j: unit(p, e)}
+        m = Matrix(rows, self.dim)
         m.monomial = self
         return m
+
+    def _words(self):
+        return self.n, self.x, self.z, self.m, self.v, self.p, self.e
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return (self.cols, self.phases, self.exps) == (other.cols, other.phases, other.exps)
+        return self._words() == other._words()
 
     def __hash__(self):
-        return hash((self.cols, self.phases, self.exps))
+        return hash(self._words())
 
     def __repr__(self):
-        return f"Monomial({self.dim}x{self.dim})"
+        return "Monomial(n={}, x={}, z={}, m={}, v={}, p={}, e={})".format(*self._words())
 
 
 def commutator(a, b):

@@ -2,23 +2,22 @@
 
 A basis spinor is labelled by a bitcode of n bits, one per rotation
 plane, and its index reads the bits as a binary number: a down bit at
-plane k contributes bit = 2**(k-1).  Every generator is a signed monomial
-on those indices, written down in closed form (the Jordan-Wigner
-construction) rather than by doubling the spinor space plane by plane.
-With s(j) = (-1)**popcount(j >> k), the sign of the planes above k, the
-generators of plane k send column j to row j ^ bit:
+plane k contributes bit = 2**(k-1).  Every generator is a masked Pauli
+string i**p sqrt2**e X**x Z**z P(m, v) on those indices (a ``Monomial``),
+written down in closed form (the Jordan-Wigner construction) rather than
+by doubling the spinor space plane by plane.  With `above` the bits of
+the planes above k, so that Z**above is the sign of those planes:
 
-    g_k      (bit set in j)    value sqrt2 * s(j)
-    gbar_k   (bit clear in j)  value sqrt2 * s(j)
-    plus_k   (every j)         value s(j)
-    minus_k  (every j)         value -i s(j) if the bit is set, i s(j) if not
+    g_k     = sqrt2 X**bit Z**above P(bit, bit)   (the columns with the bit set)
+    gbar_k  = sqrt2 X**bit Z**above P(bit, 0)     (the columns with the bit clear)
+    plus_k  = X**bit Z**above
+    minus_k = i X**bit Z**(above | bit)
 
 so g_k and gbar_k = (plus_k +- i minus_k)/sqrt2 carry charge +-1 under
 rotations in plane k, and every generator anticommutes with those of the
-other planes.  The chiral operator kappa is diagonal with entries
-(-1)**popcount(j).  The standard spinor metric sends column j to row
-j ^ (2**n - 1) with one factor -1 per even plane whose bit is clear in j;
-the alternative metric counts the odd planes instead.
+other planes.  The chiral operator kappa is Z**all.  The standard spinor
+metric is (-1)**|mask| X**all Z**mask, with mask the bits of the even
+planes; the alternative metric takes the odd planes instead.
 
 Timelike dimensions are realised as i times the spacelike matrix; the
 metrics are computed from the spacelike forms regardless of signature.
@@ -30,11 +29,12 @@ operator of the even subalgebra; the ``embed_*`` modes build the even
 the extra vector as a scalar (rotation-inert) dimension, which also
 enables the primed metric variants.
 
-Every operator is built, multiplied and held as a ``Monomial``; the
-Matrix attributes and accessors return the equal ``Matrix``, converted
-once per operator, on first read.  That Matrix keeps its monomial, so a
-product with it gathers or relabels the other factor's entries instead
-of multiplying Scalars.
+Every operator is built, multiplied and held as a ``Monomial``, a masked
+Pauli string of a few words, with no per-row list; the Matrix attributes
+and accessors return the equal ``Matrix``, converted once per distinct
+operator, on first read.  That Matrix keeps its monomial, so a product
+with it gathers or relabels the other factor's entries instead of
+multiplying Scalars.
 """
 
 from __future__ import annotations
@@ -113,39 +113,28 @@ class RepConfig:
 
 
 def _even_core(pairs):
-    """The operators of the even algebra on `pairs` planes, as signed monomials."""
-    dim = 1 << pairs
-    rows = range(dim)
-    zeros = (0,) * dim
+    """The operators of the even algebra on `pairs` planes, in the closed forms above."""
+    top = (1 << pairs) - 1
     chiral = []  # (gamma_k, gamma_k_bar)
     orth = []  # (plus_k, minus_k)
     for k in range(1, pairs + 1):
         bit = 1 << (k - 1)
-        flip = [i ^ bit for i in rows]
-        sign = [2 * ((i >> k).bit_count() & 1) for i in rows]  # phase of s(i) = s(i ^ bit)
-        rt2 = (1,) * dim
-        chiral.append((
-            Monomial([-1 if i & bit else i ^ bit for i in rows], sign, rt2),
-            Monomial([i ^ bit if i & bit else -1 for i in rows], sign, rt2),
-        ))
-        orth.append((
-            Monomial(flip, sign, zeros),
-            Monomial(flip, [p + (1 if i & bit else 3) for i, p in zip(rows, sign)], zeros),
-        ))
+        above = top ^ (2 * bit - 1)
+        chiral.append((Monomial(pairs, bit, above, bit, bit, e=1),
+                       Monomial(pairs, bit, above, bit, 0, e=1)))
+        orth.append((Monomial(pairs, bit, above), Monomial(pairs, bit, above | bit, p=1)))
 
     def metric(planes):
-        # row i = j ^ (dim - 1): a bit clear in column j is set in row i
         mask = sum(1 << (k - 1) for k in planes)
-        return Monomial([i ^ (dim - 1) for i in rows],
-                        [2 * ((i & mask).bit_count() & 1) for i in rows], zeros)
+        return Monomial(pairs, top, mask, p=2 * (mask.bit_count() & 1))
 
     return {
-        "dim": dim,
+        "dim": 1 << pairs,
         "chiral": chiral,
         "orth": orth,
         "eps_std": metric(range(2, pairs + 1, 2)),
         "eps_alt": metric(range(1, pairs + 1, 2)),
-        "kappa": Monomial(rows, [2 * (i.bit_count() & 1) for i in rows], zeros),
+        "kappa": Monomial(pairs, z=top),
     }
 
 
@@ -217,7 +206,7 @@ class Representation:
         self.dim = core["dim"]
         self._chiral = core["chiral"]
         self._orth = core["orth"]
-        self._matrices = {}  # id of an operator monomial -> (that monomial, its Matrix)
+        self._matrices = {}  # operator monomial -> its Matrix
         kappa_diag = core["kappa"]
         full = [m for pair in self._orth for m in pair]
 
@@ -230,7 +219,7 @@ class Representation:
             eps_alt = core["eps_alt"]
         elif config.odd_mode == "project":
             spacelike = full + [kappa_diag]  # the final vector
-            kappa = Monomial.identity(self.dim)
+            kappa = Monomial.identity(self.n_bits)
             eps_std = eps_alt = core["eps_alt"]
         else:
             if config.odd_mode == "embed_scalar_n":
@@ -272,20 +261,19 @@ class Representation:
 
     def _matrix(self, mono):
         """The Matrix of one of this representation's operator monomials, converted once."""
-        # the entry keeps the monomial alive, so its id is not reused
-        cached = self._matrices.get(id(mono))
-        if cached is None:
-            cached = self._matrices.setdefault(id(mono), (mono, mono.to_matrix()))
-        return cached[1]
+        m = self._matrices.get(mono)
+        if m is None:
+            m = self._matrices.setdefault(mono, mono.to_matrix())
+        return m
 
     def _square_sign(self, m, what):
-        sign = (m @ m).sign_against(Monomial.identity(self.dim))
+        sign = (m @ m).sign_against(Monomial.identity(self.n_bits))
         if not sign:
             raise AssertionError(f"{what} square is not +-1")
         return sign
 
     def _partial_alt_metric(self, pairs):
-        m = Monomial.identity(self.dim)
+        m = Monomial.identity(self.n_bits)
         for k in range(pairs):
             m = m @ self._orth[k][1].scale(1)  # i minus_k
         return m
@@ -303,7 +291,7 @@ class Representation:
         return core["eps_alt"]  # prime_alternative
 
     def _build_pseudoscalar(self):
-        ps = Monomial.identity(self.dim)
+        ps = Monomial.identity(self.n_bits)
         if self.is_odd and self.odd_mode == "project":
             ps = ps.scale(self.n_bits)
         else:
@@ -315,7 +303,7 @@ class Representation:
 
     def _build_time_product(self):
         """Gamma, the phased product of the timelike vectors, and its phase."""
-        raw = Monomial.identity(self.dim)
+        raw = Monomial.identity(self.n_bits)
         for axis in self.signature.timelike_axes:
             raw = raw @ self._gammas[axis - 1]
         phase = 0 if self.config.gamma_phase_sign == 1 else 2  # as a power of i
@@ -356,9 +344,9 @@ class Representation:
         """The signed monomial of `op`, a Matrix this representation returned; a Monomial is returned as it is."""
         if isinstance(op, Monomial):
             return op
-        for mono, m in tuple(self._matrices.values()):
-            if m is op:
-                return mono
+        mono = getattr(op, "monomial", None)
+        if mono is not None and self._matrices.get(mono) is op:
+            return mono
         raise ValueError("not an operator matrix of this representation")
 
     def gamma(self, axis):
@@ -437,7 +425,7 @@ class Representation:
         k, rem = divmod(built_axis - 1, 2)
         m = self._orth[k][rem]
         if self.built_axis_is_timelike(built_axis):
-            return m.scale(1).to_matrix()  # times i
+            m = m.scale(1)  # times i
         return self._matrix(m)
 
     # -- serialization ----------------------------------------------------

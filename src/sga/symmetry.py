@@ -8,9 +8,9 @@ theta a multiple of pi/2.  When exactly one axis is timelike B squares to
 exponent is fixed so that the chiral vector of the plane picks up
 exp(-i*theta) and an up bit of the plane picks up exp(-i*theta/2).
 
-The conjugation operator is the metric times the transposed, phase
-normalised product of the timelike vectors; conjugating a spinor is
-C psi*, a multivector C m* C^-1.
+The conjugation operator ``rep.C`` is the metric times the transposed,
+phase normalised product ``rep.Gamma`` of the timelike vectors;
+conjugating a spinor is C psi*, a multivector C m* C^-1.
 """
 
 from __future__ import annotations
@@ -157,18 +157,6 @@ def metric_preserved(rep, rotor, tol=None):
 
 
 # -- conjugation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConjugationData:
-    C: Matrix
-    Gamma: Matrix
-    phase: Scalar
-
-
-def conjugation_operator(rep):
-    """The rotation-covariant conjugation tensor and the time product."""
-    return ConjugationData(rep.C, rep.Gamma, rep.gamma_phase)
 
 
 def conjugate(rep, x):

@@ -11,7 +11,8 @@ Three tables are generated from first principles and never hard-coded:
 
 Every sign is computed on the representation's signed monomials (eps,
 the spacelike generators and C): products, transposes and equality of
-int tuples, with -1 tested as the phase i**2.  No Matrix is built.
+their Pauli-string words, with -1 tested as the phase i**2.  No Matrix
+is built.
 
 The period-8 checker asserts row equality at keys eight apart over a
 range of at least nine consecutive values.
@@ -68,7 +69,7 @@ def _sign(a, b, failure):
 
 
 def _square_sign(m):
-    return _sign(m @ m, Monomial.identity(m.dim), "matrix square is not +-identity")
+    return _sign(m @ m, Monomial.identity(m.n), "matrix square is not +-identity")
 
 
 def _symmetry_sign(m):

@@ -6,6 +6,8 @@ every earlier vector g as diag(g, -g) and adjoins the new plane's vectors
 as off-diagonal blocks.  It is kept here, built with ``Matrix`` only.
 Blades are checked against ordered ``Matrix`` products of the gammas, and
 blade coefficients against trace(raised @ m) / dim computed the same way.
+Orthonormal blades are also checked against the bitmap product of
+geometric algebra, which needs no matrices, in up to 64 dimensions.
 """
 
 from functools import lru_cache
@@ -27,7 +29,9 @@ from sga.blades import (
     reconstruct_from_blades,
 )
 from sga.matrices import Matrix, Monomial
-from sga.representation import METRIC_CHOICES, ODD_MODES, RepConfig, Signature, build_representation
+from sga.representation import (
+    METRIC_CHOICES, ODD_MODES, RepConfig, Signature, _even_core, build_representation,
+)
 from sga.scalars import I, ONE, SQRT2, Scalar, i_power, unit
 
 
@@ -278,25 +282,129 @@ def test_float_coefficients_reconstruct():
     assert reconstruct_from_blades(rep, coeffs).approx_equal(m)
 
 
-# -- the monomial type against Matrix ------------------------------------------
+# -- orthonormal blades against the bitmap product -------------------------------
+
+
+def bitmap_blade_product(a, b, squares):
+    """e_A e_B = sign * e_(A ^ B) for axis bitmaps A and B; squares[k] is the square of axis k + 1.
+
+    The sign is the parity of the swaps that sort the factors of e_A e_B
+    into increasing order, times the square of each axis in A & B
+    (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).
+    """
+    sign = 1
+    rest = a >> 1
+    while rest:  # each axis of B passes every larger axis of A
+        if (rest & b).bit_count() & 1:
+            sign = -sign
+        rest >>= 1
+    for k, square in enumerate(squares):
+        if (a & b) >> k & 1:
+            sign *= square
+    return sign, a ^ b
+
+
+def word_gammas(n, timelike):
+    """The n orthonormal vectors as Pauli-string words of the even core; axis a + 1 is timelike when bit a is set.
+
+    As in the representation, the plus and minus generators of each plane
+    come first, an odd n takes kappa as its final vector, and a timelike
+    vector is i times its spacelike form.
+    """
+    core = _even_core(n // 2)
+    gammas = [g for pair in core["orth"] for g in pair] + [core["kappa"]] * (n % 2)
+    return [g.scale(1) if timelike >> a & 1 else g for a, g in enumerate(gammas)]
+
+
+def word_blade(gammas, bitmap):
+    out = Monomial.identity(gammas[0].n)
+    for a, g in enumerate(gammas):
+        if bitmap >> a & 1:
+            out = out @ g
+    return out
 
 
 @st.composite
-def monomials(draw, dim=None):
-    if dim is None:
-        dim = draw(st.integers(min_value=1, max_value=12))
-    perm = draw(st.permutations(range(dim)))
-    empty = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-    cols = [-1 if e else j for j, e in zip(perm, empty)]
-    phases = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=dim, max_size=dim))
-    exps = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=dim, max_size=dim))
-    return Monomial(cols, phases, exps)
+def bitmap_cases(draw, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    axes = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return n, draw(axes), draw(axes), draw(axes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bitmap_cases(64))
+def test_orthonormal_blades_multiply_like_bitmaps(case):
+    n, timelike, a, b = case
+    gammas = word_gammas(n, timelike)
+    sign, ab = bitmap_blade_product(a, b, [-1 if timelike >> k & 1 else 1 for k in range(n)])
+    want = word_blade(gammas, ab)
+    assert word_blade(gammas, a) @ word_blade(gammas, b) == (want if sign == 1 else want.scale(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bitmap_cases(10))
+def test_bitmap_product_agrees_with_the_blade_matrices(case):
+    n, timelike, a, b = case
+    axes = tuple(k + 1 for k in range(n) if timelike >> k & 1)
+    rep = build_representation(RepConfig(Signature(n - len(axes), len(axes), axes)))
+
+    def blade(bitmap):
+        return blade_matrix(rep, BladeIndex(ORTHONORMAL, tuple(k + 1 for k in range(n) if bitmap >> k & 1)))
+
+    sign, ab = bitmap_blade_product(a, b, [-1 if timelike >> k & 1 else 1 for k in range(n)])
+    assert blade(a) @ blade(b) == blade(ab).scale(sign)
+
+
+# -- the monomial type against Matrix ------------------------------------------
+
+
+def matrix_of_words(n, x, z, m, v, p, e):
+    """The Matrix of i**p sqrt2**e X**x Z**z P(m, v), entry by entry from the definition."""
+    dim = 1 << n
+    return Matrix.from_items(dim, dim, [
+        (j ^ x, j, unit(p + 2 * (j & z).bit_count(), e)) for j in range(dim) if j & m == v
+    ])
+
+
+@st.composite
+def words(draw, n=None):
+    if n is None:
+        n = draw(st.integers(min_value=0, max_value=6))
+    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+    x, z, m, v = draw(bits), draw(bits), draw(bits), draw(bits)
+    p = draw(st.integers(min_value=-5, max_value=5))
+    return n, x, z, m, v & m, p, draw(st.integers(min_value=-4, max_value=4))
+
+
+@st.composite
+def monomials(draw, n=None):
+    n, *rest = draw(words(n))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return Monomial.zero(n)
+    return Monomial(n, *rest)
 
 
 @st.composite
 def monomial_pairs(draw):
     a = draw(monomials())
-    return a, draw(monomials(a.dim))
+    return a, draw(monomials(a.n))
+
+
+def assert_canonical(mono):
+    """`mono` is what the constructor makes of its own words, or the zero operator."""
+    if mono.v < 0:
+        assert mono == Monomial.zero(mono.n) and mono.to_matrix().is_zero()
+        return
+    assert mono.z & mono.m == 0 and mono.v & ~mono.m == 0 and 0 <= mono.p < 4
+    again = Monomial(mono.n, mono.x, mono.z, mono.m, mono.v, mono.p, mono.e)
+    assert mono == again and hash(mono) == hash(again)
+
+
+@given(words())
+def test_monomial_words_follow_the_definition(w):
+    mono = Monomial(*w)
+    assert mono.to_matrix() == matrix_of_words(*w)
+    assert_canonical(mono)
 
 
 @given(monomial_pairs())
@@ -312,18 +420,19 @@ def test_monomial_scale_agrees_with_matrix(a, p, e):
 
 @given(monomials())
 def test_monomial_transpose_and_listings(a):
-    assert a.transpose().to_matrix() == a.to_matrix().transpose()
-    assert list(a.to_matrix().nonzero_items()) == [(i, j, unit(p, e)) for i, j, p, e in a.entries]
+    m = a.to_matrix()
+    assert a.transpose().to_matrix() == m.transpose()
+    assert a.dagger().to_matrix() == m.dagger() == m.conj().transpose()
+    assert list(m.nonzero_items()) == [(i, j, unit(p, e)) for i, j, p, e in a.entries]
     assert a.units == {(p, e) for _, _, p, e in a.entries}
 
 
-@given(monomials(), st.integers(min_value=-5, max_value=5), st.integers(min_value=-4, max_value=4))
-def test_monomial_results_are_normalised(a, p, e):
-    # scale and transpose skip the constructor, so equality of their tuples
-    # needs them to be what the constructor would have made
-    for m in (a.scale(p, e), a.transpose(), a @ a.transpose()):
-        assert m == Monomial(m.cols, m.phases, m.exps)
-        assert hash(m) == hash(Monomial(m.cols, m.phases, m.exps))
+@given(monomial_pairs(), st.integers(min_value=-5, max_value=5), st.integers(min_value=-4, max_value=4))
+def test_monomial_results_are_normalised(pair, p, e):
+    # equality and hashing compare words, so every result must be canonical
+    a, b = pair
+    for m in (a @ b, a.scale(p, e), a.transpose(), a.dagger(), a @ a.transpose()):
+        assert_canonical(m)
 
 
 @given(monomial_pairs(), st.integers(min_value=0, max_value=3))
@@ -334,6 +443,19 @@ def test_monomial_sign_against_agrees_with_matrix(pair, p):
         assert a.sign_against(other) == (1 if m == n else -1 if m == -n else 0)
 
 
+def test_nilpotent_generators_square_to_the_zero_operator():
+    rep = build_representation(spacelike=6)
+    zero = Monomial.zero(rep.n_bits)
+    for k in range(1, 4):
+        for barred in (False, True):
+            g = rep.chiral_monomial(k, barred)
+            assert g @ g == zero
+            assert (rep.gamma_chiral(k, barred) @ rep.gamma_chiral(k, barred)).is_zero()
+            assert zero @ g == g @ zero == zero.transpose() == zero.dagger() == zero.scale(1, 1)
+    assert zero.entries == () and zero.units == frozenset()
+    assert zero.sign_against(zero) == 1 and zero.sign_against(Monomial.identity(rep.n_bits)) == 0
+
+
 def test_paired_wedge_is_the_plane_bivector():
     rep = build_representation(spacelike=6)
     for k in range(1, 4):
@@ -342,8 +464,14 @@ def test_paired_wedge_is_the_plane_bivector():
         assert g @ gb - Matrix.identity(rep.dim) == bivector
 
 
-def test_monomial_columns_are_distinct():
-    with pytest.raises(ValueError):
-        Monomial([0, 0], [0, 0], [0, 0])
-    with pytest.raises(ValueError):
-        Monomial([2, -1], [0, 0], [0, 0])
+def test_monomial_words_are_validated():
+    for bad in (
+        (2, 4, 0, 0, 0),  # x outside the two index bits
+        (2, 0, 8, 0, 0),
+        (2, -1, 0, 0, 0),
+        (2, 0, 0, 1, 2),  # v not a submask of m
+        (2, 0, 0, 0, -1),
+        (-1, 0, 0, 0, 0),
+    ):
+        with pytest.raises(ValueError):
+            Monomial(*bad)

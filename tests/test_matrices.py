@@ -1,6 +1,7 @@
 """Exact matrix arithmetic against brute-force oracles."""
 
 import json
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -488,3 +489,30 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     assert product == naive_product(a, b)
     assert conj == naive_product(naive_product(Matrix(rep.C.rows), m.conj()),
                                  Matrix(rep.C.rows).dagger())
+
+
+@pytest.mark.parametrize("factor,want", [
+    (Fraction(1, 3), Scalar(1, 0, 0, 0, 3)),
+    (Fraction(-4, 2), Scalar(-2)),
+    (3, Scalar(3)),
+    (SQRT2, SQRT2),
+    (0.5, Scalar(_float=0.5)),
+    (1j, Scalar(_float=1j)),
+])
+def test_scaling_keeps_an_exact_factor_exact(factor, want):
+    m = Matrix([[ONE, I], [ZERO, SQRT2]])
+    expected = Matrix([[want, I * want], [ZERO, SQRT2 * want]])
+    for got in (m.scale(factor), m * factor, factor * m):
+        assert got == expected
+        assert all(s.is_exact == want.is_exact for _, _, s in got.nonzero_items())
+
+
+@pytest.mark.parametrize("factor", ["2", None, [1]])
+def test_scaling_by_an_unsupported_type_is_a_type_error(factor):
+    m = Matrix.identity(2)
+    with pytest.raises(TypeError):
+        m.scale(factor)
+    with pytest.raises(TypeError):
+        m * factor
+    with pytest.raises(TypeError):
+        factor * m

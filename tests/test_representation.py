@@ -344,7 +344,7 @@ def test_matrices_are_converted_once_and_resolve_to_their_monomials():
         m = getattr(rep, name)
         assert getattr(rep, name) is m
         assert rep.monomial(name).to_matrix() == m
-        assert rep.monomial_of(m) is rep.monomial(name)
+        assert rep.monomial_of(m) == rep.monomial(name)  # equal operators share one Matrix
     assert rep.scalar_axis_matrix is None
     assert rep.eps_T == rep.eps.transpose()
     with pytest.raises(ValueError):

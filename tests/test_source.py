@@ -1,4 +1,4 @@
-"""Static checks of the package source: no imported name goes unread."""
+"""Static checks of the package source: no imported name goes unread, no private name goes unused."""
 
 import ast
 from pathlib import Path
@@ -42,3 +42,54 @@ def test_scanner_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unused_private_names(sources):
+    """(module, line, name) of each private module-level function or class, or method, that no source refers to.
+
+    `sources` maps module names to their source text; a reference is any
+    name or attribute read with that name, in any of the sources.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, defs) and is_private(item.name) and item.name not in referenced:
+                    out.append((module, item.lineno, item.name))
+    return sorted(out)
+
+
+def test_scanner_finds_unused_private_names():
+    sources = {
+        "a": (
+            "def _used():\n    pass\n"
+            "def _unused():\n    pass\n"
+            "class _Gone:\n    pass\n"
+            "class Kept:\n"
+            "    def __init__(self):\n        self._helper()\n"
+            "    def _helper(self):\n        pass\n"
+            "    def _stale(self):\n        pass\n"
+            "    def public(self):\n        pass\n"
+        ),
+        "b": "from a import _used\n_used()\n",
+    }
+    assert unused_private_names(sources) == [("a", 3, "_unused"), ("a", 5, "_Gone"), ("a", 12, "_stale")]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_names(sources) == []

@@ -18,7 +18,6 @@ from sga.symmetry import (
     axis_reflection_classify,
     bivector_rotor,
     conjugate,
-    conjugation_operator,
     is_real_element,
     metric_preserved,
     plane_rotor,
@@ -169,9 +168,8 @@ def test_reverse_multivector_grades():
 
 def test_conjugation_operator_euclidean_is_the_metric():
     rep = rep_for(3)
-    data = conjugation_operator(rep)
-    assert data.C == rep.eps
-    assert data.Gamma.is_identity()
+    assert rep.C == rep.eps
+    assert rep.Gamma.is_identity()
 
 
 def test_dirac_time_product():
