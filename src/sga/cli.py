@@ -11,7 +11,8 @@ seed produce byte-identical output.
 Matrices are written sparse, as {"shape": [nrows, ncols], "entries":
 [[i, j, value], ...]} over their nonzero entries, one entry per line.
 ``decompose --input`` reads that form (however it is indented), a dense
-list of rows, or an {"entries": dense rows} object.
+list of rows, or an {"entries": dense rows} object, and writes one
+coefficient per line, keys sorted.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ def _json_dumps(obj, indent=""):
     return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
+def _json_lines(obj):
+    """A JSON object with each key and its compact value on one line, keys sorted."""
+    if not obj:
+        return "{}"
+    lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(obj[k], sort_keys=True)}" for k in sorted(obj))
+    return "{\n" + lines + "\n}"
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -200,7 +209,7 @@ def cmd_decompose(args):
     else:
         coeffs = spinor_outer_decompose(rep, matrix)
         payload = {f"{a},{b}": c.to_json() for (a, b), c in coeffs.items()}
-    _emit(args, _json_dumps(payload))  # _json_dumps sorts the keys
+    _emit(args, _json_lines(payload))
     return 0
 
 

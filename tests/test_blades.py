@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from sga import blades
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.blades import (
     CHIRAL,
@@ -149,13 +150,14 @@ def test_decompose_examples():
 
 
 def test_decompose_agrees_with_coefficient_formula():
-    """Trace route equals the metric-pairing route on random matrices."""
+    """The transform, the trace route and the metric-pairing route agree on random matrices."""
     rng = Random(17)
     for metric in ("standard", "alternative"):
         rep = rep_for(4, metric=metric)
         for _ in range(5):
             m = random_multivector(rep, rng)
-            by_trace = decompose_multivector(rep, m, all_blades=True)
+            by_trace = {b: c for b in all_chiral_blades(rep) if (c := blade_coefficient(rep, b, m))}
+            assert decompose_multivector(rep, m) == by_trace
             outer = spinor_outer_decompose(rep, m)
             for blade in all_chiral_blades(rep):
                 acc = ZERO
@@ -163,6 +165,21 @@ def test_decompose_agrees_with_coefficient_formula():
                     upper, _ = gamma_coefficients(rep, blade, a, b)
                     acc = acc + c * upper
                 assert acc == by_trace.get(blade, ZERO)
+
+
+def test_the_transform_builds_no_blade_and_reads_no_trace(monkeypatch):
+    """Decomposing and rebuilding a dense N=12 matrix builds no blade monomial and calls no trace formula."""
+    rep = build_representation(RepConfig(Signature(spacelike=12), max_dim=64))
+    rng = Random(43)
+    m = Matrix([[Scalar(rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-2, 2), 0, rng.choice((1, 2)))
+                 for _ in range(64)] for _ in range(64)])
+    calls = []
+    monkeypatch.setattr(blades, "blade_coefficient", lambda *args: calls.append(args))
+    coeffs = decompose_multivector(rep, m)
+    assert reconstruct_from_blades(rep, coeffs) == m
+    assert not calls and not rep._blade_cache and not rep._raised_cache
+    blades.blade_coefficient(rep, BladeIndex(CHIRAL, ()), m)
+    assert len(calls) == 1  # the count sees a call
 
 
 def test_spinor_outer_round_trip_random():

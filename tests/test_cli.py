@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sga.blades import decompose_multivector, spinor_outer_decompose
 from sga.cli import _json_dumps, main
 from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
@@ -142,6 +143,28 @@ def test_decompose_keys_come_out_sorted(tmp_path, capsys):
         assert keys[basis] == sorted(keys[basis])
     # by label, not by grade: the pseudoscalar comes between g1 and g1bar
     assert keys["blades"] == ["g1", "g1^g1bar^g2^g2bar", "g1bar"]
+
+
+def test_decompose_prints_one_coefficient_per_line(tmp_path, capsys):
+    rep = build_representation(RepConfig(Signature(spacelike=6)))
+    m = rep.gamma(1) + rep.pseudoscalar + rep.C
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(m.to_json()))
+    for basis, coeffs in (("blades", {b.label(): c for b, c in decompose_multivector(rep, m).items()}),
+                          ("outer", {f"{a},{b}": c for (a, b), c in spinor_outer_decompose(rep, m).items()})):
+        code, out, _ = run(capsys, "decompose", "-K", "6", "--input", str(path), "--basis", basis)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(coeffs) + 2
+        for line, key in zip(lines[1:-1], sorted(coeffs)):
+            assert json.loads("{" + line.rstrip(",") + "}") == {key: coeffs[key].to_json()}
+        assert json.loads(out) == {k: c.to_json() for k, c in coeffs.items()}
+
+
+def test_decompose_of_zero_is_an_empty_object(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([[0, 0], [0, 0]]))
+    assert run(capsys, "decompose", "-K", "2", "--input", str(path)) == (0, "{}\n", "")
 
 
 def test_decompose_float_matrix(tmp_path, capsys):

@@ -5,7 +5,8 @@ closed forms replaced: each new plane doubles the spinor space, embeds
 every earlier vector g as diag(g, -g) and adjoins the new plane's vectors
 as off-diagonal blocks.  It is kept here, built with ``Matrix`` only.
 Blades are checked against ordered ``Matrix`` products of the gammas, and
-blade coefficients against trace(raised @ m) / dim computed the same way.
+the blade coefficients of the per-plane transform against trace(raised @
+m) / dim computed the same way and against ``blade_coefficient``.
 Orthonormal blades are also checked against the bitmap product of
 geometric algebra, which needs no matrices, in up to 64 dimensions.
 """
@@ -21,10 +22,10 @@ from sga.blades import (
     ORTHONORMAL,
     BladeIndex,
     all_chiral_blades,
+    blade_coefficient,
     blade_matrix,
     canonicalize,
     decompose_multivector,
-    _unit_product,
     raised_blade_matrix,
     reconstruct_from_blades,
 )
@@ -191,10 +192,15 @@ def test_every_metric_and_odd_mode_matches_the_oracle(n):
 
 
 @st.composite
-def rep_configs(draw):
-    n = draw(st.integers(min_value=1, max_value=17))
+def rep_configs(draw, max_n=17, odd_mode=None):
+    """Any signature of N <= max_n; with `odd_mode` given, an odd N in that mode."""
+    if odd_mode is None:
+        n = draw(st.integers(min_value=1, max_value=max_n))
+    else:
+        n = 2 * draw(st.integers(min_value=0, max_value=(max_n - 1) // 2)) + 1
     axes = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True, max_size=n))
-    metric, odd_mode = draw(st.sampled_from(valid_choices(n)))
+    choices = [c for c in valid_choices(n) if odd_mode in (None, c[1])]
+    metric, odd_mode = draw(st.sampled_from(choices))
     return RepConfig(
         Signature(n - len(axes), len(axes), tuple(axes)),
         metric=metric,
@@ -256,7 +262,7 @@ def test_dense_decomposition_equals_the_trace_formula(n, metric):
     inv_dim = Scalar(1, 0, 0, 0, rep.dim)
     for _ in range(2):
         m = random_dense(rng, rep.dim)
-        coeffs = decompose_multivector(rep, m, all_blades=True)
+        coeffs = decompose_multivector(rep, m)
         for blade in all_chiral_blades(rep):
             raised = oracle_raised(rep, blade)
             assert raised_blade_matrix(rep, blade) == raised
@@ -265,21 +271,61 @@ def test_dense_decomposition_equals_the_trace_formula(n, metric):
         assert reconstruct_from_blades(rep, coeffs) == m
 
 
-@given(st.builds(Scalar, *[st.integers(-9, 9)] * 4, st.integers(1, 12)),
-       st.integers(min_value=0, max_value=3), st.integers(min_value=-7, max_value=7))
-def test_integer_unit_products_equal_scalar_products(x, p, e):
-    den = 3 * (x.q << max(0, -(e >> 1)))
-    a, b, c, d, f = _unit_product(x, p, e, den)
-    assert f == 0 and Scalar(a, b, c, d, den) == x * unit(p, e)
-
-
 def test_float_coefficients_reconstruct():
     rep = build_representation(spacelike=4)
     rng = Random(5)
     m = Matrix([[Scalar(_float=complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(4)]
                 for _ in range(4)])
-    coeffs = decompose_multivector(rep, m, all_blades=True)
+    coeffs = decompose_multivector(rep, m)
+    assert len(coeffs) == 16 and not any(c.is_exact for c in coeffs.values())
     assert reconstruct_from_blades(rep, coeffs).approx_equal(m)
+
+
+def trace_reference(rep, m):
+    """The nonzero blade coefficients of m by the trace formula, blade by blade."""
+    return {b: c for b in all_chiral_blades(rep) if not (c := blade_coefficient(rep, b, m)).is_zero()}
+
+
+@st.composite
+def sparse_matrices(draw, dim):
+    """Up to eight exact entries with sqrt2 and i parts over 1..3; one draw in four adds a float entry."""
+    index = st.integers(min_value=0, max_value=dim - 1)
+    exact = st.builds(Scalar, *[st.integers(-3, 3)] * 4, st.integers(1, 3))
+    items = draw(st.lists(st.tuples(index, index, exact), max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        z = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=4, allow_nan=False, allow_infinity=False))
+        items.append((draw(index), draw(index), Scalar(_float=z)))
+    return Matrix.from_items(dim, dim, items)
+
+
+def same_values(got, want):
+    """Exact equality, or closeness where a float entered."""
+    if all(s.is_exact for s in want.values()):
+        return got == want
+    return got.keys() == want.keys() and all(got[k].to_complex() == pytest.approx(want[k].to_complex()) for k in want)
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_transform_equals_the_trace_formula_and_inverts(odd_mode, data):
+    config = data.draw(rep_configs(max_n=16, odd_mode=odd_mode))
+    rep = build_representation(config)
+    m = data.draw(sparse_matrices(rep.dim))
+    coeffs = decompose_multivector(rep, m)
+    if config.signature.total <= 10:
+        assert same_values(coeffs, trace_reference(rep, m))
+    back = reconstruct_from_blades(rep, coeffs)
+    assert back == m if all(s.is_exact for _, _, s in m.nonzero_items()) else back.approx_equal(m, tol=1e-9)
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_every_blade_reconstructs_to_its_matrix(odd_mode, data):
+    rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
+    for blade in all_chiral_blades(rep):
+        assert reconstruct_from_blades(rep, {blade: ONE}) == blade_matrix(rep, blade), blade.label()
 
 
 # -- orthonormal blades against the bitmap product -------------------------------
