@@ -23,7 +23,14 @@ class Bitcode:
     bits: tuple[bool, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+        bits = tuple(bool(b) for b in self.bits)
+        object.__setattr__(self, "bits", bits)
+        # read on every spinor lookup, so computed once; not fields, so equality is unchanged
+        object.__setattr__(self, "_index", sum(1 << k for k, b in enumerate(bits) if not b))
+        object.__setattr__(self, "_hash", hash((bits,)))  # the value the generated hash would give
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_string(cls, text):
@@ -73,7 +80,7 @@ class Bitcode:
 
     def index(self):
         """Column index of the basis spinor this bitcode labels."""
-        return sum(1 << k for k, b in enumerate(self.bits) if not b)
+        return self._index
 
     def chirality(self):
         """Product over bits of +1 (up) / -1 (down); +1 on the all-up code."""

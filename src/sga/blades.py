@@ -15,14 +15,18 @@ the diagonal pairs (bits 00 and 11) into the coefficients of 1 and Z_k,
 an off-diagonal entry being already g_k (column bit set) or g_kbar (row
 bit set); read key (r, c) as the blade unbarred on the bits of c and
 barred on those of r, times sqrt2**(|r ^ c| - 2n).  Reconstructing runs
-it the other way.  That costs O(n 4**n) on dense input, O(1) per blade of
-a single entry.  The trace formula of ``blade_coefficient`` is the
-reference.
+it the other way.  The butterfly only adds and subtracts, so each exact
+value travels as one int, its four numerators over a common denominator
+packed in lanes too wide to carry, and float parts travel apart as
+complex numbers.  That costs O(n 4**n) on dense input and O(n) per
+nonzero in or out on sparse input.  The trace formula of
+``blade_coefficient`` is the reference.
 
 Each basis outer product e_a e_b. has a single nonzero entry, so that
-direction is a direct read-off against the metric's sign pattern.
-Raising a blade bars every chiral index (k <-> kbar), applies the metric
-sign to orthonormal indices, and reverses the factor order.
+direction is a direct read-off against the metric's sign pattern, on
+the int index of each bitcode.  Raising a blade bars every chiral index
+(k <-> kbar), applies the metric sign to orthonormal indices, and
+reverses the factor order.
 """
 
 from __future__ import annotations
@@ -31,10 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import add, neg, sub
 
-from .bitcodes import all_bitcodes
-from .elements import outer_product, row_of
+from .elements import Element, multiply, outer_product, row_of
 from .matrices import Matrix, Monomial
 from .scalars import HALF, ONE, Scalar, ZERO, unit
 
@@ -56,6 +58,22 @@ class BladeIndex:
             raise ValueError("repeated generator in blade index")
         if tuple(sorted(self.factors)) != self.factors:
             raise ValueError("blade index not in canonical order")
+        # every transform and coefficient dict reads these, so they are computed once; they
+        # are not fields, so equality and the hash value stay those of (kind, factors)
+        object.__setattr__(self, "_hash", hash((self.kind, self.factors)))
+        r = c = 0  # chiral: bit k - 1 of r is set for a barred factor of plane k, of c for an unbarred one
+        if self.kind == CHIRAL:
+            for k, barred in self.factors:
+                if not (isinstance(k, int) and k >= 1):
+                    raise ValueError(f"chiral blade plane must be an int of at least 1, not {k!r:.20}")
+                if barred:
+                    r |= 1 << (k - 1)
+                else:
+                    c |= 1 << (k - 1)
+        object.__setattr__(self, "_planes", (r, c))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def grade(self):
@@ -122,17 +140,17 @@ def blade_monomial(rep, blade):
 
 def _chiral_blade_monomial(rep, blade):
     # peel off the last plane so prefixes are shared through the cache
-    factors = blade.factors
-    if not factors:
+    r, c = blade._planes
+    if not r | c:
         return Monomial.identity(rep.n_bits)
-    last = factors[-1][0]
-    prefix = tuple(f for f in factors if f[0] != last)
-    if prefix:
-        plane = BladeIndex(CHIRAL, factors[len(prefix):])
-        return blade_monomial(rep, BladeIndex(CHIRAL, prefix)) @ blade_monomial(rep, plane)
-    if len(factors) == 2:  # the paired wedge g gbar - 1 = -i plus_k minus_k
+    top = 1 << ((r | c).bit_length() - 1)
+    if (r | c) != top:
+        prefix = blade_monomial(rep, _blade_of_bits(r & ~top, c & ~top))
+        return prefix @ blade_monomial(rep, _blade_of_bits(r & top, c & top))
+    last = top.bit_length()
+    if r & c:  # the paired wedge g gbar - 1 = -i plus_k minus_k
         return (rep.orth_monomial(last) @ rep.orth_monomial(last, minus=True)).scale(3)
-    return rep.chiral_monomial(last, barred=factors[0][1])
+    return rep.chiral_monomial(last, barred=bool(r))
 
 
 def raised_blade_matrix(rep, blade):
@@ -165,20 +183,26 @@ def _raised_monomial(rep, blade):
 
 def metric_column_map(rep):
     """For each bitcode b, the (column, sign) of the single nonzero of e_b. ."""
-    return {b: (col, -ONE if negated else ONE) for b, (col, negated) in _column_maps(rep)[0].items()}
+    by_row = _column_maps(rep)[0]
+    return {b: (col, -ONE if negated else ONE) for b, (col, negated) in zip(rep.bitcodes(), by_row)}
 
 
 def _column_maps(rep):
-    """b -> (column, negated) of the one entry, +-1, of e_b., and its inverse; built once per representation."""
+    """(column, negated) of the one entry, +-1, of each metric row, and (row, negated) per column.
+
+    Both are lists indexed by the row or column; built once per representation.
+    """
     if rep._colmap is None:
-        out = {}
-        for b in all_bitcodes(rep.n_bits):
-            row = rep.eps.sparse_rows[b.index()]
+        by_row = []
+        for row in rep.eps.sparse_rows:
             if len(row) != 1 or next(iter(row.values())) not in (ONE, -ONE):
                 raise AssertionError("metric row is not a signed unit row")
             [(col, sign)] = row.items()
-            out[b] = col, sign != ONE
-        rep._colmap = out, {col: (b, negated) for b, (col, negated) in out.items()}
+            by_row.append((col, sign != ONE))
+        by_column = [None] * rep.dim
+        for i, (col, negated) in enumerate(by_row):
+            by_column[col] = i, negated
+        rep._colmap = by_row, by_column
     return rep._colmap
 
 
@@ -186,12 +210,12 @@ def spinor_outer_decompose(rep, m):
     """Coefficients c[(a, b)] with m = sum c * e_a e_b. ; exact read-off."""
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
+    codes = rep.bitcodes()
     by_column = _column_maps(rep)[1]
     out = {}
     for i, j, value in m.nonzero_items():
-        a = rep.bitcode_of_index(i)
-        b, negated = by_column[j]
-        out[(a, b)] = -value if negated else value
+        k, negated = by_column[j]
+        out[(codes[i], codes[k])] = -value if negated else value
     return out
 
 
@@ -201,12 +225,17 @@ def outer_basis_matrix(rep, a, b):
 
 
 def reconstruct_from_outer(rep, coeffs):
+    """The Matrix sum of c * e_a e_b. over outer coefficients c[(a, b)]."""
     # each e_a e_b. has one nonzero entry, so accumulate by position
-    colmap = _column_maps(rep)[0]
+    by_row = _column_maps(rep)[0]
+    n = rep.n_bits
     items = []
     for (a, b), c in coeffs.items():
-        j, negated = colmap[b]
-        items.append((rep.spinor_index(a), j, -c if negated else c))
+        if len(a.bits) != n or len(b.bits) != n:
+            rep.check_bitcode(a)
+            rep.check_bitcode(b)
+        j, negated = by_row[b.index()]
+        items.append((a.index(), j, -c if negated else c))
     return Matrix.from_items(rep.dim, rep.dim, items)
 
 
@@ -248,19 +277,14 @@ def reconstruct_from_blades(rep, coeffs):
     for blade, s in coeffs.items():
         if blade.kind != CHIRAL:
             raise ValueError("reconstruct_from_blades takes chiral blades")
-        r = c = 0
-        for k, barred in blade.factors:
-            if barred:
-                r |= 1 << k
-            else:
-                c |= 1 << k
-        items.append((r >> 1, c >> 1, s))
+        r, c = blade._planes
+        items.append((r, c, s))
     return Matrix.from_items(rep.dim, rep.dim, _plane_transform(rep.n_bits, items, False))
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 14)
 def _blade_of_bits(r, c):
-    """The chiral blade unbarred on the planes of c and barred on those of r."""
+    """The chiral blade unbarred on the planes of c and barred on those of r; bit k - 1 is plane k."""
     planes = range(1, (r | c).bit_length() + 1)
     return BladeIndex(CHIRAL, tuple(
         (k, barred) for k in planes for barred, bits in ((False, c), (True, r)) if bits >> (k - 1) & 1
@@ -281,52 +305,113 @@ def _plane_transform(n, items, forward):
     """(r, c, Scalar) of the nonzero results of the transform of (r, c, Scalar) items, forward or back.
 
     It keeps x = r ^ c, so it runs on each x apart, over the planes outside
-    x.  A value is (a, b, c, d, f): numerators over the common denominator
-    and a float part, int 0 while no float has reached it.
+    x.  The exact part of a value is the int a + b*2**w + c*2**2w + d*2**3w
+    of its numerators over the common denominator.  Each result is a signed
+    sum of at most 2**n inputs, and w is one bit more than such a sum of
+    the largest numerator needs, so no lane carries into the next and a
+    sum or difference of two values is one int operation.  The width is
+    read in the grouping pass, once per distinct input Scalar, and
+    ``_unpacked`` makes one Scalar per distinct result.  Float parts, where
+    there are any, run through the same butterfly apart as complex numbers,
+    and the two results add by linearity.
     """
-    items = list(items)
-    den = lcm(*(s.q for _, _, s in items))
-    groups = {}  # x -> {r: value}
+    groups = {}  # x -> {r: id of its Scalar}
+    scalars = {}  # id -> each distinct Scalar, read once for the denominator and the lane width
+    den = 1
+    top = 0  # the bits of every numerator's magnitude
+    floats = False
     for r, c, s in items:
-        k = den // s.q
-        groups.setdefault(r ^ c, {})[r] = (s.a * k, s.b * k, s.c * k, s.d * k, 0 if s.f is None else s.f)
+        x = r ^ c
+        group = groups.get(x)
+        if group is None:
+            group = groups[x] = {}
+        group[r] = k = id(s)
+        if k not in scalars:
+            scalars[k] = s
+            if den % s.q:
+                den = lcm(den, s.q)
+            top |= abs(s.a) | abs(s.b) | abs(s.c) | abs(s.d)
+            floats = floats or s.f is not None
+    width = top.bit_length() + den.bit_length() + n + 1
+    packed = {  # a float Scalar's numerators are 0 over 1
+        k: den // s.q * (s.a + (s.b << width) + (s.c << 2 * width) + (s.d << 3 * width))
+        for k, s in scalars.items()
+    }
+    full = (1 << n) - 1
     out = []
-    for x, vals in groups.items():
-        flips = _jw_flips(x)
-        if forward:
-            vals = {r: tuple(map(neg, v)) if (r & flips).bit_count() & 1 else v for r, v in vals.items()}
-        free = ~x & ((1 << n) - 1)
-        while free:  # on plane `bit`, (v, w) at r bits 0 and 1 become v + w and v - w
-            bit = free & -free
-            free ^= bit
-            new = {}
-            for r, v in vals.items():
-                if r & bit:
-                    if r ^ bit not in vals:
-                        new[r ^ bit] = v
-                        new[r] = tuple(map(neg, v))
-                elif (w := vals.get(r | bit)) is None:
-                    new[r] = new[r | bit] = v
-                else:
-                    if any(t := tuple(map(add, v, w))):
-                        new[r] = t
-                    if any(t := tuple(map(sub, v, w))):
-                        new[r | bit] = t
-            vals = new
+    for x, group in groups.items():
+        flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
+        vals = _butterfly({
+            r: -packed[k] if forward and (r & flips).bit_count() & 1 else packed[k] for r, k in group.items()
+        }, ~x & full, True)
         e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
-        for r, (a, b, c, d, f) in vals.items():
-            if not forward and (r & flips).bit_count() & 1:
-                a, b, c, d, f = -a, -b, -c, -d, -f
-            if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
-                a, b, c, d = 2 * b, a, 2 * d, c
-            h = e >> 1
-            s = Scalar(a << h, b << h, c << h, d << h, den) if h >= 0 else Scalar(a, b, c, d, den << -h)
-            if type(f) is not int:
-                s = s + Scalar(_float=f * unit(0, e).to_complex())
-                if s.is_zero():  # the float part cancelled the exact one
-                    continue
-            out.append((r, r ^ x, s))
+        found = []
+        for r, v in vals.items():
+            if v:
+                if not forward and (r & flips).bit_count() & 1:
+                    v = -v
+                found.append((r, r ^ x, _unpacked(v, width, den, e)))
+        if floats and (fl := {
+            r: -f if forward and (r & flips).bit_count() & 1 else f
+            for r, k in group.items() if (f := scalars[k].f) is not None
+        }):
+            exact = {r: s for r, _, s in found}
+            scale = unit(0, e).to_complex()
+            for r, f in _butterfly(fl, ~x & full, False).items():
+                if not forward and (r & flips).bit_count() & 1:
+                    f = -f
+                s = exact.pop(r, ZERO) + Scalar(_float=f * scale)
+                if not s.is_zero():  # unless the float part cancelled the exact one
+                    exact[r] = s
+            found = [(r, r ^ x, s) for r, s in exact.items()]
+        out += found
     return out
+
+
+def _butterfly(vals, free, drop_zeros):
+    """{r: value} after the 2-point butterfly on each plane of `free`.
+
+    On plane `bit`, (v, w) at r bits 0 and 1 become v + w and v - w.  Exact
+    sums that cancel are dropped; float ones are kept, so a result that any
+    float reached stays a float, as it does in the trace formula.
+    """
+    while free:
+        bit = free & -free
+        free ^= bit
+        new = {}
+        for r, v in vals.items():
+            if r & bit:
+                if r ^ bit not in vals:
+                    new[r ^ bit] = v
+                    new[r] = -v
+            elif (w := vals.get(r | bit)) is None:
+                new[r] = new[r | bit] = v
+            elif drop_zeros:
+                if t := v + w:
+                    new[r] = t
+                if t := v - w:
+                    new[r | bit] = t
+            else:
+                new[r] = v + w
+                new[r | bit] = v - w
+        vals = new
+    return vals
+
+
+@lru_cache(maxsize=1 << 12)
+def _unpacked(v, width, den, e):
+    """The Scalar of the packed numerators v over den, times sqrt2**e; a basis has few distinct ones."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    a = ((v + half) & mask) - half
+    v = (v - a) >> width
+    b = ((v + half) & mask) - half
+    v = (v - b) >> width
+    c = ((v + half) & mask) - half
+    d = (v - c) >> width
+    if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
+        a, b, c, d = 2 * b, a, 2 * d, c
+    h = e >> 1
+    return Scalar(a << h, b << h, c << h, d << h, den) if h >= 0 else Scalar(a, b, c, d, den << -h)
 
 
 def gamma_coefficients(rep, blade, a, b):
@@ -395,12 +480,15 @@ def verify_isomorphism(rep):
             failures.append(f"blade {blade.label()} failed the outer round trip")
         if decompose_multivector(rep, m) != {blade: ONE}:
             failures.append(f"blade {blade.label()} does not decompose to itself")
-    codes = all_bitcodes(rep.n_bits)
+    codes = rep.bitcodes()
+    # e_a e_b. is the product of column a and row b, so each spinor is built once
+    columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
+    rows = [row_of(rep, column) for column in columns]
     outer_count = 0
-    for a in codes:
-        for b in codes:
+    for a, column in zip(codes, columns):
+        for b, row in zip(codes, rows):
             outer_count += 1
-            m = outer_basis_matrix(rep, a, b)
+            m = multiply(column, row).payload
             coeffs = decompose_multivector(rep, m)
             if reconstruct_from_blades(rep, coeffs) != m:
                 failures.append(f"outer product ({a}, {b}) failed the blade round trip")

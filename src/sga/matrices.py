@@ -42,6 +42,7 @@ times the unit 1 is kept as it is.
 from __future__ import annotations
 
 import os
+from itertools import compress
 from math import lcm
 
 from .scalars import ONE, ZERO, Scalar, _coerce, approx_equal, unit
@@ -71,8 +72,9 @@ def max_dimension():
 
 def _canonical(acc):
     """A row dict with its zero entries dropped and its columns in increasing order."""
-    if not acc:
-        return acc
+    if len(acc) == 1:
+        [s] = acc.values()
+        return {} if s.is_zero() else acc
     return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
 
 
@@ -131,9 +133,16 @@ class Matrix:
         """The matrix whose (i, j) entry is the sum of the values given for it in (i, j, value) items."""
         rows = {}
         for i, j, v in items:
-            row = rows.setdefault(i, {})
-            row[j] = row[j] + v if j in row else v
-        return cls([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = row[j] + v if j in row else v
+        out = [{}] * nrows
+        for i, row in rows.items():
+            if 0 <= i < nrows:
+                out[i] = _canonical(row)
+        return cls(out, ncols)
 
     # -- shape ----------------------------------------------------------
 
@@ -329,8 +338,9 @@ class Matrix:
 
     def nonzero_items(self):
         """(i, j, value) of every nonzero entry, row by row, columns increasing."""
-        for i, row in enumerate(self.sparse_rows):
-            for j, s in row.items():
+        rows = self.sparse_rows
+        for i in compress(range(len(rows)), rows):
+            for j, s in rows[i].items():
                 yield i, j, s
 
     # -- conversions -------------------------------------------------------
@@ -466,11 +476,9 @@ def _exact_product(left, right):
         [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
         for r in right
     ]
-    out = []
-    for row in left:
-        if not row:
-            out.append({})
-            continue
+    out = [{}] * len(left)
+    for i in compress(range(len(left)), left):
+        row = left[i]
         if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
             [(k, s)] = row.items()
             if s.f is not None:
@@ -478,13 +486,13 @@ def _exact_product(left, right):
             a1, b1, c1, d1 = s.a, s.b, s.c, s.d
             tb1, td1 = 2 * b1, 2 * d1  # sqrt2 * sqrt2 = 2
             den = s.q * q_right
-            out.append({
+            out[i] = {
                 j: Scalar(a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2,
                           a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
                           a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2,
                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, den)
                 for j, a2, b2, c2, d2 in scaled[k]
-            })
+            }
             continue
         qs = {s.q if s.f is None else 0 for s in row.values()}
         if 0 in qs:
@@ -512,7 +520,7 @@ def _exact_product(left, right):
                     t[2] += c
                     t[3] += d
         den = q_row * q_right
-        out.append({j: Scalar(*t, den) for j in sorted(acc) if any(t := acc[j])})
+        out[i] = {j: Scalar(*t, den) for j in sorted(acc) if any(t := acc[j])}
     return out
 
 
@@ -638,9 +646,9 @@ class Monomial:
     def to_matrix(self):
         """The equal Matrix, which keeps this monomial for its products."""
         rows = [{}] * self.dim
-        e = self.e
+        units = {q: unit(q, self.e) for q in (self.p, self.p ^ 2)}
         for i, j, p in self.row_items():
-            rows[i] = {j: unit(p, e)}
+            rows[i] = {j: units[p]}
         m = Matrix(rows, self.dim)
         m.monomial = self
         return m

@@ -254,7 +254,7 @@ class Representation:
 
         self._blade_cache = {}
         self._raised_cache = {}
-        self._colmap = None  # (metric column map, its inverse), built by blades on first use
+        self._colmap = None  # the metric's column and sign per row, and its inverse; built by blades on first use
         self._codes = None
 
     # -- helpers used during construction --------------------------------
@@ -327,10 +327,14 @@ class Representation:
         """Unit column for the basis spinor labelled by bitcode b."""
         return Matrix.unit_column(self.dim, self.spinor_index(b))
 
-    def bitcode_of_index(self, index):
+    def bitcodes(self):
+        """Every bitcode of the representation, in index order; listed once, on first use."""
         if self._codes is None:
             self._codes = tuple(Bitcode.from_index(i, self.n_bits) for i in range(self.dim))
-        return self._codes[index]
+        return self._codes
+
+    def bitcode_of_index(self, index):
+        return self.bitcodes()[index]
 
     # -- operator accessors --------------------------------------------------
 

@@ -76,14 +76,27 @@ def _s(x):
 
 
 def random_scalar(rng, allow_zero=True):
+    """((a + b sqrt2) + i (c + d sqrt2)) / q with a, c in -2..2, b, d in -1..1 and q in {1, 2}.
+
+    Each draw takes k = n.bit_length() random bits and draws again while
+    they read n or more, as ``Random.randint`` and ``Random.choice`` draw
+    from n values, so a seed gives the stream that ``randint(-2, 2)``,
+    ``randint(-1, 1)``, ``randint(-2, 2)``, ``randint(-1, 1)``,
+    ``choice((1, 2))`` would, at half the cost.
+    """
+    bits = rng.getrandbits
     while True:
-        s = Scalar(
-            rng.randint(-2, 2),
-            rng.randint(-1, 1),
-            rng.randint(-2, 2),
-            rng.randint(-1, 1),
-            rng.choice((1, 2)),
-        )
+        while (a := bits(3)) >= 5:
+            pass
+        while (b := bits(2)) >= 3:
+            pass
+        while (c := bits(3)) >= 5:
+            pass
+        while (d := bits(2)) >= 3:
+            pass
+        while (q := bits(2)) >= 2:
+            pass
+        s = Scalar(a - 2, b - 1, c - 2, d - 1, q + 1)
         if allow_zero or not s.is_zero():
             return s
 

@@ -300,3 +300,33 @@ def test_embedded_isomorphism():
     report = verify_isomorphism(rep_for(3, odd_mode="embed_scalar_n_plus_1"))
     assert not report["failures"]
     assert report["blades_checked"] == 16
+
+
+def test_verify_isomorphism_builds_each_spinor_once(monkeypatch):
+    """On N=6 the outer leg builds dim columns and dim rows, and its products are the basis outer products."""
+    rep = rep_for(6)
+    calls = []
+    products = []
+    basis_spinor, row_of, multiply = rep.basis_spinor, blades.row_of, blades.multiply
+    monkeypatch.setattr(rep, "basis_spinor", lambda b: calls.append(b) or basis_spinor(b))
+    monkeypatch.setattr(blades, "row_of", lambda r, psi: calls.append(psi) or row_of(r, psi))
+    monkeypatch.setattr(blades, "multiply", lambda x, y: products.append(multiply(x, y)) or products[-1])
+    assert not verify_isomorphism(rep)["failures"]
+    assert len(calls) <= 2 * rep.dim
+    codes = all_bitcodes(rep.n_bits)
+    assert len(products) == rep.dim ** 2
+    for k, product in enumerate(products):
+        a, b = codes[k // rep.dim], codes[k % rep.dim]
+        assert product.payload == outer_basis_matrix(rep, a, b), (str(a), str(b))
+
+
+def test_outer_dictionary_rejects_wrong_lengths():
+    rep = rep_for(4)
+    up = Bitcode.from_string("ud")
+    for short in (Bitcode.from_string("u"), Bitcode.from_string("udu")):
+        for key in ((short, up), (up, short)):
+            with pytest.raises(ValueError, match="does not match 2 planes"):
+                reconstruct_from_outer(rep, {key: ONE})
+    with pytest.raises(ValueError, match="dimension"):
+        spinor_outer_decompose(rep, Matrix.identity(2))
+    assert reconstruct_from_outer(rep, {(up, up): ONE}) == outer_basis_matrix(rep, up, up)

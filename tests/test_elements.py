@@ -242,3 +242,21 @@ def test_mixed_species_sum_rejects_unlike_payload(pauli):
         Element.column(pauli, Matrix.identity(2))
     with pytest.raises(TypeError):
         Element.scalar(pauli, Matrix.identity(2))
+
+
+def randint_scalar(rng, allow_zero=True):
+    """The draw ``random_scalar`` reproduces, written with ``randint`` and ``choice``."""
+    while True:
+        s = Scalar(rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-2, 2), rng.randint(-1, 1),
+                   rng.choice((1, 2)))
+        if allow_zero or not s.is_zero():
+            return s
+
+
+@pytest.mark.parametrize("allow_zero", (True, False))
+def test_random_scalar_keeps_the_randint_stream(allow_zero):
+    for seed in range(40):
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(200):
+            assert random_scalar(ours, allow_zero) == randint_scalar(theirs, allow_zero)
+        assert ours.getstate() == theirs.getstate()

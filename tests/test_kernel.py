@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sga.blades import (
+    CHIRAL,
     ORTHONORMAL,
     BladeIndex,
     all_chiral_blades,
@@ -326,6 +327,99 @@ def test_every_blade_reconstructs_to_its_matrix(odd_mode, data):
     rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
     for blade in all_chiral_blades(rep):
         assert reconstruct_from_blades(rep, {blade: ONE}) == blade_matrix(rep, blade), blade.label()
+
+
+# -- the packed transform on wide and mixed values ---------------------------------
+
+WIDE = 2 ** 70
+
+
+@st.composite
+def wide_matrices(draw, dim):
+    """Up to twelve exact entries with numerators up to 2**70 in size over denominators up to 10**6."""
+    index = st.integers(min_value=0, max_value=dim - 1)
+    part = st.integers(-WIDE, WIDE)
+    exact = st.builds(Scalar, part, part, part, part, st.integers(1, 10 ** 6))
+    return Matrix.from_items(dim, dim, draw(st.lists(st.tuples(index, index, exact), max_size=12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_packed_transform_is_exact_on_wide_values(data):
+    rep = build_representation(data.draw(rep_configs(max_n=10)))
+    m = data.draw(wide_matrices(rep.dim))
+    coeffs = decompose_multivector(rep, m)
+    assert coeffs == trace_reference(rep, m)
+    assert reconstruct_from_blades(rep, coeffs) == m
+
+
+@pytest.mark.parametrize("signs", ((1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, -1, 1)))
+def test_the_packed_transform_holds_the_largest_sums(signs):
+    """Every diagonal entry at 2**70 in each part, over 1 or a prime near 10**6.
+
+    The unit coefficient sums all 2**n of them with one sign, so each lane
+    holds its largest possible sum; mixed signs put negative values next to
+    positive ones in the packed int.
+    """
+    rep = build_representation(spacelike=10)
+    parts = [s * WIDE for s in signs]
+    m = Matrix.diagonal([Scalar(*parts, 999_983 if i % 3 else 1) for i in range(rep.dim)])
+    coeffs = decompose_multivector(rep, m)
+    assert coeffs == trace_reference(rep, m)
+    assert reconstruct_from_blades(rep, coeffs) == m
+
+
+@st.composite
+def mixed_matrices(draw, dim):
+    """Up to twelve entries, exact ones with numerators up to 2**70 or floats in quarters.
+
+    One draw in two keeps the exact numerators small, so that exact and
+    float parts meet at magnitudes where a float sum is exact.
+    """
+    index = st.integers(min_value=0, max_value=dim - 1)
+    bound = draw(st.sampled_from((3, WIDE)))
+    part = st.integers(-bound, bound)
+    exact = st.builds(Scalar, part, part, part, part, st.integers(1, 10 ** 6))
+    quarter = st.integers(-12, 12).map(lambda k: k / 4)
+    floats = st.builds(lambda re, im: Scalar(_float=complex(re, im)), quarter, quarter)
+    items = draw(st.lists(st.tuples(index, index, st.one_of(exact, floats)), max_size=12))
+    return Matrix.from_items(dim, dim, items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_packed_transform_keeps_exactness_on_mixed_values(data):
+    """A coefficient is a float exactly where the trace formula meets a float entry."""
+    rep = build_representation(data.draw(rep_configs(max_n=10)))
+    m = data.draw(mixed_matrices(rep.dim))
+    coeffs = decompose_multivector(rep, m)
+    scale = max((abs(s.to_complex()) for _, _, s in m.nonzero_items()), default=1.0)
+    for blade in all_chiral_blades(rep):
+        got, want = coeffs.get(blade), blade_coefficient(rep, blade, m)
+        if got is None:
+            assert abs(want.to_complex()) <= 1e-12 * scale, blade.label()
+            continue
+        assert not got.is_zero() and got.is_exact == want.is_exact, blade.label()
+        assert got == want if want.is_exact else got.to_complex() == pytest.approx(want.to_complex(), abs=1e-12 * scale)
+    back = reconstruct_from_blades(rep, coeffs)
+    assert back == m if all(s.is_exact for _, _, s in m.nonzero_items()) else back.approx_equal(m, tol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("items,plane", (
+    # (1 + 1/2 - 1/2 - 0) / 4 on Z_2: an exact coefficient whose float part cancels stays a float
+    ([(0, 0, ONE), (1, 1, Scalar(_float=0.5)), (3, 3, Scalar(_float=0.5))], 2),
+    # the float entries at 0 and 1 cancel, exact and float alike, before they meet the exact one at 2
+    ([(0, 0, Scalar(_float=0.5)), (1, 1, Scalar(_float=0.5)), (2, 2, ONE)], 1),
+))
+def test_float_cancellations_keep_the_trace_formula_exactness(items, plane):
+    rep = build_representation(spacelike=4)
+    m = Matrix.from_items(4, 4, items)
+    coeffs = decompose_multivector(rep, m)
+    want = trace_reference(rep, m)
+    assert coeffs.keys() == want.keys()
+    for blade, c in coeffs.items():
+        assert not c.is_exact and c == want[blade], blade.label()
+    assert coeffs[BladeIndex(CHIRAL, ((plane, False), (plane, True)))] == Scalar(_float=0.25)
 
 
 # -- orthonormal blades against the bitmap product -------------------------------
