@@ -20,23 +20,31 @@ and the tests.  JSON holds the nonzero entries only: {"shape": [nrows,
 ncols], "entries": [[i, j, value], ...]}.
 
 A Matrix made by ``Monomial.to_matrix`` keeps its monomial in the
-``monomial`` attribute, which equality and hashing ignore.  A product
-takes one of two exact paths:
+``monomial`` attribute, which equality and hashing ignore.  Its negation,
+transpose, conjugate, dagger, scaling by a unit i**p * sqrt2**e and its
+products with another such Matrix are the Matrix of the derived
+monomial.  The exact arithmetic has three kernels, none of which
+multiplies two Scalars:
 
-* with such an operand on either side, each row of the other operand is
-  gathered (operator on the left) or each column relabelled (on the
-  right), and each entry is multiplied by its unit with
-  ``Scalar.times_unit``; for e = 0 that only permutes and negates the
-  numerators.  Two operands give the monomial product, and the dagger of
-  such a Matrix is the dagger of its monomial;
-* otherwise every term's numerators come from the Q(i, sqrt2) product
-  formula in plain ints, scaled to one common denominator per output
-  row, and are summed per output entry; each nonzero sum becomes one
-  Scalar, normalised once.
+* ``sandwich`` computes A @ m @ B, or A @ conj(m) @ B, for monomials A
+  and B (either may be absent) in one pass over m's nonzeros: each entry
+  is moved to its place and multiplied once by the product of its units,
+  with the conjugation folded in (``Scalar.times_unit``); for e = 0 that
+  only permutes and negates the numerators, and an entry whose unit is 1
+  is shared.  A product with one operator factor, ``Matrix.conj`` and
+  ``symmetry.conjugate`` (C psi*, C m* C^dagger) all run on it;
+* ``_times_row`` multiplies one exact Scalar into a row by the
+  Q(i, sqrt2) product formula on raw numerators, one normalised Scalar
+  per entry.  ``Matrix.scale`` by a non-unit and every product row with
+  a single term per entry (each row of an outer product) run on it;
+* in the remaining products every term's numerators come from the same
+  formula, scaled to one common denominator per output row, and are
+  summed per output entry; each nonzero sum becomes one Scalar,
+  normalised once.
 
-A float entry that has to be multiplied sends the product to the
-Scalar-by-Scalar loop, the only path that multiplies Scalars; a float
-times the unit 1 is kept as it is.
+A float entry that has to be multiplied in a general product sends it to
+the Scalar-by-Scalar loop; ``sandwich`` and ``scale`` multiply a float
+entry as that loop would.  A float times the unit 1 is kept as it is.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import os
 from itertools import compress
 from math import lcm
 
-from .scalars import ONE, ZERO, Scalar, _coerce, approx_equal, unit
+from .scalars import ONE, ZERO, Scalar, _coerce, _normalised, approx_equal, unit
 
 
 DEFAULT_MAX_DIM = 256
@@ -68,6 +76,19 @@ def max_dimension():
     except ValueError:
         pass
     raise ValueError(f"SGA_MAX_DIM must be an integer of at least 1, not {value!r:.30}")
+
+
+def _unit_exponents(s):
+    """(p, e) with exact nonzero s = i**p * sqrt2**e, or None if s is no such unit."""
+    parts = (s.a, s.b, s.c, s.d)
+    nonzero = [k for k, n in enumerate(parts) if n]
+    if len(nonzero) != 1:
+        return None
+    [k] = nonzero
+    n, q = abs(parts[k]), s.q
+    if n & (n - 1) or q & (q - 1):  # not both powers of two
+        return None
+    return (k >> 1) + (2 if parts[k] < 0 else 0), 2 * (n.bit_length() - q.bit_length()) + (k & 1)
 
 
 def _canonical(acc):
@@ -193,22 +214,36 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
+        if self.monomial is not None:
+            return self.monomial.scale(2).to_matrix()  # times i**2 = -1
         return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
 
     def scale(self, s):
-        """This matrix times s: a Scalar, an int or Fraction (exact), or a float or complex."""
+        """This matrix times s: a Scalar, an int or Fraction (exact), or a float or complex.
+
+        An operator Matrix scaled by a unit i**p * sqrt2**e gives the
+        operator Matrix of the scaled monomial.
+        """
         s = _coerce(s)
         if s is NotImplemented:
             raise TypeError("a matrix scales by a Scalar, int, Fraction, float or complex")
         if s.is_exact:
             if s == ONE:
                 return self
+            if self.monomial is not None and (u := _unit_exponents(s)) is not None:
+                return self.monomial.scale(*u).to_matrix()
             if s == _MINUS_ONE:
                 return -self
-        return Matrix(
-            [{j: v for j, x in r.items() if not (v := s * x).is_zero()} for r in self.sparse_rows],
-            self.ncols,
-        )
+            if s.is_zero():
+                return Matrix.zeros(self.nrows, self.ncols)
+        rows = []
+        for r in self.sparse_rows:
+            terms = _numerators(r) if s.f is None else None
+            if terms is None:  # a float entry or factor
+                rows.append({j: v for j, x in r.items() if not (v := s * x).is_zero()})
+            else:
+                rows.append(_times_row(s, terms))
+        return Matrix(rows, self.ncols)
 
     def __mul__(self, s):
         return NotImplemented if _coerce(s) is NotImplemented else self.scale(s)
@@ -218,20 +253,18 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        left, right = self.monomial, other.monomial
-        if left is not None and right is not None:
-            return (left @ right).to_matrix()
-        if left is not None:
-            rows = _monomial_times(left, other.sparse_rows)
-        elif right is not None:
-            rows = _times_monomial(self.sparse_rows, right)
-        else:
-            rows = _exact_product(self.sparse_rows, other.sparse_rows)
+        if self.monomial is not None:
+            return sandwich(self.monomial, other)
+        if other.monomial is not None:
+            return sandwich(None, self, other.monomial)
+        rows = _exact_product(self.sparse_rows, other.sparse_rows)
         if rows is None:  # a float entry
             rows = _scalar_product(self.sparse_rows, other.sparse_rows)
         return Matrix(rows, other.ncols)
 
     def transpose(self):
+        if self.monomial is not None:
+            return self.monomial.transpose().to_matrix()
         cols = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.sparse_rows):
             for j, s in row.items():
@@ -240,9 +273,7 @@ class Matrix:
 
     def conj(self):
         """Entrywise complex conjugation with respect to i."""
-        return Matrix(
-            [{j: s.conjugate() for j, s in r.items()} for r in self.sparse_rows], self.ncols
-        )
+        return sandwich(None, self, conj=True)
 
     def dagger(self):
         if self.monomial is not None:
@@ -414,86 +445,121 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def _monomial_times(mono, rows):
-    """The rows of mono @ m for m's `rows`: row i is row j of m times the unit of mono's row i, in column j.
+def sandwich(left, m, right=None, conj=False):
+    """left @ m @ right in one pass over m's nonzeros, with m conjugated entrywise first when `conj`.
 
-    A row whose unit is 1 is shared, not copied.  None if an entry to
-    be multiplied is a float.
+    `left` and `right` are Monomials, or None for an absent side.  Row j
+    of m moves to the rows that `left` sends it to, column k to column
+    k ^ right.x, and each exact entry is multiplied once, by the product
+    of its two units with the conjugation folded in (``times_unit``): one
+    Scalar, or the entry itself when that unit is 1 and m is not
+    conjugated.  A float entry is multiplied by its left unit and then by
+    its right one, as the Scalar-by-Scalar product would be; a unit 1
+    keeps it as it is.  An operator m (one with ``monomial`` set) gives
+    the operator Matrix of the monomial product.
     """
-    out = [{}] * mono.dim
-    e = mono.e
-    for i, j, p in mono.row_items():
-        if not (p or e):
-            out[i] = rows[j]
-        else:
-            row = {}
-            for k, s in rows[j].items():
-                if s.f is not None:
-                    return None
-                row[k] = s.times_unit(p, e)
-            out[i] = row
-    return out
-
-
-def _times_monomial(rows, mono):
-    """The rows of m @ mono for m's `rows`: column k of m moves to column k ^ x, times the unit of mono's row k.
-
-    None if an entry to be multiplied is a float.
-    """
-    x, z, mask, q, e = mono.x, mono.z, mono.m, mono.p, mono.e
-    kept = mono.v ^ (x & mask)  # row k of mono is nonempty when k & mask == kept
-    out = []
-    for row in rows:
+    if (left is not None and left.dim != m.nrows) or (right is not None and right.dim != m.ncols):
+        raise ValueError("matrix shape mismatch in product")
+    mono = m.monomial
+    if mono is not None:
+        if conj:
+            mono = mono.conj()
+        if left is not None:
+            mono = left @ mono
+        return (mono if right is None else mono @ right).to_matrix()
+    rows = m.sparse_rows
+    if left is None:
+        el, out = 0, [{}] * len(rows)
+        sources = ((i, rows[i], 0) for i in compress(range(len(rows)), rows))
+    else:
+        el, out = left.e, [{}] * left.dim
+        sources = ((i, rows[j], p) for i, j, p in left.row_items())
+    if right is None:
+        for i, src, pl in sources:
+            if pl or el:
+                src = {k: v for k, s in src.items() if (v := s.times_unit(pl, el, conj)).f != 0}
+            elif conj:
+                src = {k: s.conjugate() for k, s in src.items()}
+            out[i] = src  # with the unit 1 and no conjugation, the row is shared
+        return Matrix(out, m.ncols)
+    x, z, mask, pr0, er = right.x, right.z, right.m, right.p, right.e
+    kept = right.v ^ (x & mask)  # row k of `right` is nonempty when k & mask == kept
+    e = el + er
+    for i, src, pl in sources:
         acc = {}
-        for k, s in row.items():
-            if k & mask == kept:
-                j = k ^ x
-                p = q ^ 2 * ((j & z).bit_count() & 1)
-                if p or e:
-                    if s.f is not None:
-                        return None
-                    s = s.times_unit(p, e)
-                acc[j] = s
-        out.append({j: acc[j] for j in sorted(acc)} if len(acc) > 1 else acc)
-    return out
+        for k, s in src.items():
+            if k & mask != kept:
+                continue
+            j = k ^ x
+            pr = pr0 + 2 * (j & z).bit_count()
+            if s.f is None:
+                if (pl + pr) & 3 or e or conj:
+                    s = s.times_unit(pl + pr, e, conj)
+            elif (s := s.times_unit(pl, el, conj).times_unit(pr, er)).f == 0:
+                continue  # a float that underflowed
+            acc[j] = s
+        out[i] = {j: acc[j] for j in sorted(acc)} if x and len(acc) > 1 else acc
+    return Matrix(out, right.dim)
+
+
+def _numerators(row):
+    """(j, a, b, c, d, q) of each entry of `row`, read once for every factor it meets; None if one is a float."""
+    for t in row.values():
+        if t.f is not None:
+            return None
+    return [(j, t.a, t.b, t.c, t.d, t.q) for j, t in row.items()]
+
+
+def _times_row(s, terms):
+    """The row {j: s * t} of exact nonzero s times the entries t of a row, given by their `_numerators`.
+
+    Each entry comes from the Q(i, sqrt2) product formula on the raw
+    numerators over s.q * t.q and is normalised once, so no Scalar is
+    multiplied; as s is nonzero, no entry is zero.
+    """
+    a1, b1, c1, d1, q1 = s.a, s.b, s.c, s.d, s.q
+    tb1, td1 = 2 * b1, 2 * d1  # sqrt2 * sqrt2 = 2
+    return {j: _normalised(a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2,
+                           a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                           a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2,
+                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q1 * q2)
+            for j, a2, b2, c2, d2, q2 in terms}
 
 
 def _exact_product(left, right):
     """The rows of the product of two exact matrices, given as their rows.
 
-    The entries of `right` are rescaled once to numerators over the lcm
-    of its denominators, those of each `left` row to numerators over the
-    lcm of that row's, so every term of an output row shares one
-    denominator.  Per output entry the terms' numerators, from the
-    Q(i, sqrt2) product formula, are summed as ints and the sum becomes
-    one Scalar, normalised once.  None if an entry is a float.
+    A `left` row with one entry s gives s times a row of `right`
+    (``_times_row``), whose numerators are read once for every such s.
+    For the other rows the entries of `right` are rescaled once to
+    numerators over the lcm of its denominators, those of each `left` row
+    to numerators over the lcm of that row's, so every term of an output
+    row shares one denominator.  Per output entry the terms' numerators,
+    from the Q(i, sqrt2) product formula, are summed as ints and the sum
+    becomes one Scalar, normalised once.  None if an entry to be
+    multiplied is a float.
     """
-    qs = {s.q if s.f is None else 0 for r in right for s in r.values()}
-    if 0 in qs:
-        return None
-    q_right = lcm(*qs)
-    scaled = [
-        [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
-        for r in right
-    ]
+    numerators, scaled = {}, None
     out = [{}] * len(left)
     for i in compress(range(len(left)), left):
         row = left[i]
         if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
             [(k, s)] = row.items()
-            if s.f is not None:
+            if k not in numerators:
+                numerators[k] = _numerators(right[k])
+            if s.f is not None or numerators[k] is None:
                 return None
-            a1, b1, c1, d1 = s.a, s.b, s.c, s.d
-            tb1, td1 = 2 * b1, 2 * d1  # sqrt2 * sqrt2 = 2
-            den = s.q * q_right
-            out[i] = {
-                j: Scalar(a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2,
-                          a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-                          a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2,
-                          a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, den)
-                for j, a2, b2, c2, d2 in scaled[k]
-            }
+            out[i] = _times_row(s, numerators[k])
             continue
+        if scaled is None:
+            qs = {s.q if s.f is None else 0 for r in right for s in r.values()}
+            if 0 in qs:
+                return None
+            q_right = lcm(*qs)
+            scaled = [
+                [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
+                for r in right
+            ]
         qs = {s.q if s.f is None else 0 for s in row.values()}
         if 0 in qs:
             return None
@@ -632,10 +698,13 @@ class Monomial:
         return Monomial(self.n, x, self.z, self.m, self.v ^ (x & self.m),
                         self.p + 2 * (x & self.z).bit_count(), self.e)
 
+    def conj(self):
+        """The entrywise complex conjugate: the phase negated."""
+        return self.scale(-2 * self.p)
+
     def dagger(self):
-        """The conjugate transpose: the transpose with its phase negated."""
-        t = self.transpose()
-        return t.scale(-2 * t.p)
+        """The conjugate transpose."""
+        return self.transpose().conj()
 
     def sign_against(self, other):
         """1 if this operator equals `other`, -1 if it equals -other, else 0."""

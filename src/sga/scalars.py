@@ -16,8 +16,9 @@ hash alike.
 A product or sum is computed on the numerators and normalised with one
 five-argument gcd, skipped when q is 1; negation and conjugation only
 flip signs and need none.  ``times_unit`` multiplies by a unit the same
-way.  Matrix products sum raw numerators per entry themselves and make
-one Scalar per entry (see ``matrices``).
+way, with the conjugation folded in on request.  Matrix products sum raw
+numerators per entry themselves and make one Scalar per entry (see
+``matrices``).
 
 The entries of the signed-monomial operators are the units
 i**p * sqrt2**e that ``unit`` makes.
@@ -232,15 +233,20 @@ class Scalar:
             return Scalar(_float=self.f.conjugate())
         return _raw(self.a, self.b, -self.c, -self.d, self.q)
 
-    def times_unit(self, p, e=0):
-        """self * i**p * sqrt2**e.
+    def times_unit(self, p, e=0, conj=False):
+        """self * i**p * sqrt2**e, with self conjugated first when `conj`.
 
-        An exact value is rotated and rescaled in integers: for e = 0 the
-        numerators are only permuted and negated, so no gcd is needed.
+        An exact value is conjugated, rotated and rescaled in integers: for
+        e = 0 the numerators are only permuted and negated, so no gcd is
+        needed.  A float is multiplied by the unit as a Scalar, unless the
+        unit is 1.
         """
         if self.f is not None:
-            return self * unit(p, e)
+            z = self.conjugate() if conj else self
+            return z * unit(p, e) if p & 3 or e else z
         a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
+        if conj:
+            c, d = -c, -d
         p &= 3
         if p == 1:
             a, b, c, d = -c, -d, a, b
@@ -358,7 +364,12 @@ class Scalar:
 def _raw(a, b, c, d, q):
     """The exact scalar with these numerators, which are already in lowest terms."""
     s = _new(Scalar)
-    s.a, s.b, s.c, s.d, s.q, s.f = a, b, c, d, q, None
+    s.a = a  # one store each: packing the six into a tuple costs a fifth of the call
+    s.b = b
+    s.c = c
+    s.d = d
+    s.q = q
+    s.f = None
     return s
 
 
@@ -369,7 +380,12 @@ def _normalised(a, b, c, d, q):
         if g > 1:
             a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
     s = _new(Scalar)
-    s.a, s.b, s.c, s.d, s.q, s.f = a, b, c, d, q, None
+    s.a = a
+    s.b = b
+    s.c = c
+    s.d = d
+    s.q = q
+    s.f = None
     return s
 
 

@@ -10,7 +10,11 @@ exp(-i*theta) and an up bit of the plane picks up exp(-i*theta/2).
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
-conjugating a spinor is C psi*, a multivector C m* C^-1.
+conjugating a column spinor is C psi*, a multivector C m* C^-1 (C is
+unitary, so C^-1 = C^dagger), and a row psi^T eps is sent to the row of
+C psi*, which is conj(row) @ eps^T C^T eps.  C and eps are signed
+monomials, so each conjugation is one ``matrices.sandwich`` pass over the
+element's nonzeros, which builds no intermediate Matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .blades import decompose_multivector, reconstruct_from_blades
-from .elements import COLUMN, Element, ROW, SCALAR
-from .matrices import Matrix
+from .elements import COLUMN, MULTIVECTOR, Element, ROW, SCALAR
+from .matrices import Matrix, Monomial, sandwich
 from .scalars import Scalar, cos_quarter_turns, sin_quarter_turns
 
 QUARTER = math.pi / 2
@@ -160,28 +164,40 @@ def metric_preserved(rep, rotor, tol=None):
 
 
 def conjugate(rep, x):
-    """Conjugate of an element: spinor -> C psi*, multivector -> C m* C^-1."""
+    """Conjugate of an element: column -> C psi*, row -> its dressed conjugate, multivector -> C m* C^-1.
+
+    A row psi^T eps conjugates to (C psi*)^T eps, which is conj(row) @
+    eps^T C^T eps.  Each species takes one ``sandwich`` pass with the
+    monomials of C, so no intermediate Matrix is built.  A Matrix is read
+    as a column, a row or a multivector by its shape; at dim 1, where the
+    shapes agree, pass an Element to name its species.
+    """
     if isinstance(x, Scalar):
         return x.conjugate()
-    if isinstance(x, Matrix):
-        if x.ncols == 1:
-            return rep.C @ x.conj()
-        if x.nrows == 1:
-            psi = rep.eps @ x.transpose()  # undo the metric dressing
-            return ((rep.C @ psi.conj()).transpose()) @ rep.eps
-        return rep.C @ x.conj() @ rep.C.dagger()
     if isinstance(x, Element):
         if x.species == SCALAR:
             return Element.scalar(rep, x.payload.conjugate())
-        return Element(x.species, conjugate(rep, x.payload), rep)
-    raise TypeError("conjugate expects a Scalar, Matrix or Element")
+        species, m = x.species, x.payload
+    elif isinstance(x, Matrix):
+        species, m = (COLUMN if x.ncols == 1 else ROW if x.nrows == 1 else MULTIVECTOR), x
+    else:
+        raise TypeError("conjugate expects a Scalar, Matrix or Element")
+    c = rep.monomial("C")
+    if species == COLUMN:
+        out = sandwich(c, m, conj=True)
+    elif species == ROW:
+        eps = rep.monomial("eps")
+        out = sandwich(None, m, eps.transpose() @ c.transpose() @ eps, conj=True)
+    else:
+        out = sandwich(c, m, c.dagger(), conj=True)
+    return Element(species, out, rep) if isinstance(x, Element) else out
 
 
 def is_real_element(rep, m, tol=None):
     """True when a multivector is its own conjugate."""
     if isinstance(m, Element):
         m = m.payload
-    conj = rep.C @ m.conj() @ rep.C.dagger()
+    conj = conjugate(rep, Element.multivector(rep, m)).payload
     exact = all(s.is_exact for _, _, s in m.nonzero_items())
     if exact and tol is None:
         return conj == m
@@ -209,7 +225,7 @@ def axis_reflection_classify(rep, generators):
         axes = list(generators)
         if len(set(axes)) != len(axes) or not axes:
             raise ValueError("generators must be a nonempty set of distinct axes")
-        x = Matrix.identity(rep.dim)
+        x = Monomial.identity(rep.n_bits).to_matrix()  # an operator, so each product stays one
         for a in axes:
             x = x @ rep.gamma(a)
         member_axes = set(axes)

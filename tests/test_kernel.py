@@ -15,8 +15,10 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_matrices import naive_product
 
 from sga.blades import (
     CHIRAL,
@@ -30,11 +32,13 @@ from sga.blades import (
     raised_blade_matrix,
     reconstruct_from_blades,
 )
+from sga.elements import COLUMN, MULTIVECTOR, ROW, SCALAR, Element, multiply
 from sga.matrices import Matrix, Monomial
 from sga.representation import (
     METRIC_CHOICES, ODD_MODES, RepConfig, Signature, _even_core, build_representation,
 )
 from sga.scalars import I, ONE, SQRT2, Scalar, i_power, unit
+from sga.symmetry import conjugate
 
 
 # -- the block-doubling oracle -------------------------------------------------
@@ -615,3 +619,131 @@ def test_monomial_words_are_validated():
     ):
         with pytest.raises(ValueError):
             Monomial(*bad)
+
+
+# -- conjugation and element products against independent references ------------
+
+
+def random_exact(rng, nrows, ncols, density=0.5):
+    """An exact matrix whose entries have sqrt2 and i parts over 1..3, each nonzero with probability `density`."""
+    return Matrix([[Scalar(rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-3, 3), rng.randint(-2, 2),
+                           rng.choice((1, 2, 3))) if rng.random() < density else Scalar(0)
+                    for _ in range(ncols)] for _ in range(nrows)])
+
+
+def with_a_float(rng, m):
+    """m with one entry replaced by a nonzero float."""
+    rows = [list(r) for r in m.rows]
+    rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] = Scalar(
+        _float=complex(rng.uniform(-2, 2), rng.uniform(0.1, 2)))
+    return Matrix(rows)
+
+
+def entrywise_conj(m):
+    return Matrix([[s.conjugate() for s in r] for r in m.rows])
+
+
+def dense_transpose(m):
+    return Matrix([list(col) for col in zip(*m.rows)])
+
+
+def conjugate_reference(rep, x, species):
+    """C x*, the row (C psi*)^T eps of psi = eps x^T, or C x* C^dagger, from naive products of dense rows."""
+    c = Matrix(rep.C.rows)
+    if species == COLUMN:
+        return naive_product(c, entrywise_conj(x))
+    if species == ROW:
+        eps = Matrix(rep.eps.rows)
+        psi = naive_product(eps, dense_transpose(x))
+        return naive_product(dense_transpose(naive_product(c, entrywise_conj(psi))), eps)
+    return naive_product(naive_product(c, entrywise_conj(x)), dense_transpose(entrywise_conj(c)))
+
+
+def shapes(rep):
+    return {COLUMN: (rep.dim, 1), ROW: (1, rep.dim), MULTIVECTOR: (rep.dim, rep.dim)}
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_conjugation_equals_the_three_product_reference(odd_mode, data):
+    rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    for species, shape in shapes(rep).items():
+        x = random_exact(rng, *shape)
+        got = conjugate(rep, Element(species, x, rep)).payload
+        assert got == conjugate_reference(rep, x, species)
+        if rep.dim > 1:  # a Matrix is read by its shape
+            assert conjugate(rep, x) == got
+        assert got.monomial is None and all(s.is_exact for _, _, s in got.nonzero_items())
+        y = with_a_float(rng, x)
+        got = conjugate(rep, Element(species, y, rep)).payload
+        assert got.approx_equal(conjugate_reference(rep, y, species), tol=1e-9)
+        assert sum(not s.is_exact for _, _, s in got.nonzero_items()) == 1  # C moves the float, one to one
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_conjugation_is_multiplicative_and_squares_to_the_symmetry_sign(odd_mode, data):
+    rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    a, b, psi, row = (Element(species, random_exact(rng, *shapes(rep)[species]), rep)
+                      for species in (MULTIVECTOR, MULTIVECTOR, COLUMN, ROW))
+
+    def conj(x):
+        return conjugate(rep, x)
+
+    for x, y in ((a, b), (a, psi), (row, a)):
+        assert conj(multiply(x, y)) == multiply(conj(x), conj(y))
+    c = rep.monomial("C")
+    sign = c.transpose().sign_against(c)  # C^T = +-C
+    assert sign in (1, -1)
+    assert conj(conj(psi)) == psi.scale(sign)
+    assert conj(conj(row)) == row.scale(sign)
+    assert conj(conj(a)) == a
+
+
+PRODUCT_SPECIES = (
+    *((SCALAR, s) for s in (SCALAR, COLUMN, ROW, MULTIVECTOR)),
+    *((s, SCALAR) for s in (COLUMN, ROW, MULTIVECTOR)),
+    (ROW, COLUMN), (COLUMN, ROW), (MULTIVECTOR, MULTIVECTOR), (MULTIVECTOR, COLUMN), (ROW, MULTIVECTOR),
+)
+
+
+def random_element(rep, rng, species, floating):
+    if species == SCALAR:
+        if floating:
+            return Element.scalar(rep, Scalar(_float=complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        return Element.scalar(rep, random_exact(rng, 1, 1, density=1)[0, 0])
+    m = random_exact(rng, *shapes(rep)[species])
+    return Element(species, with_a_float(rng, m) if floating else m, rep)
+
+
+def as_numpy(x):
+    return np.array(x.payload.to_complex()) if x.species == SCALAR else x.payload.to_numpy()
+
+
+def exact(x):
+    return x.payload.is_exact if x.species == SCALAR else all(s.is_exact for _, _, s in x.payload.nonzero_items())
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_element_products_and_scaling_match_numpy(odd_mode, data):
+    rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    floating = data.draw(st.sampled_from((None, 0, 1)))  # which factor, if any, has a float entry
+    for pair in PRODUCT_SPECIES:
+        x, y = (random_element(rep, rng, s, floating == k) for k, s in enumerate(pair))
+        got = multiply(x, y)
+        want = as_numpy(x) * as_numpy(y) if SCALAR in pair else as_numpy(x) @ as_numpy(y)
+        assert np.allclose(as_numpy(got), want, rtol=0, atol=1e-9), pair
+        assert exact(got) or floating is not None
+    for factor in (Scalar(1, 1, 0, 0, 3), Scalar(2, -1, 1, 1, 5)):  # (1 + sqrt2)/3 and another non-unit
+        for species in (COLUMN, ROW, MULTIVECTOR):
+            x = random_element(rep, rng, species, floating is not None)
+            got = x.scale(factor)
+            assert np.allclose(as_numpy(got), factor.to_complex() * as_numpy(x), rtol=0, atol=1e-9)
+            assert exact(got) == exact(x)

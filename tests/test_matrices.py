@@ -17,7 +17,7 @@ from sga.matrices import (
     max_dimension,
 )
 from sga.representation import build_representation
-from sga.scalars import I, ONE, SQRT2, ZERO, Scalar
+from sga.scalars import I, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 from sga.symmetry import conjugate
 
 
@@ -460,10 +460,23 @@ def test_operator_matrices_compare_and_hash_like_dense_rows(name):
         product = a @ b
         assert product.monomial == a.monomial @ b.monomial
         assert product == dense @ Matrix(b.rows) == naive_product(a, b)
-    assert op.dagger().monomial == op.monomial.dagger()
-    for derived, plain in ((-op, -dense), (op.transpose(), dense.transpose()),
-                           (op.dagger(), dense.dagger())):
-        assert derived == plain and hash(derived) == hash(plain)
+    mono = op.monomial
+    derived = (
+        (-op, mono.scale(2), -dense),
+        (op.scale(I), mono.scale(1), dense.scale(I)),
+        (op.scale(-INV_SQRT2), mono.scale(2, -1), dense.scale(-INV_SQRT2)),
+        (op.scale(Scalar(0, 0, 4)), mono.scale(1, 4), dense.scale(Scalar(0, 0, 4))),
+        (op.transpose(), mono.transpose(), dense.transpose()),
+        (op.conj(), mono.conj(), dense.conj()),
+        (op.dagger(), mono.dagger(), dense.dagger()),
+    )
+    for got, want_monomial, plain in derived:
+        assert got.monomial == want_monomial
+        assert got == plain and hash(got) == hash(plain)
+        assert got == Matrix(plain.rows) and plain.monomial is None
+    for factor in (Scalar(3), Scalar(1, 1), Scalar(0, 0, 3, 0, 2)):  # not of the form i**p * sqrt2**e
+        assert op.scale(factor).monomial is None  # no unit: the general path
+        assert op.scale(factor) == dense.scale(factor)
 
 
 def test_exact_products_make_no_scalar_products(monkeypatch):
@@ -472,6 +485,9 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     a, b = rand_matrix(rng, 16), rand_matrix(rng, 16)
     rep = MIXED  # N = 6
     m = rand_matrix(rng, rep.dim)
+    column, row = rand_matrix(rng, rep.dim, 1), rand_matrix(rng, 1, rep.dim)
+    factor = Scalar(1, 1, 0, 0, 3)  # (1 + sqrt2)/3, not a unit
+    c, eps = Matrix(rep.C.rows), Matrix(rep.eps.rows)
     calls = []
     original = Scalar.__mul__
 
@@ -479,16 +495,27 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
         calls.append(1)
         return original(x, y)
 
+    def fail(*args):
+        raise AssertionError("conjugate built an intermediate matrix")
+
     monkeypatch.setattr(Scalar, "__mul__", counting)
     monkeypatch.setattr(Scalar, "__rmul__", counting)
     product = a @ b
-    conj = conjugate(rep, m)
+    outer = column @ row
+    scaled = a.scale(factor)
+    conj_row = conjugate(rep, row)
+    with monkeypatch.context() as no_matrices:
+        no_matrices.setattr(Matrix, "conj", fail)
+        no_matrices.setattr(Matrix, "__matmul__", fail)
+        conj = conjugate(rep, m)
     assert len(calls) == 0
     assert Scalar(2) * Scalar(3) == Scalar(6) and len(calls) == 1  # the count sees a product
     monkeypatch.undo()
     assert product == naive_product(a, b)
-    assert conj == naive_product(naive_product(Matrix(rep.C.rows), m.conj()),
-                                 Matrix(rep.C.rows).dagger())
+    assert outer == naive_product(column, row)
+    assert scaled == Matrix([[factor * x for x in r] for r in a.rows])
+    assert conj == naive_product(naive_product(c, m.conj()), c.dagger())
+    assert conj_row == naive_product(naive_product(c, naive_product(eps, row.transpose()).conj()).transpose(), eps)
 
 
 @pytest.mark.parametrize("factor,want", [

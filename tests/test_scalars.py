@@ -221,7 +221,16 @@ def test_arithmetic_matches_sympy(x, y):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scalars, st.integers(-5, 5), st.integers(-4, 4))
-def test_times_unit_matches_sympy(x, p, e):
-    got = x.times_unit(p, e)
-    assert got == from_sympy(to_sympy(x) * sympy.I**p * RT2**e) and in_lowest_terms(got)
+@given(scalars, st.integers(-5, 5), st.integers(-4, 4), st.booleans())
+def test_times_unit_matches_sympy(x, p, e, conj):
+    got = x.times_unit(p, e, conj)
+    sx = sympy.conjugate(to_sympy(x)) if conj else to_sympy(x)
+    assert got == from_sympy(sx * sympy.I**p * RT2**e) and in_lowest_terms(got)
+
+
+def test_times_unit_keeps_a_float_at_the_unit_one():
+    z = Scalar(_float=complex(1.5, -0.0))
+    assert z.times_unit(4) is z
+    assert z.times_unit(0, 0, conj=True).f == complex(1.5, 0.0)
+    assert z.times_unit(1).f == 1j * z.f
+    assert z.times_unit(3, 1, conj=True).f == z.f.conjugate() * (-1j * 2 ** 0.5)

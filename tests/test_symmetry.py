@@ -9,7 +9,7 @@ import pytest
 
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.blades import CHIRAL, BladeIndex, blade_matrix, decompose_multivector
-from sga.elements import Element, outer_product, row_of, scalar_product
+from sga.elements import COLUMN, MULTIVECTOR, ROW, Element, outer_product, row_of, scalar_product
 from sga.matrices import Matrix, commutator
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import HALF, I, INV_SQRT2, ONE, ZERO, Scalar
@@ -344,3 +344,13 @@ def test_reflection_validation():
         axis_reflection_classify(rep, [])
     with pytest.raises(ValueError):
         axis_reflection_classify(rep, [1, 1])
+
+
+def test_a_dim_one_element_conjugates_by_its_species():
+    # C = -1: a column picks up the sign, a multivector C m* C^-1 does not, and a row picks up eps^T C^T eps = -1
+    rep = rep_for(1, odd_mode="project", gamma_phase_sign=-1)
+    assert rep.dim == 1 and rep.C == Matrix([[Scalar(-1)]])
+    m = Matrix([[Scalar(1, 0, 2)]])  # 1 + 2i
+    for species, want in ((COLUMN, -1), (ROW, -1), (MULTIVECTOR, 1)):
+        got = conjugate(rep, Element(species, m, rep))
+        assert got == Element(species, Matrix([[Scalar(want, 0, -2 * want)]]), rep), species
