@@ -4,13 +4,16 @@ An element is a scalar, a column spinor, a row spinor, or a multivector,
 bound to one representation.  The grid:
 
     row . column      -> scalar        (inner product)
-    column . row      -> multivector   (outer product)
+    column . row      -> multivector   (outer product, kept as its two factors)
     mv . mv           -> multivector
     mv . column       -> column
     row . mv          -> row
     scalar . anything -> same species
 
-Products of two columns or two rows are excluded; they raise
+An exact outer product whose factors have two nonzeros or more each is a
+``matrices.OuterProduct``: it conjugates, scales, multiplies and compares
+through its column and row in O(dim), and builds its dim**2 entries only
+when they are read.  Products of two columns or two rows are excluded; they raise
 ForbiddenProduct unless the caller asks for the literal reading, in which
 case they collapse to the zero formal sum.  Mixed-species sums are kept
 as FormalSum wrappers rather than being forced into a single species.

@@ -45,6 +45,17 @@ multiplies two Scalars:
 A float entry that has to be multiplied in a general product sends it to
 the Scalar-by-Scalar loop; ``sandwich`` and ``scale`` multiply a float
 entry as that loop would.  A float times the unit 1 is kept as it is.
+
+Next to the three kernels, an exact column times an exact row, each with
+two nonzeros or more, is kept as its factors: an ``OuterProduct`` u v,
+whose rows are the product's, built on first read.  Negation and exact
+scaling act on v, transposition and ``sandwich`` on both factors
+((A u*) (v* B)), a product with an exact Matrix or an operator on one
+((u v) M = u (v M), M (u v) = (M u) v, u v u' v' = u (v u') v'), the
+trace is v u, and two of them compare by the row and the column through
+a nonzero entry, so each costs O(dim) or the nonzeros of the other
+operand instead of dim**2 entries.  A float factor or operand reads the
+rows and takes the paths above.
 """
 
 from __future__ import annotations
@@ -211,7 +222,20 @@ class Matrix:
         return Matrix(rows, self.ncols)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("matrix shape mismatch in subtraction")
+        rows = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            if not rb:
+                rows.append(ra)
+            elif not ra:
+                rows.append({j: -t for j, t in rb.items()})
+            else:
+                acc = dict(ra)
+                for j, t in rb.items():
+                    acc[j] = acc[j] - t if j in acc else -t
+                rows.append(_canonical(acc))
+        return Matrix(rows, self.ncols)
 
     def __neg__(self):
         if self.monomial is not None:
@@ -257,6 +281,8 @@ class Matrix:
             return sandwich(self.monomial, other)
         if other.monomial is not None:
             return sandwich(None, self, other.monomial)
+        if self.ncols == 1 and _keeps_factors(self, other):
+            return OuterProduct(self, other)
         rows = _exact_product(self.sparse_rows, other.sparse_rows)
         if rows is None:  # a float entry
             rows = _scalar_product(self.sparse_rows, other.sparse_rows)
@@ -445,6 +471,109 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
+class OuterProduct(Matrix):
+    """The rank-one matrix u @ v of an exact column u and an exact row v, kept as its two factors.
+
+    Its rows are those of the product, built on first read and kept, so
+    its values, hash, JSON and sums are those of the product Matrix.  A
+    negation, exact scaling, transpose or sandwich acts on the factors, a
+    product with an exact Matrix or an operator multiplies one factor,
+    the trace is v @ u, and two of them compare by one row and one
+    column.  A float factor or operand reads the rows instead, so a float
+    result is that of the product Matrix.
+    """
+
+    __slots__ = ("u", "v", "_rows")
+
+    def __init__(self, u, v):
+        self.u, self.v = u, v
+        self.nrows, self.ncols = u.nrows, v.ncols
+        self.monomial = None
+        self._rows = None
+
+    @property
+    def sparse_rows(self):
+        if self._rows is None:
+            self._rows = tuple(_exact_product(self.u.sparse_rows, self.v.sparse_rows))
+        return self._rows
+
+    def __neg__(self):
+        return OuterProduct(self.u, -self.v)
+
+    def scale(self, s):
+        t = _coerce(s)
+        if t is NotImplemented or t.f is not None or t.is_zero():
+            return Matrix.scale(self, s)
+        return OuterProduct(self.u, self.v.scale(t))
+
+    def transpose(self):
+        return OuterProduct(self.v.transpose(), self.u.transpose())
+
+    def __matmul__(self, other):
+        if _is_exact(other):  # for another OuterProduct, v @ other is (v @ u') @ v'
+            return self.u @ (self.v @ other)
+        return Matrix.__matmul__(self, other)
+
+    def __rmatmul__(self, other):
+        if _is_exact(other):
+            return (other @ self.u) @ self.v
+        return Matrix.__matmul__(other, self)
+
+    def trace(self):
+        if self.nrows != self.ncols:
+            return Matrix.trace(self)
+        return (self.v @ self.u)[0, 0]
+
+    def is_zero(self):
+        return self.u.is_zero() or self.v.is_zero()
+
+    def __eq__(self, other):
+        """Two rank-one matrices are equal when they agree on the row and the column through a nonzero entry of one."""
+        if type(other) is not OuterProduct:
+            return Matrix.__eq__(self, other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            return False
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
+        if self.u == other.u:  # u (v - v') is zero only if v = v'
+            return self.v == other.v
+        if self.v == other.v:
+            return False
+        col, ocol = _column(self.u), _column(other.u)
+        row, orow = self.v.sparse_rows[0], other.v.sparse_rows[0]
+        i, j = next(iter(col)), next(iter(row))
+        if i not in ocol or j not in orow:
+            return False
+        return (_times_row(col[i], _numerators(row)) == _times_row(ocol[i], _numerators(orow))
+                and _times_row(row[j], _numerators(col)) == _times_row(orow[j], _numerators(ocol)))
+
+    __hash__ = Matrix.__hash__
+
+    def __reduce__(self):  # copy and pickle the factors: the rows slot is read-only here
+        return OuterProduct, (self.u, self.v)
+
+
+def _keeps_factors(column, row):
+    """True when the product column @ row is kept as an OuterProduct: two nonzeros or more each, and no float."""
+    [r] = row.sparse_rows
+    if len(r) < 2:
+        return False
+    entries = [s for c in column.sparse_rows for s in c.values()]
+    return len(entries) > 1 and all(s.f is None for s in entries) and all(s.f is None for s in r.values())
+
+
+def _column(m):
+    """{i: entry} of the nonzero entries of a one-column matrix."""
+    return {i: r[0] for i, r in enumerate(m.sparse_rows) if r}
+
+
+def _is_exact(m):
+    """True when m has no float entry, as an operator or an OuterProduct has none."""
+    if m.monomial is not None or type(m) is OuterProduct:
+        return True
+    return all(s.f is None for r in m.sparse_rows for s in r.values())
+
+
 def sandwich(left, m, right=None, conj=False):
     """left @ m @ right in one pass over m's nonzeros, with m conjugated entrywise first when `conj`.
 
@@ -467,6 +596,8 @@ def sandwich(left, m, right=None, conj=False):
         if left is not None:
             mono = left @ mono
         return (mono if right is None else mono @ right).to_matrix()
+    if type(m) is OuterProduct:  # (A u*) (v* B)
+        return OuterProduct(sandwich(left, m.u, None, conj), sandwich(None, m.v, right, conj))
     rows = m.sparse_rows
     if left is None:
         el, out = 0, [{}] * len(rows)

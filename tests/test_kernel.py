@@ -8,11 +8,16 @@ Blades are checked against ordered ``Matrix`` products of the gammas, and
 the blade coefficients of the per-plane transform against trace(raised @
 m) / dim computed the same way and against ``blade_coefficient``.
 Orthonormal blades are also checked against the bitmap product of
-geometric algebra, which needs no matrices, in up to 64 dimensions.
+geometric algebra, which needs no matrices, in up to 64 dimensions, and
+the axes against the Clifford relations.  The factored outer product is
+checked against the plain Matrix of its rows.
 """
 
+import copy
+import pickle
+from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import numpy as np
@@ -33,11 +38,11 @@ from sga.blades import (
     reconstruct_from_blades,
 )
 from sga.elements import COLUMN, MULTIVECTOR, ROW, SCALAR, Element, multiply
-from sga.matrices import Matrix, Monomial
+from sga.matrices import Matrix, Monomial, OuterProduct
 from sga.representation import (
     METRIC_CHOICES, ODD_MODES, RepConfig, Signature, _even_core, build_representation,
 )
-from sga.scalars import I, ONE, SQRT2, Scalar, i_power, unit
+from sga.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar, i_power, unit
 from sga.symmetry import conjugate
 
 
@@ -747,3 +752,132 @@ def test_element_products_and_scaling_match_numpy(odd_mode, data):
             got = x.scale(factor)
             assert np.allclose(as_numpy(got), factor.to_complex() * as_numpy(x), rtol=0, atol=1e-9)
             assert exact(got) == exact(x)
+
+
+# -- the Clifford relations ------------------------------------------------------
+
+
+def algebra_axes(rep):
+    """(monomial, square) of the vector of each axis 1..N."""
+    return [(rep.gamma_monomial(a), -1 if rep.signature.is_timelike(a) else 1) for a in range(1, rep.N + 1)]
+
+
+def built_axes(rep):
+    """(monomial, square) of the plus and minus vector of each built plane, times i on a timelike axis."""
+    out = []
+    for b in range(1, 2 * rep.n_bits + 1):
+        g = rep.orth_monomial((b + 1) // 2, minus=b % 2 == 0)
+        out.append((g.scale(1), -1) if rep.built_axis_is_timelike(b) else (g, 1))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_configs(max_n=64))
+def test_the_axis_words_satisfy_the_clifford_relations(config):
+    """g_a g_b + g_b g_a = 2 eta_ab: each vector squares to its eta, and distinct vectors anticommute."""
+    rep = build_representation(replace(config, max_dim=1 << 32))
+    one = Monomial.identity(rep.n_bits)
+    for axes in (algebra_axes(rep), built_axes(rep)):
+        for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(axes), 2):
+            if a == b:
+                assert ga @ ga == (one if square == 1 else one.scale(2)), a
+            else:
+                assert ga @ gb == (gb @ ga).scale(2), (a, b)  # scale(2) is times -1
+
+
+@settings(max_examples=25, deadline=None)
+@given(rep_configs(max_n=10))
+def test_the_axis_matrices_satisfy_the_clifford_relations(config):
+    rep = build_representation(config)
+    ident = Matrix.identity(rep.dim)
+    for axes in (algebra_axes(rep), built_axes(rep)):
+        dense = [(Matrix(mono.to_matrix().rows), square) for mono, square in axes]  # products on the general kernel
+        for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(dense), 2):
+            assert ga @ gb + gb @ ga == ident.scale(2 * square if a == b else 0), (a, b)
+    for a in range(1, rep.N + 1):
+        assert rep.gamma(a) == algebra_axes(rep)[a - 1][0].to_matrix()
+    for b in range(1, 2 * rep.n_bits + 1):
+        assert rep.built_axis_matrix(b) == built_axes(rep)[b - 1][0].to_matrix()
+
+
+# -- the factored outer product against its rows ---------------------------------
+
+
+def plain(m):
+    """The ordinary Matrix of m's rows."""
+    return Matrix(m.sparse_rows, m.ncols)
+
+
+def assert_same(got, want):
+    """got has the rows of the ordinary Matrix want, and compares and hashes like it either way round."""
+    assert plain(got).sparse_rows == want.sparse_rows
+    assert got == want and want == got and hash(got) == hash(want)
+
+
+def assert_fast_paths_match_the_rows(rep, rng, outer):
+    rows = plain(outer)
+    assert rows == naive_product(outer.u, outer.v)
+    assert_same(outer, rows)
+    factor = Scalar(1, 1, 0, 0, 3)  # (1 + sqrt2)/3
+    for got, want in (
+        (-outer, -rows),
+        (outer.scale(factor), rows.scale(factor)),
+        (outer.scale(-1), -rows),
+        (outer.scale(0), Matrix.zeros(rep.dim)),
+        (outer.scale(0.5), rows.scale(0.5)),
+        (outer.transpose(), rows.transpose()),
+        (outer.conj(), rows.conj()),
+        (outer.dagger(), rows.dagger()),
+        (conjugate(rep, Element.multivector(rep, outer)).payload,
+         conjugate(rep, Element.multivector(rep, rows)).payload),
+    ):
+        assert_same(got, want)
+    assert outer.trace() == rows.trace()
+    assert outer.is_zero() == rows.is_zero()
+    other = OuterProduct(random_exact(rng, rep.dim, 1, 0.7), random_exact(rng, 1, rep.dim, 0.7))
+    dense = random_exact(rng, rep.dim, rep.dim)
+    for op in (dense, rep.C, rep.gamma(1), other, with_a_float(rng, dense)):  # a float operand reads the rows
+        assert_same(outer @ op, rows @ plain(op))
+        assert_same(op @ outer, plain(op) @ rows)
+    column, row = random_exact(rng, rep.dim, 1), random_exact(rng, 1, rep.dim)
+    assert_same(outer @ column, rows @ column)
+    assert_same(row @ outer, row @ rows)
+    twin = OuterProduct(outer.u.scale(2), outer.v.scale(HALF))  # equal, from other factors
+    assert_same(twin, rows)
+    assert outer == twin and twin == outer
+    variants = [OuterProduct(outer.u, outer.v.scale(2)), OuterProduct(outer.u.scale(I), outer.v), other, -outer]
+    if rep.dim > 1 and not outer.is_zero():  # the twin changed in one entry off the pivot row or column
+        i = next(i for i, _, _ in outer.u.nonzero_items())
+        j = next(j for _, j, _ in outer.v.nonzero_items())
+        variants.append(OuterProduct(twin.u + Matrix.unit_column(rep.dim, (i + 1) % rep.dim), twin.v))
+        variants.append(OuterProduct(twin.u, twin.v + Matrix.unit_column(rep.dim, (j + 1) % rep.dim).transpose()))
+    for changed in variants:
+        want = plain(changed) == rows
+        assert (outer == changed) == want and (changed == outer) == want
+
+
+@pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_outer_product_fast_paths_match_its_rows(odd_mode, data):
+    rep = build_representation(data.draw(rep_configs(max_n=8, odd_mode=odd_mode)))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    dim = rep.dim
+    u, v = random_exact(rng, dim, 1, 0.7), random_exact(rng, 1, dim, 0.7)
+    product = u @ v
+    factored = sum(1 for _ in u.nonzero_items()) > 1 and sum(1 for _ in v.nonzero_items()) > 1
+    assert isinstance(product, OuterProduct) == factored  # two nonzeros or more in each factor
+    assert_same(product, naive_product(u, v))
+    for copied in (copy.copy(product), copy.deepcopy(product), pickle.loads(pickle.dumps(product))):
+        assert type(copied) is type(product)
+        assert_same(copied, naive_product(u, v))
+    assert_fast_paths_match_the_rows(rep, rng, OuterProduct(u, v))
+    for zero in (OuterProduct(Matrix.zeros(dim, 1), v), OuterProduct(u, Matrix.zeros(1, dim))):
+        assert zero.is_zero() and zero.trace() == ZERO
+        assert zero == Matrix.zeros(dim) and zero == OuterProduct(Matrix.zeros(dim, 1), Matrix.zeros(1, dim))
+        assert (zero == OuterProduct(u, v)) == naive_product(u, v).is_zero()
+        assert_fast_paths_match_the_rows(rep, rng, zero)
+    for a, b in ((with_a_float(rng, u), v), (u, with_a_float(rng, v))):
+        got = a @ b
+        assert type(got) is Matrix  # a float factor takes the ordinary product
+        assert np.allclose(got.to_numpy(), a.to_numpy() @ b.to_numpy(), rtol=0, atol=1e-9)

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sga.cli import main
+from sga.elements import outer_product
 from sga.matrices import (
     DEFAULT_MAX_DIM,
     Matrix,
+    OuterProduct,
     anticommutator,
     commutator,
     max_dimension,
 )
 from sga.representation import build_representation
-from sga.scalars import I, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
+from sga.scalars import HALF, I, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 from sga.symmetry import conjugate
 
 
@@ -480,7 +482,10 @@ def test_operator_matrices_compare_and_hash_like_dense_rows(name):
 
 
 def test_exact_products_make_no_scalar_products(monkeypatch):
-    """The exact paths multiply numerators in plain ints; a fallback to the Scalar loop fails here."""
+    """The exact paths multiply numerators in plain ints; a fallback to the Scalar loop fails here.
+
+    The operations on dim-64 outer products act on their factors, so reading the rows fails too.
+    """
     rng = Random(41)
     a, b = rand_matrix(rng, 16), rand_matrix(rng, 16)
     rep = MIXED  # N = 6
@@ -488,6 +493,12 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     column, row = rand_matrix(rng, rep.dim, 1), rand_matrix(rng, 1, rep.dim)
     factor = Scalar(1, 1, 0, 0, 3)  # (1 + sqrt2)/3, not a unit
     c, eps = Matrix(rep.C.rows), Matrix(rep.eps.rows)
+    rep64 = build_representation(spacelike=12)
+    psi, chi, phi = (rand_matrix(rng, 64, 1) for _ in range(3))
+    first, second = outer_product(rep64, psi, chi).payload, outer_product(rep64, phi, psi).payload
+    twin = outer_product(rep64, psi.scale(2), chi.scale(HALF)).payload  # first, from other factors
+    mv = rand_matrix(rng, 64)
+    assert all(isinstance(x, OuterProduct) for x in (first, second, twin))
     calls = []
     original = Scalar.__mul__
 
@@ -497,6 +508,9 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
 
     def fail(*args):
         raise AssertionError("conjugate built an intermediate matrix")
+
+    def fail_rows(*args):
+        raise AssertionError("an outer product read its rows")
 
     monkeypatch.setattr(Scalar, "__mul__", counting)
     monkeypatch.setattr(Scalar, "__rmul__", counting)
@@ -508,6 +522,13 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
         no_matrices.setattr(Matrix, "conj", fail)
         no_matrices.setattr(Matrix, "__matmul__", fail)
         conj = conjugate(rep, m)
+    with monkeypatch.context() as factored:
+        factored.setattr(OuterProduct, "sparse_rows", property(fail_rows))
+        conj_first = conjugate(rep64, first)
+        negated, scaled_second = -first, second.scale(factor)
+        compared = [first == second, first == twin, negated == first]
+        trace = first.trace()
+        times_mv, mv_times = first @ mv, mv @ second
     assert len(calls) == 0
     assert Scalar(2) * Scalar(3) == Scalar(6) and len(calls) == 1  # the count sees a product
     monkeypatch.undo()
@@ -516,6 +537,12 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     assert scaled == Matrix([[factor * x for x in r] for r in a.rows])
     assert conj == naive_product(naive_product(c, m.conj()), c.dagger())
     assert conj_row == naive_product(naive_product(c, naive_product(eps, row.transpose()).conj()).transpose(), eps)
+    rows_first, rows_second = Matrix(first.sparse_rows, 64), Matrix(second.sparse_rows, 64)
+    assert conj_first == conjugate(rep64, rows_first)
+    assert negated == -rows_first and scaled_second == rows_second.scale(factor)
+    assert compared == [rows_first == rows_second, True, False]
+    assert trace == rows_first.trace()
+    assert times_mv == rows_first @ mv and mv_times == mv @ rows_second
 
 
 @pytest.mark.parametrize("factor,want", [
