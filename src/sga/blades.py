@@ -15,10 +15,9 @@ the diagonal pairs (bits 00 and 11) into the coefficients of 1 and Z_k,
 an off-diagonal entry being already g_k (column bit set) or g_kbar (row
 bit set); read key (r, c) as the blade unbarred on the bits of c and
 barred on those of r, times sqrt2**(|r ^ c| - 2n).  Reconstructing runs
-it the other way.  The butterfly only adds and subtracts, so each exact
-value travels as one int, its four numerators over a common denominator
-packed in lanes too wide to carry, and float parts travel apart as
-complex numbers.  That costs O(n 4**n) on dense input and O(n) per
+it the other way.  The butterfly only adds and subtracts, so each value
+travels as one int, its four numerators over a common denominator packed
+in lanes too wide to carry.  That costs O(n 4**n) on dense input and O(n) per
 nonzero in or out on sparse input.  The trace formula of
 ``blade_coefficient`` is the reference.
 
@@ -36,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from .elements import Element, multiply, outer_product, row_of
+from .elements import Element, multiply, row_of
 from .matrices import Matrix, Monomial
 from .scalars import HALF, ONE, Scalar, ZERO, unit
 
@@ -88,12 +87,6 @@ class BladeIndex:
         if self.kind == CHIRAL:
             return "^".join(f"g{k}bar" if barred else f"g{k}" for k, barred in self.factors)
         return "^".join(f"e{a}" for a in self.factors)
-
-    def k_charge(self, k):
-        """Net charge of plane k: +1 per unbarred k index, -1 per barred."""
-        if self.kind != CHIRAL:
-            return 0
-        return sum(-1 if barred else 1 for kk, barred in self.factors if kk == k)
 
 
 def canonicalize(factors):
@@ -181,12 +174,6 @@ def _raised_monomial(rep, blade):
 # -- outer-product basis ------------------------------------------------------
 
 
-def metric_column_map(rep):
-    """For each bitcode b, the (column, sign) of the single nonzero of e_b. ."""
-    by_row = _column_maps(rep)[0]
-    return {b: (col, -ONE if negated else ONE) for b, (col, negated) in zip(rep.bitcodes(), by_row)}
-
-
 def _column_maps(rep):
     """(column, negated) of the one entry, +-1, of each metric row, and (row, negated) per column.
 
@@ -217,11 +204,6 @@ def spinor_outer_decompose(rep, m):
         k, negated = by_column[j]
         out[(codes[i], codes[k])] = -value if negated else value
     return out
-
-
-def outer_basis_matrix(rep, a, b):
-    """The matrix e_a e_b. (single nonzero entry)."""
-    return outer_product(rep, rep.basis_spinor(a), rep.basis_spinor(b)).payload
 
 
 def reconstruct_from_outer(rep, coeffs):
@@ -305,21 +287,18 @@ def _plane_transform(n, items, forward):
     """(r, c, Scalar) of the nonzero results of the transform of (r, c, Scalar) items, forward or back.
 
     It keeps x = r ^ c, so it runs on each x apart, over the planes outside
-    x.  The exact part of a value is the int a + b*2**w + c*2**2w + d*2**3w
-    of its numerators over the common denominator.  Each result is a signed
-    sum of at most 2**n inputs, and w is one bit more than such a sum of
-    the largest numerator needs, so no lane carries into the next and a
-    sum or difference of two values is one int operation.  The width is
-    read in the grouping pass, once per distinct input Scalar, and
-    ``_unpacked`` makes one Scalar per distinct result.  Float parts, where
-    there are any, run through the same butterfly apart as complex numbers,
-    and the two results add by linearity.
+    x.  A value travels as the int a + b*2**w + c*2**2w + d*2**3w of its
+    numerators over the common denominator.  Each result is a signed sum
+    of at most 2**n inputs, and w is one bit more than such a sum of the
+    largest numerator needs, so no lane carries into the next and a sum
+    or difference of two values is one int operation.  The width is read
+    in the grouping pass, once per distinct input Scalar, and
+    ``_unpacked`` makes one Scalar per distinct result.
     """
     groups = {}  # x -> {r: id of its Scalar}
     scalars = {}  # id -> each distinct Scalar, read once for the denominator and the lane width
     den = 1
     top = 0  # the bits of every numerator's magnitude
-    floats = False
     for r, c, s in items:
         x = r ^ c
         group = groups.get(x)
@@ -331,9 +310,8 @@ def _plane_transform(n, items, forward):
             if den % s.q:
                 den = lcm(den, s.q)
             top |= abs(s.a) | abs(s.b) | abs(s.c) | abs(s.d)
-            floats = floats or s.f is not None
     width = top.bit_length() + den.bit_length() + n + 1
-    packed = {  # a float Scalar's numerators are 0 over 1
+    packed = {
         k: den // s.q * (s.a + (s.b << width) + (s.c << 2 * width) + (s.d << 3 * width))
         for k, s in scalars.items()
     }
@@ -343,37 +321,21 @@ def _plane_transform(n, items, forward):
         flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
         vals = _butterfly({
             r: -packed[k] if forward and (r & flips).bit_count() & 1 else packed[k] for r, k in group.items()
-        }, ~x & full, True)
+        }, ~x & full)
         e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
-        found = []
         for r, v in vals.items():
             if v:
                 if not forward and (r & flips).bit_count() & 1:
                     v = -v
-                found.append((r, r ^ x, _unpacked(v, width, den, e)))
-        if floats and (fl := {
-            r: -f if forward and (r & flips).bit_count() & 1 else f
-            for r, k in group.items() if (f := scalars[k].f) is not None
-        }):
-            exact = {r: s for r, _, s in found}
-            scale = unit(0, e).to_complex()
-            for r, f in _butterfly(fl, ~x & full, False).items():
-                if not forward and (r & flips).bit_count() & 1:
-                    f = -f
-                s = exact.pop(r, ZERO) + Scalar(_float=f * scale)
-                if not s.is_zero():  # unless the float part cancelled the exact one
-                    exact[r] = s
-            found = [(r, r ^ x, s) for r, s in exact.items()]
-        out += found
+                out.append((r, r ^ x, _unpacked(v, width, den, e)))
     return out
 
 
-def _butterfly(vals, free, drop_zeros):
+def _butterfly(vals, free):
     """{r: value} after the 2-point butterfly on each plane of `free`.
 
-    On plane `bit`, (v, w) at r bits 0 and 1 become v + w and v - w.  Exact
-    sums that cancel are dropped; float ones are kept, so a result that any
-    float reached stays a float, as it does in the trace formula.
+    On plane `bit`, (v, w) at r bits 0 and 1 become v + w and v - w, and a
+    sum that cancels is dropped.
     """
     while free:
         bit = free & -free
@@ -386,14 +348,11 @@ def _butterfly(vals, free, drop_zeros):
                     new[r] = -v
             elif (w := vals.get(r | bit)) is None:
                 new[r] = new[r | bit] = v
-            elif drop_zeros:
+            else:
                 if t := v + w:
                     new[r] = t
                 if t := v - w:
                     new[r | bit] = t
-            else:
-                new[r] = v + w
-                new[r | bit] = v - w
         vals = new
     return vals
 

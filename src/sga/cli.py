@@ -12,7 +12,9 @@ Matrices are written sparse, as {"shape": [nrows, ncols], "entries":
 [[i, j, value], ...]} over their nonzero entries, one entry per line.
 ``decompose --input`` reads that form (however it is indented), a dense
 list of rows, or an {"entries": dense rows} object, and writes one
-coefficient per line, keys sorted.
+coefficient per line, keys sorted.  Every value is read exactly: a JSON
+float as the rational of its shortest decimal (0.1 is 1/10), and NaN or
+an infinity is malformed input.
 """
 
 from __future__ import annotations
@@ -299,7 +301,9 @@ def _parser():
         "--input",
         required=True,
         help='JSON matrix: sparse {"shape", "entries": [[i, j, value], ...]} as build '
-             'writes it, a dense list of rows, or {"entries": dense rows}',
+             'writes it, a dense list of rows, or {"entries": dense rows}; every value is '
+             'read exactly, a float as the rational of its shortest decimal (0.1 is 1/10), '
+             'and NaN or Infinity is an error',
     )
     p.add_argument("--basis", choices=("blades", "outer"), default="blades")
     p.add_argument("-o", "--output")

@@ -23,8 +23,8 @@ A Matrix made by ``Monomial.to_matrix`` keeps its monomial in the
 ``monomial`` attribute, which equality and hashing ignore.  Its negation,
 transpose, conjugate, dagger, scaling by a unit i**p * sqrt2**e and its
 products with another such Matrix are the Matrix of the derived
-monomial.  The exact arithmetic has three kernels, none of which
-multiplies two Scalars:
+monomial.  The arithmetic has three kernels, none of which multiplies
+two Scalars:
 
 * ``sandwich`` computes A @ m @ B, or A @ conj(m) @ B, for monomials A
   and B (either may be absent) in one pass over m's nonzeros: each entry
@@ -33,7 +33,7 @@ multiplies two Scalars:
   only permutes and negates the numerators, and an entry whose unit is 1
   is shared.  A product with one operator factor, ``Matrix.conj`` and
   ``symmetry.conjugate`` (C psi*, C m* C^dagger) all run on it;
-* ``_times_row`` multiplies one exact Scalar into a row by the
+* ``_times_row`` multiplies one Scalar into a row by the
   Q(i, sqrt2) product formula on raw numerators, one normalised Scalar
   per entry.  ``Matrix.scale`` by a non-unit and every product row with
   a single term per entry (each row of an outer product) run on it;
@@ -42,20 +42,18 @@ multiplies two Scalars:
   summed per output entry; each nonzero sum becomes one Scalar,
   normalised once.
 
-A float entry that has to be multiplied in a general product sends it to
-the Scalar-by-Scalar loop; ``sandwich`` and ``scale`` multiply a float
-entry as that loop would.  A float times the unit 1 is kept as it is.
+Every entry is an exact Scalar; float work, such as a rotor at an angle
+outside the quarter turns, runs on the numpy array of ``to_numpy``.
 
-Next to the three kernels, an exact column times an exact row, each with
-two nonzeros or more, is kept as its factors: an ``OuterProduct`` u v,
-whose rows are the product's, built on first read.  Negation and exact
-scaling act on v, transposition and ``sandwich`` on both factors
-((A u*) (v* B)), a product with an exact Matrix or an operator on one
+Next to the three kernels, a column times a row, each with two nonzeros
+or more, is kept as its factors: an ``OuterProduct`` u v, whose rows are
+the product's, built on first read.  Negation and nonzero scaling act
+on v, transposition and ``sandwich`` on both factors ((A u*) (v* B)), a
+product with a Matrix or an operator on one
 ((u v) M = u (v M), M (u v) = (M u) v, u v u' v' = u (v u') v'), the
 trace is v u, and two of them compare by the row and the column through
 a nonzero entry, so each costs O(dim) or the nonzeros of the other
-operand instead of dim**2 entries.  A float factor or operand reads the
-rows and takes the paths above.
+operand instead of dim**2 entries.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ import os
 from itertools import compress
 from math import lcm
 
-from .scalars import ONE, ZERO, Scalar, _coerce, _normalised, approx_equal, unit
+from .scalars import ONE, ZERO, Scalar, _coerce, _normalised, unit
 
 
 DEFAULT_MAX_DIM = 256
@@ -90,7 +88,7 @@ def max_dimension():
 
 
 def _unit_exponents(s):
-    """(p, e) with exact nonzero s = i**p * sqrt2**e, or None if s is no such unit."""
+    """(p, e) with nonzero s = i**p * sqrt2**e, or None if s is no such unit."""
     parts = (s.a, s.b, s.c, s.d)
     nonzero = [k for k, n in enumerate(parts) if n]
     if len(nonzero) != 1:
@@ -243,31 +241,23 @@ class Matrix:
         return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
 
     def scale(self, s):
-        """This matrix times s: a Scalar, an int or Fraction (exact), or a float or complex.
+        """This matrix times s: a Scalar, an int or a Fraction.
 
         An operator Matrix scaled by a unit i**p * sqrt2**e gives the
         operator Matrix of the scaled monomial.
         """
         s = _coerce(s)
         if s is NotImplemented:
-            raise TypeError("a matrix scales by a Scalar, int, Fraction, float or complex")
-        if s.is_exact:
-            if s == ONE:
-                return self
-            if self.monomial is not None and (u := _unit_exponents(s)) is not None:
-                return self.monomial.scale(*u).to_matrix()
-            if s == _MINUS_ONE:
-                return -self
-            if s.is_zero():
-                return Matrix.zeros(self.nrows, self.ncols)
-        rows = []
-        for r in self.sparse_rows:
-            terms = _numerators(r) if s.f is None else None
-            if terms is None:  # a float entry or factor
-                rows.append({j: v for j, x in r.items() if not (v := s * x).is_zero()})
-            else:
-                rows.append(_times_row(s, terms))
-        return Matrix(rows, self.ncols)
+            raise TypeError("a matrix scales by a Scalar, an int or a Fraction")
+        if s == ONE:
+            return self
+        if self.monomial is not None and (u := _unit_exponents(s)) is not None:
+            return self.monomial.scale(*u).to_matrix()
+        if s == _MINUS_ONE:
+            return -self
+        if s.is_zero():
+            return Matrix.zeros(self.nrows, self.ncols)
+        return Matrix([_times_row(s, _numerators(r)) for r in self.sparse_rows], self.ncols)
 
     def __mul__(self, s):
         return NotImplemented if _coerce(s) is NotImplemented else self.scale(s)
@@ -283,10 +273,7 @@ class Matrix:
             return sandwich(None, self, other.monomial)
         if self.ncols == 1 and _keeps_factors(self, other):
             return OuterProduct(self, other)
-        rows = _exact_product(self.sparse_rows, other.sparse_rows)
-        if rows is None:  # a float entry
-            rows = _scalar_product(self.sparse_rows, other.sparse_rows)
-        return Matrix(rows, other.ncols)
+        return Matrix(_exact_product(self.sparse_rows, other.sparse_rows), other.ncols)
 
     def transpose(self):
         if self.monomial is not None:
@@ -368,15 +355,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(tuple(r.items()) for r in self.sparse_rows)))
-
-    def approx_equal(self, other, tol=1e-12):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(
-            approx_equal(ra.get(j, ZERO), rb.get(j, ZERO), tol)
-            for ra, rb in zip(self.sparse_rows, other.sparse_rows)
-            for j in ra.keys() | rb.keys()
-        )
 
     def is_identity(self):
         return self.is_square and self == Matrix.identity(self.nrows)
@@ -472,15 +450,13 @@ class Matrix:
 
 
 class OuterProduct(Matrix):
-    """The rank-one matrix u @ v of an exact column u and an exact row v, kept as its two factors.
+    """The rank-one matrix u @ v of a column u and a row v, kept as its two factors.
 
     Its rows are those of the product, built on first read and kept, so
     its values, hash, JSON and sums are those of the product Matrix.  A
-    negation, exact scaling, transpose or sandwich acts on the factors, a
-    product with an exact Matrix or an operator multiplies one factor,
-    the trace is v @ u, and two of them compare by one row and one
-    column.  A float factor or operand reads the rows instead, so a float
-    result is that of the product Matrix.
+    negation, nonzero scaling, transpose or sandwich acts on the factors,
+    a product with a Matrix or an operator multiplies one factor, the
+    trace is v @ u, and two of them compare by one row and one column.
     """
 
     __slots__ = ("u", "v", "_rows")
@@ -502,7 +478,7 @@ class OuterProduct(Matrix):
 
     def scale(self, s):
         t = _coerce(s)
-        if t is NotImplemented or t.f is not None or t.is_zero():
+        if t is NotImplemented or t.is_zero():
             return Matrix.scale(self, s)
         return OuterProduct(self.u, self.v.scale(t))
 
@@ -510,14 +486,10 @@ class OuterProduct(Matrix):
         return OuterProduct(self.v.transpose(), self.u.transpose())
 
     def __matmul__(self, other):
-        if _is_exact(other):  # for another OuterProduct, v @ other is (v @ u') @ v'
-            return self.u @ (self.v @ other)
-        return Matrix.__matmul__(self, other)
+        return self.u @ (self.v @ other)  # for another OuterProduct, v @ other is (v @ u') @ v'
 
     def __rmatmul__(self, other):
-        if _is_exact(other):
-            return (other @ self.u) @ self.v
-        return Matrix.__matmul__(other, self)
+        return (other @ self.u) @ self.v
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -554,12 +526,9 @@ class OuterProduct(Matrix):
 
 
 def _keeps_factors(column, row):
-    """True when the product column @ row is kept as an OuterProduct: two nonzeros or more each, and no float."""
+    """True when the product column @ row is kept as an OuterProduct: two nonzeros or more each."""
     [r] = row.sparse_rows
-    if len(r) < 2:
-        return False
-    entries = [s for c in column.sparse_rows for s in c.values()]
-    return len(entries) > 1 and all(s.f is None for s in entries) and all(s.f is None for s in r.values())
+    return len(r) > 1 and sum(map(bool, column.sparse_rows)) > 1
 
 
 def _column(m):
@@ -567,25 +536,16 @@ def _column(m):
     return {i: r[0] for i, r in enumerate(m.sparse_rows) if r}
 
 
-def _is_exact(m):
-    """True when m has no float entry, as an operator or an OuterProduct has none."""
-    if m.monomial is not None or type(m) is OuterProduct:
-        return True
-    return all(s.f is None for r in m.sparse_rows for s in r.values())
-
-
 def sandwich(left, m, right=None, conj=False):
     """left @ m @ right in one pass over m's nonzeros, with m conjugated entrywise first when `conj`.
 
     `left` and `right` are Monomials, or None for an absent side.  Row j
     of m moves to the rows that `left` sends it to, column k to column
-    k ^ right.x, and each exact entry is multiplied once, by the product
-    of its two units with the conjugation folded in (``times_unit``): one
+    k ^ right.x, and each entry is multiplied once, by the product of its
+    two units with the conjugation folded in (``times_unit``): one
     Scalar, or the entry itself when that unit is 1 and m is not
-    conjugated.  A float entry is multiplied by its left unit and then by
-    its right one, as the Scalar-by-Scalar product would be; a unit 1
-    keeps it as it is.  An operator m (one with ``monomial`` set) gives
-    the operator Matrix of the monomial product.
+    conjugated.  An operator m (one with ``monomial`` set) gives the
+    operator Matrix of the monomial product.
     """
     if (left is not None and left.dim != m.nrows) or (right is not None and right.dim != m.ncols):
         raise ValueError("matrix shape mismatch in product")
@@ -608,7 +568,7 @@ def sandwich(left, m, right=None, conj=False):
     if right is None:
         for i, src, pl in sources:
             if pl or el:
-                src = {k: v for k, s in src.items() if (v := s.times_unit(pl, el, conj)).f != 0}
+                src = {k: s.times_unit(pl, el, conj) for k, s in src.items()}
             elif conj:
                 src = {k: s.conjugate() for k, s in src.items()}
             out[i] = src  # with the unit 1 and no conjugation, the row is shared
@@ -623,26 +583,20 @@ def sandwich(left, m, right=None, conj=False):
                 continue
             j = k ^ x
             pr = pr0 + 2 * (j & z).bit_count()
-            if s.f is None:
-                if (pl + pr) & 3 or e or conj:
-                    s = s.times_unit(pl + pr, e, conj)
-            elif (s := s.times_unit(pl, el, conj).times_unit(pr, er)).f == 0:
-                continue  # a float that underflowed
+            if (pl + pr) & 3 or e or conj:
+                s = s.times_unit(pl + pr, e, conj)
             acc[j] = s
         out[i] = {j: acc[j] for j in sorted(acc)} if x and len(acc) > 1 else acc
     return Matrix(out, right.dim)
 
 
 def _numerators(row):
-    """(j, a, b, c, d, q) of each entry of `row`, read once for every factor it meets; None if one is a float."""
-    for t in row.values():
-        if t.f is not None:
-            return None
+    """(j, a, b, c, d, q) of each entry of `row`, read once for every factor it meets."""
     return [(j, t.a, t.b, t.c, t.d, t.q) for j, t in row.items()]
 
 
 def _times_row(s, terms):
-    """The row {j: s * t} of exact nonzero s times the entries t of a row, given by their `_numerators`.
+    """The row {j: s * t} of nonzero s times the entries t of a row, given by their `_numerators`.
 
     Each entry comes from the Q(i, sqrt2) product formula on the raw
     numerators over s.q * t.q and is normalised once, so no Scalar is
@@ -658,7 +612,7 @@ def _times_row(s, terms):
 
 
 def _exact_product(left, right):
-    """The rows of the product of two exact matrices, given as their rows.
+    """The rows of the product of two matrices, given as their rows.
 
     A `left` row with one entry s gives s times a row of `right`
     (``_times_row``), whose numerators are read once for every such s.
@@ -667,8 +621,7 @@ def _exact_product(left, right):
     to numerators over the lcm of that row's, so every term of an output
     row shares one denominator.  Per output entry the terms' numerators,
     from the Q(i, sqrt2) product formula, are summed as ints and the sum
-    becomes one Scalar, normalised once.  None if an entry to be
-    multiplied is a float.
+    becomes one Scalar, normalised once.
     """
     numerators, scaled = {}, None
     out = [{}] * len(left)
@@ -678,23 +631,15 @@ def _exact_product(left, right):
             [(k, s)] = row.items()
             if k not in numerators:
                 numerators[k] = _numerators(right[k])
-            if s.f is not None or numerators[k] is None:
-                return None
             out[i] = _times_row(s, numerators[k])
             continue
         if scaled is None:
-            qs = {s.q if s.f is None else 0 for r in right for s in r.values()}
-            if 0 in qs:
-                return None
-            q_right = lcm(*qs)
+            q_right = lcm(*{s.q for r in right for s in r.values()})
             scaled = [
                 [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
                 for r in right
             ]
-        qs = {s.q if s.f is None else 0 for s in row.values()}
-        if 0 in qs:
-            return None
-        q_row = lcm(*qs)
+        q_row = lcm(*{s.q for s in row.values()})
         acc = {}
         for k, s in row.items():
             terms = scaled[k]
@@ -718,18 +663,6 @@ def _exact_product(left, right):
                     t[3] += d
         den = q_row * q_right
         out[i] = {j: Scalar(*t, den) for j in sorted(acc) if any(t := acc[j])}
-    return out
-
-
-def _scalar_product(left, right):
-    """The rows of a product by Scalar arithmetic, term by term; used when an entry is a float."""
-    out = []
-    for row in left:
-        acc = {}
-        for k, s in row.items():
-            for j, t in right[k].items():
-                acc[j] = acc[j] + s * t if j in acc else s * t
-        out.append(_canonical(acc))
     return out
 
 

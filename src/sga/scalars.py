@@ -7,11 +7,11 @@ Q(i, sqrt2).  A scalar is stored as five integers (a, b, c, d, q) encoding
     ((a + b*sqrt2) + i*(c + d*sqrt2)) / q
 
 with q > 0 and gcd(a, b, c, d, q) = 1, so zero is canonical and equality
-is structural.  A float mode (a bare complex payload) exists for rotor
-tests at angles where cos/sin leave the ring; mixed arithmetic promotes
-to float.  An exact value compares with a float exactly, as a Fraction
-does, so a value with a sqrt2 part never equals a float, and equal values
-hash alike.
+is structural.  A Scalar meets ints and Fractions in arithmetic and
+comparison, and a rational one hashes like the equal int or Fraction;
+floats are not scalars.  Float work, such as a rotor at an angle outside
+the quarter turns, runs on numpy arrays (``Matrix.to_numpy``), and a JSON
+float is read as the exact rational of its shortest decimal.
 
 A product or sum is computed on the numerators and normalised with one
 five-argument gcd, skipped when q is 1; negation and conjugation only
@@ -26,7 +26,6 @@ i**p * sqrt2**e that ``unit`` makes.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -34,15 +33,9 @@ _SQRT2 = sqrt(2.0)
 
 
 class Scalar:
-    __slots__ = ("a", "b", "c", "d", "q", "f")
+    __slots__ = ("a", "b", "c", "d", "q")
 
-    def __init__(self, a=0, b=0, c=0, d=0, q=1, _float=None):
-        if _float is not None:
-            self.f = complex(_float)
-            self.a = self.b = self.c = self.d = 0
-            self.q = 1
-            return
-        self.f = None
+    def __init__(self, a=0, b=0, c=0, d=0, q=1):
         if q != 1:
             if q == 0:
                 raise ZeroDivisionError("scalar denominator is zero")
@@ -75,34 +68,19 @@ class Scalar:
             int(ra * q), int(rb * q), int(ia * q), int(ib * q), q
         )
 
-    @classmethod
-    def from_complex(cls, z):
-        return cls(_float=complex(z))
-
     # -- predicates ---------------------------------------------------
 
-    @property
-    def is_exact(self):
-        return self.f is None
-
     def is_zero(self):
-        if self.f is not None:
-            return self.f == 0
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     def is_real(self):
-        if self.f is not None:
-            return self.f.imag == 0
         return self.c == 0 and self.d == 0
 
     def is_rational(self):
-        return self.is_exact and self.b == 0 and self.c == 0 and self.d == 0
+        return self.b == 0 and self.c == 0 and self.d == 0
 
     def real_sign(self):
         """Exact sign of the real part a/q + (b/q)*sqrt2 (-1, 0 or +1)."""
-        if self.f is not None:
-            x = self.f.real
-            return 0 if x == 0 else (1 if x > 0 else -1)
         a, b = self.a, self.b
         if a == 0 and b == 0:
             return 0
@@ -124,8 +102,6 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return other
-        if self.f is not None or other.f is not None:
-            return Scalar(_float=self.to_complex() + other.to_complex())
         if self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0:
             return other
         if other.a == 0 and other.b == 0 and other.c == 0 and other.d == 0:
@@ -145,8 +121,6 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.f is not None:
-            return Scalar(_float=-self.f)
         return _raw(-self.a, -self.b, -self.c, -self.d, self.q)
 
     def __sub__(self, other):
@@ -166,8 +140,6 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return other
-        if self.f is not None or other.f is not None:
-            return Scalar(_float=self.to_complex() * other.to_complex())
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         if (a1 == 0 and b1 == 0 and c1 == 0 and d1 == 0) or (
@@ -188,8 +160,6 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.f is not None:
-            return Scalar(_float=1.0 / self.f)
         # 1/z = conj(z) / (z conj(z)); z conj(z) = e + f*sqrt2 is real
         zc = self.conjugate()
         nrm = self * zc  # real element of Q(sqrt2), times 1/q^2 already folded in
@@ -203,8 +173,6 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.f is not None or other.f is not None:
-            return Scalar(_float=self.to_complex() / other.to_complex())
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -229,21 +197,15 @@ class Scalar:
 
     def conjugate(self):
         """Complex conjugation with respect to i; sqrt2 is left fixed."""
-        if self.f is not None:
-            return Scalar(_float=self.f.conjugate())
         return _raw(self.a, self.b, -self.c, -self.d, self.q)
 
     def times_unit(self, p, e=0, conj=False):
         """self * i**p * sqrt2**e, with self conjugated first when `conj`.
 
-        An exact value is conjugated, rotated and rescaled in integers: for
+        The value is conjugated, rotated and rescaled in integers: for
         e = 0 the numerators are only permuted and negated, so no gcd is
-        needed.  A float is multiplied by the unit as a Scalar, unless the
-        unit is 1.
+        needed.
         """
-        if self.f is not None:
-            z = self.conjugate() if conj else self
-            return z * unit(p, e) if p & 3 or e else z
         a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
         if conj:
             c, d = -c, -d
@@ -268,8 +230,6 @@ class Scalar:
     # -- conversions ---------------------------------------------------
 
     def to_complex(self):
-        if self.f is not None:
-            return self.f
         return complex(
             (self.a + self.b * _SQRT2) / self.q,
             (self.c + self.d * _SQRT2) / self.q,
@@ -282,8 +242,6 @@ class Scalar:
         return Fraction(self.c, self.q), Fraction(self.d, self.q)
 
     def to_json(self):
-        if self.f is not None:
-            return [self.f.real, self.f.imag]
         re = self.real_fractions()
         im = self.imag_fractions()
         return {
@@ -295,21 +253,23 @@ class Scalar:
     def from_json(cls, obj):
         """Parse a JSON scalar; ValueError if it is malformed.
 
-        An int is exact; a float or an [re, im] pair of numbers is a float
-        scalar; {"re": [rat, rt2], "im": [rat, rt2]} with rationals such as
-        "1/2" is exact.
+        Three forms are read, all exactly: a number, an [re, im] pair of
+        numbers, and {"re": [rat, rt2], "im": [rat, rt2]} with rationals
+        such as "1/2" or numbers.  A JSON float stands for the rational of
+        its shortest decimal, as repr writes it: 1.5 is 3/2 and 0.1 is
+        1/10.  NaN and the infinities are malformed.
         """
-        if _is_json_number(obj):
-            return cls(obj) if isinstance(obj, int) else cls(_float=complex(obj))
-        if isinstance(obj, list) and len(obj) == 2 and all(map(_is_json_number, obj)):
-            return cls(_float=complex(float(obj[0]), float(obj[1])))
-        if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-            parts = (obj["re"], obj["im"])
-            if all(isinstance(p, list) and len(p) == 2 for p in parts):
-                try:
-                    return cls.from_parts(*(Fraction(x) for p in parts for x in p))
-                except (TypeError, ValueError, ZeroDivisionError):
-                    pass
+        try:
+            if _is_json_number(obj):
+                return cls.from_fraction(_decimal(obj))
+            if isinstance(obj, list) and len(obj) == 2 and all(map(_is_json_number, obj)):
+                return cls.from_parts(_decimal(obj[0]), 0, _decimal(obj[1]), 0)
+            if isinstance(obj, dict) and set(obj) == {"re", "im"}:
+                parts = (obj["re"], obj["im"])
+                if all(isinstance(p, list) and len(p) == 2 for p in parts):
+                    return cls.from_parts(*(_decimal(x) for p in parts for x in p))
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
         raise ValueError(f"not a JSON scalar: {obj!r:.60}")
 
     # -- comparison / hashing -------------------------------------------
@@ -319,40 +279,23 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return other
-        if self.f is None and other.f is None:
-            return (
-                self.a == other.a
-                and self.b == other.b
-                and self.c == other.c
-                and self.d == other.d
-                and self.q == other.q
-            )
-        if self.f is not None and other.f is not None:
-            return self.f == other.f
-        exact, z = (self, other.f) if self.f is None else (other, self.f)
-        # exactly, as a Fraction compares with a float; a sqrt2 part is irrational
         return (
-            exact.b == 0
-            and exact.d == 0
-            and _rational(exact.a, exact.q) == z.real
-            and _rational(exact.c, exact.q) == z.imag
+            self.a == other.a
+            and self.b == other.b
+            and self.c == other.c
+            and self.d == other.d
+            and self.q == other.q
         )
 
     def __hash__(self):
-        if self.f is not None:
-            return hash(self.f)
-        if self.b or self.d:
+        if self.b or self.c or self.d:
             return hash((self.a, self.b, self.c, self.d, self.q))
-        # hash like the equal int, Fraction, float or complex
-        re = hash(_rational(self.a, self.q))
-        return re if self.c == 0 else _complex_hash(re, hash(_rational(self.c, self.q)))
+        return hash(_rational(self.a, self.q))  # like the equal int or Fraction
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        if self.f is not None:
-            return f"Scalar({self.f!r})"
         terms = []
         for coef, unit in ((self.a, ""), (self.b, "*rt2"), (self.c, "*i"), (self.d, "*i*rt2")):
             if coef:
@@ -364,12 +307,11 @@ class Scalar:
 def _raw(a, b, c, d, q):
     """The exact scalar with these numerators, which are already in lowest terms."""
     s = _new(Scalar)
-    s.a = a  # one store each: packing the six into a tuple costs a fifth of the call
+    s.a = a  # one store each: packing the five into a tuple costs a fifth of the call
     s.b = b
     s.c = c
     s.d = d
     s.q = q
-    s.f = None
     return s
 
 
@@ -385,26 +327,21 @@ def _normalised(a, b, c, d, q):
     s.c = c
     s.d = d
     s.q = q
-    s.f = None
     return s
 
 
 def _rational(x, q):
-    """x / q as an int or a Fraction (x may be an int-valued float when q is 1)."""
+    """x / q as an int or a Fraction."""
     return x if q == 1 else Fraction(x, q)
-
-
-def _complex_hash(re, im):
-    """hash(complex(x, y)) from hash(x) and hash(y), combined as CPython does."""
-    width = sys.hash_info.width
-    h = (re + sys.hash_info.imag * im) % (1 << width)
-    if h >= 1 << (width - 1):
-        h -= 1 << width
-    return -2 if h == -1 else h
 
 
 def _is_json_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _decimal(x):
+    """The exact rational of a JSON value, a float read as its shortest decimal; ValueError for NaN or infinity."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
 
 
 def _coerce(x):
@@ -414,10 +351,6 @@ def _coerce(x):
         return Scalar(x)
     if isinstance(x, Fraction):
         return Scalar.from_fraction(x)
-    if isinstance(x, float):
-        return Scalar(_float=complex(x))
-    if isinstance(x, complex):
-        return Scalar(_float=x)
     return NotImplemented
 
 
@@ -462,8 +395,3 @@ def unit(p, e):
     if s is None:
         s = _UNITS[key] = i_power(p) * SQRT2**e
     return s
-
-
-def approx_equal(x, y, tol=1e-12):
-    """Entrywise comparison usable across exact and float scalars."""
-    return abs(x.to_complex() - y.to_complex()) <= tol

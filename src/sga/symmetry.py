@@ -4,9 +4,12 @@ A plane rotor is exp(-theta/2 * B) for the bivector B of one constructed
 plane.  When both plane axes are spacelike B squares to -1 and the rotor
 is cos(theta/2) - sin(theta/2) B, which is exact in the scalar ring for
 theta a multiple of pi/2.  When exactly one axis is timelike B squares to
-+1 and the rotor is hyperbolic, handled in float mode.  The sign of the
-exponent is fixed so that the chiral vector of the plane picks up
-exp(-i*theta) and an up bit of the plane picks up exp(-i*theta/2).
++1 and the rotor is hyperbolic.  The sign of the exponent is fixed so
+that the chiral vector of the plane picks up exp(-i*theta) and an up bit
+of the plane picks up exp(-i*theta/2).  A rotor at any other angle, a
+boost at nonzero rapidity and a general bivector rotor are float rotors:
+their matrices are numpy complex arrays, built from the generator's
+``to_numpy``, and rotating by one gives a numpy array.
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
@@ -32,8 +35,8 @@ QUARTER = math.pi / 2
 
 @dataclass(frozen=True)
 class Rotor:
-    matrix: Matrix
-    reverse_matrix: Matrix
+    matrix: object  # an exact Matrix, or the numpy array of a float rotor
+    reverse_matrix: object
     mode: str  # "exact" | "float"
     description: str = ""
 
@@ -53,7 +56,8 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
 
     `quarters` counts exact quarter turns (theta = quarters * pi/2);
     `theta` is a float angle.  Exact mode refuses angles that are not
-    multiples of pi/2 and refuses boosts at nonzero rapidity.
+    multiples of pi/2 and refuses boosts at nonzero rapidity; a float
+    rotor holds numpy arrays.
     """
     a1, a2 = rep.plane_built_axes(k)
     v1 = rep.built_axis_matrix(a1)
@@ -82,22 +86,23 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
         m, r = _rotor_from_generator(rep.dim, generator, c, s)
         return Rotor(m, r, "exact", f"plane {k}, {quarters} quarter turns")
 
+    import numpy as np
+
     half = theta / 2.0
     if boost:
         c, s = math.cosh(half), math.sinh(half)
     else:
         c, s = math.cos(half), math.sin(half)
-    m, r = _rotor_from_generator(
-        rep.dim, generator, Scalar.from_complex(c), Scalar.from_complex(s)
-    )
-    return Rotor(m, r, "float", f"plane {k}, angle {theta}")
+    cos_part, sin_part = c * np.eye(rep.dim), s * generator.to_numpy()
+    return Rotor(cos_part - sin_part, cos_part + sin_part, "float", f"plane {k}, angle {theta}")
 
 
 def bivector_rotor(rep, generator, theta, exact=False):
     """Rotor exp(-theta/2 * B) for a general bivector generator matrix.
 
     Exact mode requires B*B = -1 and a quarter-turn angle; otherwise the
-    exponential is evaluated in floats by scaling and squaring.
+    exponential of the generator's numpy array is evaluated in floats by
+    scaling and squaring, and the rotor holds the arrays.
     """
     if exact:
         sq = (generator @ generator).scalar_multiple_of_identity()
@@ -115,31 +120,39 @@ def bivector_rotor(rep, generator, theta, exact=False):
     from scipy.linalg import expm
 
     g = generator.to_numpy()
-    fwd = expm(-0.5 * theta * g)
-    rev = expm(0.5 * theta * g)
-    to_matrix = lambda arr: Matrix(
-        [[Scalar.from_complex(z) for z in row] for row in arr]
-    )
-    return Rotor(to_matrix(fwd), to_matrix(rev), "float", f"bivector, angle {theta}")
+    return Rotor(expm(-0.5 * theta * g), expm(0.5 * theta * g), "float", f"bivector, angle {theta}")
 
 
 def rotate(rep, rotor, x):
-    """Apply a rotor: multivector -> R m R~, column -> R psi, row -> psi. R~."""
-    if isinstance(x, Matrix):
-        if x.ncols == 1:
-            return rotor.matrix @ x
-        if x.nrows == 1:
-            return x @ rotor.reverse_matrix
-        return rotor.matrix @ x @ rotor.reverse_matrix
+    """Apply a rotor: multivector -> R m R~, column -> R psi, row -> psi. R~.
+
+    A Matrix is read as a column, a row or a multivector by its shape, in
+    that order.  An exact rotor gives a Matrix, or an Element of the same
+    species; a float rotor gives the numpy array of the rotated Matrix or
+    payload.  A scalar Element is returned as it is.
+    """
     if isinstance(x, Element):
         if x.species == SCALAR:
             return x
-        if x.species == COLUMN:
-            return Element.column(rep, rotor.matrix @ x.payload)
-        if x.species == ROW:
-            return Element.row(rep, x.payload @ rotor.reverse_matrix)
-        return Element.multivector(rep, rotor.matrix @ x.payload @ rotor.reverse_matrix)
-    raise TypeError("rotate expects a Matrix or an Element")
+        species, m = x.species, x.payload
+    elif isinstance(x, Matrix):
+        species, m = _species_by_shape(x), x
+    else:
+        raise TypeError("rotate expects a Matrix or an Element")
+    if rotor.mode == "float":
+        m = m.to_numpy()
+    if species == COLUMN:
+        out = rotor.matrix @ m
+    elif species == ROW:
+        out = m @ rotor.reverse_matrix
+    else:
+        out = rotor.matrix @ m @ rotor.reverse_matrix
+    return Element(species, out, rep) if isinstance(x, Element) and rotor.mode == "exact" else out
+
+
+def _species_by_shape(m):
+    """COLUMN, ROW or MULTIVECTOR for a Matrix of one column, one row or neither, in that order."""
+    return COLUMN if m.ncols == 1 else ROW if m.nrows == 1 else MULTIVECTOR
 
 
 def reverse_multivector(rep, m):
@@ -153,11 +166,11 @@ def reverse_multivector(rep, m):
 
 
 def metric_preserved(rep, rotor, tol=None):
-    """Check the invariance R^T eps R = eps (exact or within tol)."""
-    lhs = rotor.matrix.transpose() @ rep.eps @ rotor.matrix
-    if tol is None and rotor.mode == "exact":
-        return lhs == rep.eps
-    return lhs.approx_equal(rep.eps, tol or 1e-12)
+    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within tol (1e-12 if None) for a float one."""
+    if rotor.mode == "exact":
+        return rotor.matrix.transpose() @ rep.eps @ rotor.matrix == rep.eps
+    eps = rep.eps.to_numpy()
+    return abs(rotor.matrix.T @ eps @ rotor.matrix - eps).max() <= (tol or 1e-12)
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -179,7 +192,7 @@ def conjugate(rep, x):
             return Element.scalar(rep, x.payload.conjugate())
         species, m = x.species, x.payload
     elif isinstance(x, Matrix):
-        species, m = (COLUMN if x.ncols == 1 else ROW if x.nrows == 1 else MULTIVECTOR), x
+        species, m = _species_by_shape(x), x
     else:
         raise TypeError("conjugate expects a Scalar, Matrix or Element")
     c = rep.monomial("C")
@@ -193,15 +206,11 @@ def conjugate(rep, x):
     return Element(species, out, rep) if isinstance(x, Element) else out
 
 
-def is_real_element(rep, m, tol=None):
+def is_real_element(rep, m):
     """True when a multivector is its own conjugate."""
     if isinstance(m, Element):
         m = m.payload
-    conj = conjugate(rep, Element.multivector(rep, m)).payload
-    exact = all(s.is_exact for _, _, s in m.nonzero_items())
-    if exact and tol is None:
-        return conj == m
-    return conj.approx_equal(m, tol or 1e-12)
+    return conjugate(rep, Element.multivector(rep, m)).payload == m
 
 
 # -- axis reflections ------------------------------------------------------------

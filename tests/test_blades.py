@@ -17,8 +17,6 @@ from sga.blades import (
     chiral_projector,
     decompose_multivector,
     gamma_coefficients,
-    metric_column_map,
-    outer_basis_matrix,
     raised_blade_matrix,
     reconstruct_from_blades,
     reconstruct_from_outer,
@@ -37,6 +35,17 @@ def rep_for(k, m=0, **kw):
     return build_representation(RepConfig(Signature(spacelike=k, timelike=m), **kw))
 
 
+def metric_column_map(rep):
+    """For each bitcode b, the (column, sign) of the single nonzero of e_b. , from the metric map the blades read."""
+    by_row = blades._column_maps(rep)[0]
+    return {b: (col, -ONE if negated else ONE) for b, (col, negated) in zip(rep.bitcodes(), by_row)}
+
+
+def outer_basis_matrix(rep, a, b):
+    """The matrix e_a e_b. (single nonzero entry)."""
+    return outer_product(rep, rep.basis_spinor(a), rep.basis_spinor(b)).payload
+
+
 def test_canonicalize_tracks_the_sign():
     factors, sign = canonicalize([(2, False), (1, False)])
     assert factors == ((1, False), (2, False)) and sign == -1
@@ -52,9 +61,6 @@ def test_blade_index_validation():
     blade = BladeIndex(CHIRAL, ((1, False), (1, True)))
     assert blade.grade == 2
     assert blade.reversal_sign() == -1
-    assert blade.k_charge(1) == 0
-    assert BladeIndex(CHIRAL, ((1, False),)).k_charge(1) == 1
-    assert BladeIndex(CHIRAL, ((1, True), (2, True))).k_charge(2) == -1
     assert blade.label() == "g1^g1bar"
     assert BladeIndex(CHIRAL, ()).label() == "unit"
 

@@ -168,12 +168,15 @@ def test_decompose_of_zero_is_an_empty_object(tmp_path, capsys):
 
 
 def test_decompose_float_matrix(tmp_path, capsys):
+    """JSON floats are read as the exact decimals they print as, so the coefficients are exact."""
     path = tmp_path / "float.json"
-    path.write_text(json.dumps([[[0.0, 0.0], [1.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
+    path.write_text(json.dumps([[[0.0, 0.0], [1.5, 0.1]], [[0.0, 0.0], [0.0, 0.0]]]))
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps([[0, {"re": ["3/2", "0"], "im": ["1/10", "0"]}], [0, 0]]))
     code, out, _ = run(capsys, "decompose", "-K", "2", "--input", str(path))
     assert code == 0
-    blob = json.loads(out)
-    assert set(blob) == {"g1"}
+    assert set(json.loads(out)) == {"g1"}
+    assert run(capsys, "decompose", "-K", "2", "--input", str(exact)) == (0, out, "")
 
 
 def test_decompose_int_matrix_is_exact(tmp_path, capsys):
@@ -186,9 +189,10 @@ def test_decompose_int_matrix_is_exact(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "blob",
-    [{"entries": 5}, 5, [[1, 0], [0]], [1, 0], [["x"]], [[{"re": ["1", "0"]}, 0], [0, 1]]],
+    [{"entries": 5}, 5, [[1, 0], [0]], [1, 0], [["x"]], [[{"re": ["1", "0"]}, 0], [0, 1]],
+     [[float("nan"), 0], [0, 0]], [[float("inf"), 0], [0, 1e308]], [[[0, float("-inf")], 0], [0, 0]]],
     ids=["entries-not-a-list", "not-a-list", "ragged", "rows-not-lists", "string-entry",
-         "dict-entry-without-im"],
+         "dict-entry-without-im", "nan", "infinity", "negative-infinity-in-a-pair"],
 )
 def test_decompose_malformed_matrix_exit_two(tmp_path, capsys, blob):
     path = tmp_path / "bad.json"
@@ -344,3 +348,29 @@ def test_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+EXACT_COMMANDS = """
+import sys
+
+import sga
+from sga.cli import main
+
+build, tables, matrix = sys.argv[1:]
+assert main(["build", "-K", "5", "-o", build]) == 0
+assert main(["tables", "--check-period8", "-o", tables]) == 0
+assert main(["decompose", "-K", "2", "--input", matrix, "-o", build]) == 0
+print(sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
+    """numpy and scipy are imported by float work only, so exact commands start without them."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([[1, {"re": ["1/2", "1"], "im": ["0", "-3"]}], [0.5, 0]]))
+    argv = [str(tmp_path / "build.json"), str(tmp_path / "tables.md"), str(matrix)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", EXACT_COMMANDS, *argv], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -87,16 +87,31 @@ def test_json_shape():
     assert s.to_json() == {"re": ["1/2", "-3"], "im": ["0", "1/4"]}
 
 
-def test_float_mode_round_trip():
-    z = Scalar.from_complex(0.25 - 1.5j)
-    assert not z.is_exact
-    assert Scalar.from_json(z.to_json()) == z
+def test_json_floats_read_as_exact_decimals():
+    """A JSON float, alone, in a pair or in a part, stands for the rational of its shortest decimal."""
+    for blob, want in (
+        (1.5, Scalar(3, 0, 0, 0, 2)),
+        (0.1, Scalar(1, 0, 0, 0, 10)),
+        (-2.0, Scalar(-2)),
+        (1e22, Scalar(10**22)),
+        (2.5e-7, Scalar(1, 0, 0, 0, 4 * 10**6)),
+        ([0.25, -1.5], Scalar(1, 0, -6, 0, 4)),
+        ([1, 0], ONE),
+        ({"re": [0.1, "1/2"], "im": [0, -0.5]}, Scalar(2, 10, 0, -10, 20)),
+    ):
+        got = Scalar.from_json(json.loads(json.dumps(blob)))
+        assert type(got.a) is int and got == want, blob
+        assert Scalar.from_json(json.loads(json.dumps(got.to_json()))) == want
 
 
-def test_mixed_mode_promotes():
-    z = Scalar.from_complex(2.0) * HALF
-    assert not z.is_exact
-    assert z.to_complex() == 1.0
+def test_floats_are_not_scalars():
+    """Floats and complex numbers neither mix with a Scalar in arithmetic nor compare equal to one."""
+    x = Scalar(1, 0, 0, 0, 2)
+    for value in (0.5, 1j, 2.0):
+        for op in (lambda: x + value, lambda: value * x, lambda: x - value, lambda: value / x):
+            with pytest.raises(TypeError):
+                op()
+        assert x != value and value != x
 
 
 def test_real_sign_exact():
@@ -124,10 +139,10 @@ def test_power(x):
 
 
 def test_rational_hash_agrees_with_equality():
-    assert hash(Scalar(1)) == hash(1) == hash(Scalar(1.0)) == hash(Scalar.from_complex(1))
-    assert hash(Scalar(1, 0, 0, 0, 2)) == hash(Fraction(1, 2)) == hash(Scalar(0.5))
+    assert hash(Scalar(1)) == hash(1) == hash(Scalar.from_fraction(Fraction(2, 2)))
+    assert hash(Scalar(1, 0, 0, 0, 2)) == hash(Fraction(1, 2)) == hash(HALF)
     assert hash(Scalar(-3)) == hash(-3)
-    assert len({Scalar(1), Scalar(1.0), 1}) == 1
+    assert len({Scalar(1), Scalar(2, 0, 0, 0, 2), 1, Fraction(1)}) == 1
 
 
 @given(ints, denoms)
@@ -137,16 +152,17 @@ def test_rational_hash_matches_fraction(a, q):
 
 
 def test_json_ints_are_exact():
-    assert Scalar.from_json(3).is_exact and Scalar.from_json(3) == Scalar(3)
-    assert not Scalar.from_json(3.0).is_exact
-    assert not Scalar.from_json([1, 0]).is_exact
+    for blob in (3, 3.0, [3, 0], [3.0, 0.0]):
+        got = Scalar.from_json(blob)
+        assert got == Scalar(3) and type(got.a) is int and hash(got) == hash(3)
 
 
 @pytest.mark.parametrize(
     "blob",
     ["1", True, None, [1], [1, 2, 3], ["1", "0"], {"re": ["1", "0"]},
      {"re": ["x", "0"], "im": ["0", "0"]}, {"re": ["1/0", "0"], "im": ["0", "0"]},
-     {"re": "10", "im": ["0", "0"]}],
+     {"re": "10", "im": ["0", "0"]}, float("nan"), float("inf"), -float("inf"), [float("nan"), 0],
+     [0, float("inf")], {"re": [float("nan"), "0"], "im": ["0", "0"]}],
 )
 def test_json_rejects_malformed(blob):
     with pytest.raises(ValueError):
@@ -154,22 +170,20 @@ def test_json_rejects_malformed(blob):
 
 
 def test_irrational_and_inexact_rationals_never_equal_floats():
-    assert SQRT2 != Scalar(_float=2**0.5)
-    assert len({SQRT2, Scalar(_float=2**0.5)}) == 2
-    assert Scalar(1, 0, 0, 0, 3) != Scalar(_float=1 / 3)
-    assert Fraction(1, 3) != 1 / 3  # the rule Scalar follows
-    assert Scalar(1, 0, 0, 0, 4) == Scalar(_float=0.25) and hash(Scalar(1, 0, 0, 0, 4)) == hash(0.25)
-    assert Scalar(1, 0, -3, 0, 2) == complex(0.5, -1.5)
-    assert hash(Scalar(1, 0, -3, 0, 2)) == hash(complex(0.5, -1.5))
+    """No Scalar equals a float, not even one whose value the float holds exactly."""
+    assert SQRT2 != 2**0.5
+    assert len({SQRT2, 2**0.5}) == 2
+    assert Scalar(1, 0, 0, 0, 3) != 1 / 3
+    assert Scalar(1, 0, 0, 0, 4) != 0.25 and Scalar(1, 0, 0, 0, 4) == Fraction(1, 4)
+    assert Scalar(1, 0, -3, 0, 2) != complex(0.5, -1.5)
 
 
 @given(scalars, scalars)
 def test_equal_scalars_hash_alike(x, y):
-    values = [x, y, Scalar(_float=x.to_complex()), Scalar(_float=y.to_complex()),
-              Scalar(x.a, 0, x.c, 0, x.q), Scalar(x.a, 0, 0, 0, x.q)]
+    values = [x, y, Scalar(x.a, 0, x.c, 0, x.q), Scalar(x.a, 0, 0, 0, x.q), Scalar(0, 0, x.c, 0, x.q),
+              Fraction(x.a, x.q), Fraction(y.a, y.q), x.a]
     for u in values:
-        u_float = Scalar(_float=u.to_complex())
-        for v in values + [u_float, u.to_complex()]:
+        for v in values:
             if u == v:
                 assert hash(u) == hash(v), (u, v)
 
@@ -226,11 +240,3 @@ def test_times_unit_matches_sympy(x, p, e, conj):
     got = x.times_unit(p, e, conj)
     sx = sympy.conjugate(to_sympy(x)) if conj else to_sympy(x)
     assert got == from_sympy(sx * sympy.I**p * RT2**e) and in_lowest_terms(got)
-
-
-def test_times_unit_keeps_a_float_at_the_unit_one():
-    z = Scalar(_float=complex(1.5, -0.0))
-    assert z.times_unit(4) is z
-    assert z.times_unit(0, 0, conj=True).f == complex(1.5, 0.0)
-    assert z.times_unit(1).f == 1j * z.f
-    assert z.times_unit(3, 1, conj=True).f == z.f.conjugate() * (-1j * 2 ** 0.5)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -108,7 +109,32 @@ def test_float_rotor_metric_invariance():
     rep = rep_for(4)
     for _ in range(10):
         rot = plane_rotor(rep, rng.choice((1, 2)), rng.uniform(-6, 6), exact=False)
-        assert metric_preserved(rep, rot, tol=1e-12)
+        assert isinstance(rot.matrix, np.ndarray) and isinstance(rot.reverse_matrix, np.ndarray)
+        assert metric_preserved(rep, rot) and metric_preserved(rep, rot, tol=1e-12)
+    bent = replace(rot, matrix=rot.matrix * (1 + 1e-9))
+    assert not metric_preserved(rep, bent) and metric_preserved(rep, bent, tol=1e-6)
+
+
+def test_rotate_by_a_float_rotor_gives_arrays():
+    rep = rep_for(4)
+    rng = Random(7)
+    rot = plane_rotor(rep, 2, 0.7, exact=False)
+    psi, chi = random_spinor(rep, rng), random_spinor(rep, rng)
+    mv = random_multivector(rep, rng)
+    row = row_of(rep, chi)
+    cases = (
+        (psi, rot.matrix @ psi.to_numpy()),
+        (Element.column(rep, psi), rot.matrix @ psi.to_numpy()),
+        (row, row.payload.to_numpy() @ rot.reverse_matrix),
+        (row.payload, row.payload.to_numpy() @ rot.reverse_matrix),
+        (mv, rot.matrix @ mv.to_numpy() @ rot.reverse_matrix),
+        (Element.multivector(rep, mv), rot.matrix @ mv.to_numpy() @ rot.reverse_matrix),
+    )
+    for x, want in cases:
+        got = rotate(rep, rot, x)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    s = Element.scalar(rep, Scalar(5))
+    assert rotate(rep, rot, s) is s
 
 
 def test_boost_scaling_laws():
@@ -117,7 +143,7 @@ def test_boost_scaling_laws():
     theta = 0.83
     rot = plane_rotor(rep, 2, theta, exact=False)
     g = rep.gamma_chiral(2).to_numpy()
-    got = rot.matrix.to_numpy() @ g @ rot.reverse_matrix.to_numpy()
+    got = rot.matrix @ g @ rot.reverse_matrix
     assert abs(got - g * math.exp(theta)).max() <= 1e-12
     with pytest.raises(ValueError):
         plane_rotor(rep, 2, quarters=1)  # boosts have no exact quarter turn
@@ -140,9 +166,14 @@ def test_extra_odd_rotations_count():
 def test_bivector_rotor_float_matches_exact():
     rep = rep_for(4)
     gen = rep.gamma(1) @ rep.gamma(2)
-    exact = bivector_rotor(rep, gen, math.pi / 2, exact=True)
-    loose = bivector_rotor(rep, gen, math.pi / 2, exact=False)
-    assert loose.matrix.approx_equal(exact.matrix, tol=1e-12)
+    pairs = [(bivector_rotor(rep, gen, math.pi / 2, exact=True), bivector_rotor(rep, gen, math.pi / 2, exact=False))]
+    for k in (1, 2):
+        pairs.append((plane_rotor(rep, k, quarters=1), plane_rotor(rep, k, math.pi / 2, exact=False)))
+    for exact, loose in pairs:
+        assert exact.mode == "exact" and loose.mode == "float"
+        for got, want in ((loose.matrix, exact.matrix), (loose.reverse_matrix, exact.reverse_matrix)):
+            assert isinstance(got, np.ndarray)
+            assert abs(got - want.to_numpy()).max() <= 1e-12
     with pytest.raises(ValueError):
         bivector_rotor(rep, gen, 0.3, exact=True)
 
@@ -218,16 +249,13 @@ def test_conjugate_commutes_rotations():
     psi = random_spinor(rep, rng)
     assert conjugate(rep, rot.matrix @ psi) == rot.matrix @ conjugate(rep, psi)
     # and for a float rotor in the boost plane
+    c = rep.C.to_numpy()
     rotf = plane_rotor(rep, 2, 0.6, exact=False)
-    lhs = rep.C.to_numpy() @ rotf.matrix.to_numpy().conj()
-    rhs = rotf.matrix.to_numpy() @ rep.C.to_numpy()
-    assert abs(lhs - rhs).max() <= 1e-12
+    assert abs(c @ rotf.matrix.conj() - rotf.matrix @ c).max() <= 1e-12
     # including a two-plane float rotor
     gen = rep.gamma(1) @ rep.gamma(3)
     rot2 = bivector_rotor(rep, gen, 0.9)
-    lhs = rep.C.to_numpy() @ rot2.matrix.to_numpy().conj()
-    rhs = rot2.matrix.to_numpy() @ rep.C.to_numpy()
-    assert abs(lhs - rhs).max() <= 1e-12
+    assert abs(c @ rot2.matrix.conj() - rot2.matrix @ c).max() <= 1e-12
 
 
 def test_conjugate_row_and_scalar():
