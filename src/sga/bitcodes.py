@@ -67,11 +67,6 @@ class Bitcode:
         """Invert every bit; an involution."""
         return Bitcode(tuple(not b for b in self.bits))
 
-    def flip_bit(self, k):
-        bits = list(self.bits)
-        bits[k - 1] = not bits[k - 1]
-        return Bitcode(tuple(bits))
-
     def bit(self, k):
         """Bit at 1-based plane position k."""
         if not 1 <= k <= len(self.bits):

@@ -4,6 +4,10 @@ Chiral basis blades are wedges of the 2n chiral generators in the order
 g_1 < g_1bar < g_2 < ... ; orthonormal blades are wedges of distinct
 axes.  A chiral blade is the ordered product of its per-plane factors 1,
 g_k, g_kbar or g_k g_kbar - 1 = Z_k, a masked Pauli string too.
+``blade_matrix`` and ``raised_blade_matrix`` return each blade as that
+``Monomial``, cached per representation as its words, so a decomposition
+or comparison of a blade reads its entries from the words and builds no
+rows.
 
 Under the Jordan-Wigner twist each factor acts on its plane's index bit
 alone, so entry (r, c) of a blade is a Kronecker product of 2x2 factors
@@ -37,7 +41,7 @@ from math import lcm
 
 from .elements import Element, multiply, row_of
 from .matrices import Matrix, Monomial
-from .scalars import HALF, ONE, Scalar, ZERO, unit
+from .scalars import HALF, ONE, Scalar, ZERO, _normalised, unit
 
 CHIRAL = "chiral"
 ORTHONORMAL = "orthonormal"
@@ -112,61 +116,52 @@ def all_chiral_blades(rep):
 
 
 def blade_matrix(rep, blade):
-    """Exact matrix of a canonical basis blade."""
-    return blade_monomial(rep, blade).to_matrix()
-
-
-def blade_monomial(rep, blade):
-    """A canonical basis blade as a signed monomial: the ordered product of its generators."""
+    """A canonical basis blade, the ordered product of its generators, as a ``Monomial``; cached per representation."""
     cached = rep._blade_cache.get(blade)
     if cached is not None:
         return cached
     if blade.kind == CHIRAL:
-        m = _chiral_blade_monomial(rep, blade)
+        m = _chiral_blade(rep, blade)
     else:
         m = Monomial.identity(rep.n_bits)
         for axis in blade.factors:
-            m = m @ rep.gamma_monomial(axis)
+            m = m @ rep.gamma(axis)
     rep._blade_cache[blade] = m
     return m
 
 
-def _chiral_blade_monomial(rep, blade):
+def _chiral_blade(rep, blade):
     # peel off the last plane so prefixes are shared through the cache
     r, c = blade._planes
     if not r | c:
         return Monomial.identity(rep.n_bits)
     top = 1 << ((r | c).bit_length() - 1)
     if (r | c) != top:
-        prefix = blade_monomial(rep, _blade_of_bits(r & ~top, c & ~top))
-        return prefix @ blade_monomial(rep, _blade_of_bits(r & top, c & top))
+        prefix = blade_matrix(rep, _blade_of_bits(r & ~top, c & ~top))
+        return prefix @ blade_matrix(rep, _blade_of_bits(r & top, c & top))
     last = top.bit_length()
     if r & c:  # the paired wedge g gbar - 1 = -i plus_k minus_k
-        return (rep.orth_monomial(last) @ rep.orth_monomial(last, minus=True)).scale(3)
-    return rep.chiral_monomial(last, barred=bool(r))
+        return (rep.gamma_plus(last) @ rep.gamma_minus(last)).times_unit(3)
+    return rep.gamma_chiral(last, barred=bool(r))
 
 
 def raised_blade_matrix(rep, blade):
-    """Matrix of the index-raised blade (bar, metric signs, reversed order)."""
-    return _raised_monomial(rep, blade).to_matrix()
-
-
-def _raised_monomial(rep, blade):
+    """The index-raised blade (bar, metric signs, reversed order) as a ``Monomial``; cached per representation."""
     cached = rep._raised_cache.get(blade)
     if cached is not None:
         return cached
     if blade.kind == CHIRAL:
         barred = [(k, not b) for k, b in blade.factors]
         canon, sign = canonicalize(barred)
-        m = blade_monomial(rep, BladeIndex(CHIRAL, canon))
+        m = blade_matrix(rep, BladeIndex(CHIRAL, canon))
         s = sign * blade.reversal_sign()
     else:
-        m = blade_monomial(rep, blade)
+        m = blade_matrix(rep, blade)
         s = blade.reversal_sign()
         for axis in blade.factors:
             if rep.signature.is_timelike(axis):
                 s = -s
-    out = m.scale(2) if s != 1 else m  # scale(2) is times i**2 = -1
+    out = -m if s != 1 else m
     rep._raised_cache[blade] = out
     return out
 
@@ -230,7 +225,7 @@ def blade_coefficient(rep, blade, m):
     Column i of the raised blade holds one unit, in row i ^ x when
     i & m == v, so row i of m meets it only in its entry m[i, i ^ x].
     """
-    raised = _raised_monomial(rep, blade)
+    raised = raised_blade_matrix(rep, blade)
     x, z, mask, v, p = raised.x, raised.z, raised.m, raised.v, raised.p
     e = raised.e - 2 * rep.n_bits  # the 1 / 2**n as a power of sqrt2
     acc = ZERO
@@ -370,7 +365,7 @@ def _unpacked(v, width, den, e):
     if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
         a, b, c, d = 2 * b, a, 2 * d, c
     h = e >> 1
-    return Scalar(a << h, b << h, c << h, d << h, den) if h >= 0 else Scalar(a, b, c, d, den << -h)
+    return _normalised(a << h, b << h, c << h, d << h, den) if h >= 0 else _normalised(a, b, c, d, den << -h)
 
 
 def gamma_coefficients(rep, blade, a, b):

@@ -51,10 +51,6 @@ from .tables import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _add_signature_args(parser):
     parser.add_argument("-K", "--spacelike", type=int, default=3)
     parser.add_argument("-M", "--timelike", type=int, default=0)
@@ -226,18 +222,14 @@ def cmd_eval(args):
         payload = {
             "species": "formal_sum",
             "terms": [
-                {"species": t.species, "value": _payload_json(t.payload)}
+                {"species": t.species, "value": t.payload.to_json()}
                 for t in result.terms
             ],
         }
     else:
-        payload = {"species": result.species, "value": _payload_json(result.payload)}
+        payload = {"species": result.species, "value": result.payload.to_json()}
     _emit(args, _json_dumps(payload))
     return 0
-
-
-def _payload_json(p):
-    return p.to_json()
 
 
 def cmd_classify(args):

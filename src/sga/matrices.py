@@ -1,38 +1,47 @@
 """Matrices over the exact scalar ring, and the signed monomials among them.
 
-A spinor index is a bitcode, so every basis operator of the chiral
-construction (gammas, metrics, kappa, Gamma, C and blades) is a signed
-monomial: each row holds at most one nonzero, a unit i**p * sqrt2**e.
-Under Jordan-Wigner each is a masked Pauli string i**p * sqrt2**e *
-X**x Z**z P(m, v): two bitcodes, a projector onto the indices whose bits
-in m read v, and a phase.  ``Monomial`` stores those words, so a product,
-transpose or comparison is a few integer operations whatever the
-dimension, and the rows are derived from the words when a Matrix needs
-them.
+``Matrix`` is the exact matrix type.  It keeps each row as a {column:
+Scalar} dict of its nonzero entries only, in increasing column order.
+Sums, products, negation, transposition and comparison cost O(nnz) and
+never scan a zero, and entries that cancel are dropped, so equal
+matrices have equal rows.  The dense ``rows`` view is built on demand
+for elimination and the tests.  JSON holds the nonzero entries only:
+{"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
 
-``Matrix`` is the general exact type, for user input, random matrices,
-products with spinors and JSON.  It keeps each row as a {column: Scalar}
-dict of its nonzero entries only, in increasing column order.  Sums,
-products, negation, transposition and comparison cost O(nnz) and never
-scan a zero, and entries that cancel are dropped, so equal matrices have
-equal rows.  The dense ``rows`` view is built on demand for elimination
-and the tests.  JSON holds the nonzero entries only: {"shape": [nrows,
-ncols], "entries": [[i, j, value], ...]}.
+Two subclasses are kept as their structure, and their rows are derived
+only when someone reads them:
 
-A Matrix made by ``Monomial.to_matrix`` keeps its monomial in the
-``monomial`` attribute, which equality and hashing ignore.  Its negation,
-transpose, conjugate, dagger, scaling by a unit i**p * sqrt2**e and its
-products with another such Matrix are the Matrix of the derived
-monomial.  The arithmetic has three kernels, none of which multiplies
-two Scalars:
+* A spinor index is a bitcode, so every basis operator of the chiral
+  construction (gammas, metrics, kappa, Gamma, C and blades) is a signed
+  monomial: each row holds at most one nonzero, a unit i**p * sqrt2**e.
+  Under Jordan-Wigner each is a masked Pauli string i**p * sqrt2**e *
+  X**x Z**z P(m, v): two bitcodes, a projector onto the indices whose
+  bits in m read v, and a phase.  A ``Monomial`` is that Matrix, stored
+  as those words.  Its negation, transpose, conjugate, dagger, scaling
+  by a unit, comparison and product with another Monomial are a few
+  integer operations whatever the dimension, and its nonzero entries
+  are listed from the words.  Its rows are built on each read and never
+  kept, so a cache of operators holds words only.
+* A column times a row, each with two nonzeros or more, is kept as its
+  factors: an ``OuterProduct`` u v, whose rows are the product's, built
+  on first read.  Negation and nonzero scaling act on v, transposition
+  and ``sandwich`` on both factors ((A u*) (v* B)), a product with a
+  Matrix or an operator on one ((u v) M = u (v M), M (u v) = (M u) v,
+  u v u' v' = u (v u') v'), the trace is v u, and two of them compare
+  by the row and the column through a nonzero entry, so each costs
+  O(dim) or the nonzeros of the other operand instead of dim**2
+  entries.
+
+The arithmetic has three kernels, none of which multiplies two Scalars:
 
 * ``sandwich`` computes A @ m @ B, or A @ conj(m) @ B, for monomials A
   and B (either may be absent) in one pass over m's nonzeros: each entry
   is moved to its place and multiplied once by the product of its units,
   with the conjugation folded in (``Scalar.times_unit``); for e = 0 that
   only permutes and negates the numerators, and an entry whose unit is 1
-  is shared.  A product with one operator factor, ``Matrix.conj`` and
-  ``symmetry.conjugate`` (C psi*, C m* C^dagger) all run on it;
+  is shared.  A product of a Monomial with any other Matrix,
+  ``Matrix.conj`` and ``symmetry.conjugate`` (C psi*, C m* C^dagger)
+  all run on it;
 * ``_times_row`` multiplies one Scalar into a row by the
   Q(i, sqrt2) product formula on raw numerators, one normalised Scalar
   per entry.  ``Matrix.scale`` by a non-unit and every product row with
@@ -44,16 +53,6 @@ two Scalars:
 
 Every entry is an exact Scalar; float work, such as a rotor at an angle
 outside the quarter turns, runs on the numpy array of ``to_numpy``.
-
-Next to the three kernels, a column times a row, each with two nonzeros
-or more, is kept as its factors: an ``OuterProduct`` u v, whose rows are
-the product's, built on first read.  Negation and nonzero scaling act
-on v, transposition and ``sandwich`` on both factors ((A u*) (v* B)), a
-product with a Matrix or an operator on one
-((u v) M = u (v M), M (u v) = (M u) v, u v u' v' = u (v u') v'), the
-trace is v u, and two of them compare by the row and the column through
-a nonzero entry, so each costs O(dim) or the nonzeros of the other
-operand instead of dim**2 entries.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _canonical(acc):
 
 
 class Matrix:
-    __slots__ = ("sparse_rows", "nrows", "ncols", "monomial")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         """A matrix from dense rows of Scalars.
@@ -128,7 +127,6 @@ class Matrix:
         self.sparse_rows = tuple(rows)
         self.nrows = len(self.sparse_rows)
         self.ncols = ncols
-        self.monomial = None  # the signed monomial this matrix equals, when it was made from one
 
     # -- constructors --------------------------------------------------
 
@@ -236,23 +234,15 @@ class Matrix:
         return Matrix(rows, self.ncols)
 
     def __neg__(self):
-        if self.monomial is not None:
-            return self.monomial.scale(2).to_matrix()  # times i**2 = -1
         return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
 
     def scale(self, s):
-        """This matrix times s: a Scalar, an int or a Fraction.
-
-        An operator Matrix scaled by a unit i**p * sqrt2**e gives the
-        operator Matrix of the scaled monomial.
-        """
+        """This matrix times s: a Scalar, an int or a Fraction."""
         s = _coerce(s)
         if s is NotImplemented:
             raise TypeError("a matrix scales by a Scalar, an int or a Fraction")
         if s == ONE:
             return self
-        if self.monomial is not None and (u := _unit_exponents(s)) is not None:
-            return self.monomial.scale(*u).to_matrix()
         if s == _MINUS_ONE:
             return -self
         if s.is_zero():
@@ -267,17 +257,11 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        if self.monomial is not None:
-            return sandwich(self.monomial, other)
-        if other.monomial is not None:
-            return sandwich(None, self, other.monomial)
         if self.ncols == 1 and _keeps_factors(self, other):
             return OuterProduct(self, other)
         return Matrix(_exact_product(self.sparse_rows, other.sparse_rows), other.ncols)
 
     def transpose(self):
-        if self.monomial is not None:
-            return self.monomial.transpose().to_matrix()
         cols = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.sparse_rows):
             for j, s in row.items():
@@ -289,8 +273,6 @@ class Matrix:
         return sandwich(None, self, conj=True)
 
     def dagger(self):
-        if self.monomial is not None:
-            return self.monomial.dagger().to_matrix()
         return self.conj().transpose()
 
     def trace(self):
@@ -464,7 +446,6 @@ class OuterProduct(Matrix):
     def __init__(self, u, v):
         self.u, self.v = u, v
         self.nrows, self.ncols = u.nrows, v.ncols
-        self.monomial = None
         self._rows = None
 
     @property
@@ -544,18 +525,16 @@ def sandwich(left, m, right=None, conj=False):
     k ^ right.x, and each entry is multiplied once, by the product of its
     two units with the conjugation folded in (``times_unit``): one
     Scalar, or the entry itself when that unit is 1 and m is not
-    conjugated.  An operator m (one with ``monomial`` set) gives the
-    operator Matrix of the monomial product.
+    conjugated.  A Monomial m gives the Monomial of the word product.
     """
-    if (left is not None and left.dim != m.nrows) or (right is not None and right.dim != m.ncols):
+    if (left is not None and left.nrows != m.nrows) or (right is not None and right.nrows != m.ncols):
         raise ValueError("matrix shape mismatch in product")
-    mono = m.monomial
-    if mono is not None:
+    if isinstance(m, Monomial):
         if conj:
-            mono = mono.conj()
+            m = m.conj()
         if left is not None:
-            mono = left @ mono
-        return (mono if right is None else mono @ right).to_matrix()
+            m = left @ m
+        return m if right is None else m @ right
     if type(m) is OuterProduct:  # (A u*) (v* B)
         return OuterProduct(sandwich(left, m.u, None, conj), sandwich(None, m.v, right, conj))
     rows = m.sparse_rows
@@ -563,7 +542,7 @@ def sandwich(left, m, right=None, conj=False):
         el, out = 0, [{}] * len(rows)
         sources = ((i, rows[i], 0) for i in compress(range(len(rows)), rows))
     else:
-        el, out = left.e, [{}] * left.dim
+        el, out = left.e, [{}] * left.nrows
         sources = ((i, rows[j], p) for i, j, p in left.row_items())
     if right is None:
         for i, src, pl in sources:
@@ -587,7 +566,7 @@ def sandwich(left, m, right=None, conj=False):
                 s = s.times_unit(pl + pr, e, conj)
             acc[j] = s
         out[i] = {j: acc[j] for j in sorted(acc)} if x and len(acc) > 1 else acc
-    return Matrix(out, right.dim)
+    return Matrix(out, right.ncols)
 
 
 def _numerators(row):
@@ -662,21 +641,26 @@ def _exact_product(left, right):
                     t[2] += c
                     t[3] += d
         den = q_row * q_right
-        out[i] = {j: Scalar(*t, den) for j in sorted(acc) if any(t := acc[j])}
+        out[i] = {j: _normalised(*t, den) for j in sorted(acc) if any(t := acc[j])}
     return out
 
 
-class Monomial:
-    """The operator i**p * sqrt2**e * X**x Z**z P(m, v) on indices of n bits.
+class Monomial(Matrix):
+    """The square Matrix i**p * sqrt2**e * X**x Z**z P(m, v) on indices of n bits, kept as its words.
 
     Column j goes to row j ^ x with the unit i**(p + 2|j & z|) * sqrt2**e
     when j & m == v, and is empty otherwise; |.| counts bits.  The words
     are canonical (z & m == 0, v a submask of m, 0 <= p < 4), so equal
     operators have equal words.  The zero operator, which a product of
     nilpotent generators reaches, has v = -1 and every other word 0.
+
+    Its values, hash and JSON are those of its rows, which are derived
+    from the words on each read and not kept.  Listing its nonzero
+    entries and comparing it with any Matrix walk the words, and a
+    product with a Matrix that is not a Monomial is one ``sandwich`` pass.
     """
 
-    __slots__ = ("n", "x", "z", "m", "v", "p", "e", "_entries")
+    __slots__ = ("n", "x", "z", "m", "v", "p", "e")
 
     def __init__(self, n, x=0, z=0, m=0, v=0, p=0, e=0):
         if n < 0 or (x | z | m | v) >> n or v & ~m:
@@ -684,7 +668,7 @@ class Monomial:
         self.n, self.x, self.z, self.m, self.v = n, x, z & ~m, m, v
         self.p = (p + 2 * (z & v).bit_count()) & 3
         self.e = e
-        self._entries = None
+        self.nrows = self.ncols = 1 << n
 
     @classmethod
     def identity(cls, n):
@@ -696,10 +680,6 @@ class Monomial:
         out.v = -1
         return out
 
-    @property
-    def dim(self):
-        return 1 << self.n
-
     def row_items(self):
         """(i, j, q) of every nonempty row i, i increasing: its column j and the phase q of its unit.
 
@@ -708,7 +688,7 @@ class Monomial:
         if self.v < 0:
             return
         x, z, p = self.x, self.z, self.p
-        free = ~self.m & (self.dim - 1)
+        free = ~self.m & (self.nrows - 1)
         base = self.v ^ (x & self.m)
         f = 0
         while True:
@@ -718,28 +698,33 @@ class Monomial:
                 return
             f = (f - free) & free
 
-    @property
-    def entries(self):
-        """(i, j, p, e) of every nonempty row, i increasing; listed once, on first use."""
-        if self._entries is None:
-            e = self.e
-            self._entries = tuple((i, j, p, e) for i, j, p in self.row_items())
-        return self._entries
+    def _units(self):
+        """{q: i**q * sqrt2**e} for the two phases q that Z**z gives the rows."""
+        return {q: unit(q, self.e) for q in (self.p, self.p ^ 2)}
 
     @property
-    def units(self):
-        """The distinct (p, e) of the nonempty rows: Z**z signs some kept columns and not others."""
-        if self.v < 0:
-            return frozenset()
-        if self.z:
-            return frozenset({(self.p, self.e), (self.p ^ 2, self.e)})
-        return frozenset({(self.p, self.e)})
+    def sparse_rows(self):
+        rows = [{}] * self.nrows
+        units = self._units()
+        for i, j, q in self.row_items():
+            rows[i] = {j: units[q]}
+        return tuple(rows)
+
+    def nonzero_items(self):
+        units = self._units()
+        for i, j, q in self.row_items():
+            yield i, j, units[q]
+
+    def is_zero(self):
+        return self.v < 0
 
     def __matmul__(self, other):
         """The product self @ other: column j goes through other, then through self."""
+        if type(other) is not Monomial:
+            return sandwich(self, other)
         n = self.n
         if n != other.n:
-            raise ValueError("monomial dimension mismatch in product")
+            raise ValueError("matrix shape mismatch in product")
         if self.v < 0 or other.v < 0:
             return Monomial.zero(n)
         x2, m1, m2 = other.x, self.m, other.m
@@ -749,11 +734,24 @@ class Monomial:
         return Monomial(n, self.x ^ x2, self.z ^ other.z, m1 | m2, v1 | other.v,
                         self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
 
-    def scale(self, p, e=0):
+    def __rmatmul__(self, other):
+        return sandwich(None, other, self)
+
+    def times_unit(self, p, e=0):
         """This operator times the unit i**p * sqrt2**e."""
         if self.v < 0:
             return self
         return Monomial(self.n, self.x, self.z, self.m, self.v, self.p + p, self.e + e)
+
+    def scale(self, s):
+        """This operator times s; a unit i**p * sqrt2**e gives a Monomial."""
+        t = _coerce(s)
+        if t is not NotImplemented and (u := _unit_exponents(t)) is not None:
+            return self.times_unit(*u)
+        return Matrix.scale(self, s)
+
+    def __neg__(self):
+        return self.times_unit(2)  # times i**2 = -1
 
     def transpose(self):
         if self.v < 0:
@@ -764,7 +762,7 @@ class Monomial:
 
     def conj(self):
         """The entrywise complex conjugate: the phase negated."""
-        return self.scale(-2 * self.p)
+        return self.times_unit(-2 * self.p)
 
     def dagger(self):
         """The conjugate transpose."""
@@ -774,28 +772,40 @@ class Monomial:
         """1 if this operator equals `other`, -1 if it equals -other, else 0."""
         if self == other:
             return 1
-        return -1 if self == other.scale(2) else 0  # scale(2) is times i**2 = -1
-
-    def to_matrix(self):
-        """The equal Matrix, which keeps this monomial for its products."""
-        rows = [{}] * self.dim
-        units = {q: unit(q, self.e) for q in (self.p, self.p ^ 2)}
-        for i, j, p in self.row_items():
-            rows[i] = {j: units[p]}
-        m = Matrix(rows, self.dim)
-        m.monomial = self
-        return m
+        return -1 if self == -other else 0
 
     def _words(self):
         return self.n, self.x, self.z, self.m, self.v, self.p, self.e
 
     def __eq__(self, other):
-        if not isinstance(other, Monomial):
+        if type(other) is Monomial:
+            return self._words() == other._words()
+        if not isinstance(other, Matrix):
             return NotImplemented
-        return self._words() == other._words()
+        if other.nrows != self.nrows or other.ncols != self.ncols:
+            return False
+        if self.v < 0:
+            return other.is_zero()
+        # each nonempty row of other must be the row the words give, and there must be as many
+        x, z, mask, p = self.x, self.z, self.m, self.p
+        kept, units, count = self.v ^ (x & mask), self._units(), 0
+        rows = other.sparse_rows
+        for i in compress(range(len(rows)), rows):
+            row, j = rows[i], i ^ x
+            if i & mask != kept or len(row) != 1 or j not in row:
+                return False
+            s, u = row[j], units[p ^ 2 * ((j & z).bit_count() & 1)]
+            if s is not u and s != u:
+                return False
+            count += 1
+        return count == self.nrows >> mask.bit_count()
 
-    def __hash__(self):
-        return hash(self._words())
+    __hash__ = Matrix.__hash__
+
+    def __reduce__(self):  # copy and pickle the words: the rows are derived, not stored
+        if self.v < 0:
+            return Monomial.zero, (self.n,)
+        return Monomial, self._words()
 
     def __repr__(self):
         return "Monomial(n={}, x={}, z={}, m={}, v={}, p={}, e={})".format(*self._words())

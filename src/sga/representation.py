@@ -29,17 +29,18 @@ operator of the even subalgebra; the ``embed_*`` modes build the even
 the extra vector as a scalar (rotation-inert) dimension, which also
 enables the primed metric variants.
 
-Every operator is built, multiplied and held as a ``Monomial``, a masked
-Pauli string of a few words, with no per-row list; the Matrix attributes
-and accessors return the equal ``Matrix``, converted once per distinct
-operator, on first read.  That Matrix keeps its monomial, so a product
-with it gathers or relabels the other factor's entries instead of
-multiplying Scalars.
+Every operator is built, multiplied and held as a ``Monomial``, the
+Matrix kept as a masked Pauli string of a few words, with no per-row
+list.  The attributes and accessors return those operators themselves,
+so a product of two is a word product, and a product with any other
+Matrix gathers or relabels that factor's entries instead of multiplying
+Scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bitcodes import Bitcode
 from .matrices import Matrix, Monomial, max_dimension
@@ -138,48 +139,18 @@ def _even_core(pairs):
     }
 
 
-# Operators built on first use, since the tables never read them.  They
-# are functions of the representation, not bound to it, so that holding
-# them makes no reference cycle that would keep it alive.
-_DEFERRED = {
-    "eps_T": lambda rep: rep.monomial("eps").transpose(),
-    "pseudoscalar": lambda rep: rep._build_pseudoscalar(),
-    "C": lambda rep: rep.monomial("eps") @ rep.monomial("Gamma").transpose(),
-}
-
-
-def _converted(name):
-    """A read-only attribute: the Matrix of the operator monomial `name`, converted on first read."""
-
-    def get(self):
-        mono = self.monomial(name)
-        return None if mono is None else self._matrix(mono)
-
-    return property(get, doc=f"The Matrix of ``monomial({name!r})``.")
-
-
 class Representation:
     """All constructed operators for one (signature, metric, odd-mode) choice.
 
-    Every operator is built and held as a signed monomial.  The Matrix
-    attributes below and the gamma accessors convert their monomial on
-    first read and cache the Matrix; the spinor bitcodes, the blades and
-    the metric column map are likewise cached on first use.  Nothing else
-    changes after construction, and a first use yields equal results in
-    any thread (the Matrix cache keeps the first one stored), so
-    concurrent first use is harmless.
+    Every operator is a ``Monomial``: the attributes kappa_diag, kappa,
+    eps_std, eps_alt, eps, scalar_axis_matrix (None unless an embed odd
+    mode) and Gamma are built with the representation, and eps_T,
+    pseudoscalar and C on first read, since the tables never read them.
+    The spinor bitcodes, the blades and the metric column map are cached
+    on first use.  Nothing else changes after construction, and a first
+    use yields equal results in any thread, so concurrent first use is
+    harmless.
     """
-
-    kappa_diag = _converted("kappa_diag")
-    kappa = _converted("kappa")
-    eps_std = _converted("eps_std")
-    eps_alt = _converted("eps_alt")
-    eps = _converted("eps")
-    eps_T = _converted("eps_T")
-    scalar_axis_matrix = _converted("scalar_axis_matrix")  # None unless an embed odd mode
-    pseudoscalar = _converted("pseudoscalar")
-    Gamma = _converted("Gamma")
-    C = _converted("C")
 
     def __init__(self, config):
         sig = config.signature
@@ -206,21 +177,20 @@ class Representation:
         self.dim = core["dim"]
         self._chiral = core["chiral"]
         self._orth = core["orth"]
-        self._matrices = {}  # operator monomial -> its Matrix
-        kappa_diag = core["kappa"]
+        self.kappa_diag = kappa_diag = core["kappa"]
         full = [m for pair in self._orth for m in pair]
 
         # map the algebra's N orthonormal axes onto built operators (spacelike forms)
         scalar_axis = None
         if not self.is_odd:
             spacelike = full
-            kappa = kappa_diag
-            eps_std = core["eps_std"]
-            eps_alt = core["eps_alt"]
+            self.kappa = kappa_diag
+            self.eps_std = core["eps_std"]
+            self.eps_alt = core["eps_alt"]
         elif config.odd_mode == "project":
             spacelike = full + [kappa_diag]  # the final vector
-            kappa = Monomial.identity(self.n_bits)
-            eps_std = eps_alt = core["eps_alt"]
+            self.kappa = Monomial.identity(self.n_bits)
+            self.eps_std = self.eps_alt = core["eps_alt"]
         else:
             if config.odd_mode == "embed_scalar_n":
                 active = list(range(n_total - 1)) + [n_total]
@@ -230,27 +200,19 @@ class Representation:
                 scalar_axis = full[n_total]
             spacelike = [full[a] for a in active]
             self._active_built_axes = tuple(a + 1 for a in active)
-            kappa = kappa_diag
-            eps_std = core["eps_std"]
-            eps_alt = self._partial_alt_metric((n_total - 1) // 2)
+            self.kappa = kappa_diag
+            self.eps_std = core["eps_std"]
+            self.eps_alt = self._partial_alt_metric((n_total - 1) // 2)
 
         self._spacelike = spacelike
-        eps = self._select_metric(core, eps_std, eps_alt, scalar_axis)
-        self.metric_square_sign = self._square_sign(eps, "spinor metric")
+        self.scalar_axis_matrix = scalar_axis
+        self.eps = self._select_metric(core, scalar_axis)
+        self.metric_square_sign = self._square_sign(self.eps, "spinor metric")
         self._gammas = [
-            g.scale(1) if sig.is_timelike(a + 1) else g  # timelike: times i
+            g.times_unit(1) if sig.is_timelike(a + 1) else g  # timelike: times i
             for a, g in enumerate(spacelike)
         ]
-        Gamma, self.gamma_phase = self._build_time_product()
-        self._monomials = {
-            "kappa_diag": kappa_diag,
-            "kappa": kappa,
-            "eps_std": eps_std,
-            "eps_alt": eps_alt,
-            "eps": eps,
-            "scalar_axis_matrix": scalar_axis,
-            "Gamma": Gamma,
-        }
+        self.Gamma, self.gamma_phase = self._build_time_product()
 
         self._blade_cache = {}
         self._raised_cache = {}
@@ -258,13 +220,6 @@ class Representation:
         self._codes = None
 
     # -- helpers used during construction --------------------------------
-
-    def _matrix(self, mono):
-        """The Matrix of one of this representation's operator monomials, converted once."""
-        m = self._matrices.get(mono)
-        if m is None:
-            m = self._matrices.setdefault(mono, mono.to_matrix())
-        return m
 
     def _square_sign(self, m, what):
         sign = (m @ m).sign_against(Monomial.identity(self.n_bits))
@@ -275,31 +230,20 @@ class Representation:
     def _partial_alt_metric(self, pairs):
         m = Monomial.identity(self.n_bits)
         for k in range(pairs):
-            m = m @ self._orth[k][1].scale(1)  # i minus_k
+            m = m @ self._orth[k][1].times_unit(1)  # i minus_k
         return m
 
-    def _select_metric(self, core, eps_std, eps_alt, scalar_axis):
+    def _select_metric(self, core, scalar_axis):
         choice = self.config.metric
         if not self.is_odd or self.odd_mode == "project":
-            return eps_std if choice in ("standard", "prime_standard") else eps_alt
+            return self.eps_std if choice in ("standard", "prime_standard") else self.eps_alt
         if choice == "standard":
-            return eps_std
+            return self.eps_std
         if choice == "alternative":
-            return eps_alt
+            return self.eps_alt
         if choice == "prime_standard":
             return core["eps_std"] @ scalar_axis
         return core["eps_alt"]  # prime_alternative
-
-    def _build_pseudoscalar(self):
-        ps = Monomial.identity(self.n_bits)
-        if self.is_odd and self.odd_mode == "project":
-            ps = ps.scale(self.n_bits)
-        else:
-            for g in self._spacelike:
-                ps = ps @ g
-        if self.config.timelike_pseudoscalar_phase and self.signature.timelike:
-            ps = ps.scale(self.signature.timelike)
-        return ps
 
     def _build_time_product(self):
         """Gamma, the phased product of the timelike vectors, and its phase."""
@@ -309,7 +253,29 @@ class Representation:
         phase = 0 if self.config.gamma_phase_sign == 1 else 2  # as a power of i
         if self._square_sign(raw, "time product") == -1:
             phase += 3 if self.signature.timelike == 1 else 1
-        return raw.scale(phase), i_power(phase)
+        return raw.times_unit(phase), i_power(phase)
+
+    # -- operators built on first read ----------------------------------------
+
+    @cached_property
+    def eps_T(self):
+        return self.eps.transpose()
+
+    @cached_property
+    def pseudoscalar(self):
+        ps = Monomial.identity(self.n_bits)
+        if self.is_odd and self.odd_mode == "project":
+            ps = ps.times_unit(self.n_bits)
+        else:
+            for g in self._spacelike:
+                ps = ps @ g
+        if self.config.timelike_pseudoscalar_phase and self.signature.timelike:
+            ps = ps.times_unit(self.signature.timelike)
+        return ps
+
+    @cached_property
+    def C(self):
+        return self.eps @ self.Gamma.transpose()
 
     # -- spinor indexing ---------------------------------------------------
 
@@ -338,60 +304,30 @@ class Representation:
 
     # -- operator accessors --------------------------------------------------
 
-    def monomial(self, name):
-        """The operator behind the Matrix attribute `name` (``eps``, ``C``, ...) as a signed monomial."""
-        if name in _DEFERRED and name not in self._monomials:
-            self._monomials.setdefault(name, _DEFERRED[name](self))
-        return self._monomials[name]
-
-    def monomial_of(self, op):
-        """The signed monomial of `op`, a Matrix this representation returned; a Monomial is returned as it is."""
-        if isinstance(op, Monomial):
-            return op
-        mono = getattr(op, "monomial", None)
-        if mono is not None and self._matrices.get(mono) is op:
-            return mono
-        raise ValueError("not an operator matrix of this representation")
-
     def gamma(self, axis):
         """Orthonormal basis vector for axis in 1..N (timelike carry a factor i)."""
-        if not 1 <= axis <= self.N:
-            raise ValueError(f"axis {axis} out of range 1..{self.N}")
-        return self._matrix(self.gamma_monomial(axis))
-
-    def gamma_monomial(self, axis):
-        """``gamma(axis)`` as a signed monomial."""
-        if not 1 <= axis <= self.N:
-            raise ValueError(f"axis {axis} out of range 1..{self.N}")
+        self._check_axis(axis)
         return self._gammas[axis - 1]
 
     def gamma_spacelike_form(self, axis):
-        return self._matrix(self.spacelike_monomial(axis))
-
-    def spacelike_monomial(self, axis):
-        """``gamma_spacelike_form(axis)`` as a signed monomial."""
-        if not 1 <= axis <= self.N:
-            raise ValueError(f"axis {axis} out of range 1..{self.N}")
+        self._check_axis(axis)
         return self._spacelike[axis - 1]
 
     def gamma_plus(self, k):
-        return self._matrix(self.orth_monomial(k))
+        self._check_pair(k)
+        return self._orth[k - 1][0]
 
     def gamma_minus(self, k):
-        return self._matrix(self.orth_monomial(k, minus=True))
-
-    def orth_monomial(self, k, minus=False):
-        """``gamma_minus(k)`` or ``gamma_plus(k)`` as a signed monomial."""
         self._check_pair(k)
-        return self._orth[k - 1][1 if minus else 0]
+        return self._orth[k - 1][1]
 
     def gamma_chiral(self, k, barred=False):
-        return self._matrix(self.chiral_monomial(k, barred))
-
-    def chiral_monomial(self, k, barred=False):
-        """``gamma_chiral(k, barred)`` as a signed monomial."""
         self._check_pair(k)
         return self._chiral[k - 1][1 if barred else 0]
+
+    def _check_axis(self, axis):
+        if not 1 <= axis <= self.N:
+            raise ValueError(f"axis {axis} out of range 1..{self.N}")
 
     def _check_pair(self, k):
         if not 1 <= k <= self.n_bits:
@@ -429,8 +365,8 @@ class Representation:
         k, rem = divmod(built_axis - 1, 2)
         m = self._orth[k][rem]
         if self.built_axis_is_timelike(built_axis):
-            m = m.scale(1)  # times i
-        return self._matrix(m)
+            m = m.times_unit(1)  # times i
+        return m
 
     # -- serialization ----------------------------------------------------
 

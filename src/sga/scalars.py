@@ -36,6 +36,9 @@ class Scalar:
     __slots__ = ("a", "b", "c", "d", "q")
 
     def __init__(self, a=0, b=0, c=0, d=0, q=1):
+        for n in (a, b, c, d, q):
+            if not isinstance(n, int):
+                raise TypeError(f"a Scalar's numerators and denominator are ints, not {type(n).__name__}")
         if q != 1:
             if q == 0:
                 raise ZeroDivisionError("scalar denominator is zero")
@@ -75,9 +78,6 @@ class Scalar:
 
     def is_real(self):
         return self.c == 0 and self.d == 0
-
-    def is_rational(self):
-        return self.b == 0 and self.c == 0 and self.d == 0
 
     def real_sign(self):
         """Exact sign of the real part a/q + (b/q)*sqrt2 (-1, 0 or +1)."""

@@ -40,9 +40,6 @@ class Rotor:
     mode: str  # "exact" | "float"
     description: str = ""
 
-    def reversed(self):
-        return Rotor(self.reverse_matrix, self.matrix, self.mode, self.description)
-
 
 def _rotor_from_generator(dim, generator, c, s):
     ident = Matrix.identity(dim)
@@ -181,7 +178,7 @@ def conjugate(rep, x):
 
     A row psi^T eps conjugates to (C psi*)^T eps, which is conj(row) @
     eps^T C^T eps.  Each species takes one ``sandwich`` pass with the
-    monomials of C, so no intermediate Matrix is built.  A Matrix is read
+    words of C, so no intermediate Matrix is built.  A Matrix is read
     as a column, a row or a multivector by its shape; at dim 1, where the
     shapes agree, pass an Element to name its species.
     """
@@ -195,11 +192,11 @@ def conjugate(rep, x):
         species, m = _species_by_shape(x), x
     else:
         raise TypeError("conjugate expects a Scalar, Matrix or Element")
-    c = rep.monomial("C")
+    c = rep.C
     if species == COLUMN:
         out = sandwich(c, m, conj=True)
     elif species == ROW:
-        eps = rep.monomial("eps")
+        eps = rep.eps
         out = sandwich(None, m, eps.transpose() @ c.transpose() @ eps, conj=True)
     else:
         out = sandwich(c, m, c.dagger(), conj=True)
@@ -234,7 +231,7 @@ def axis_reflection_classify(rep, generators):
         axes = list(generators)
         if len(set(axes)) != len(axes) or not axes:
             raise ValueError("generators must be a nonempty set of distinct axes")
-        x = Monomial.identity(rep.n_bits).to_matrix()  # an operator, so each product stays one
+        x = Monomial.identity(rep.n_bits)
         for a in axes:
             x = x @ rep.gamma(a)
         member_axes = set(axes)

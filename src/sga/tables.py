@@ -9,10 +9,10 @@ Three tables are generated from first principles and never hard-coded:
   * conjugation table: the symmetry of the conjugation operator per
     signature, which depends only on K - M mod 8.
 
-Every sign is computed on the representation's signed monomials (eps,
-the spacelike generators and C): products, transposes and equality of
-their Pauli-string words, with -1 tested as the phase i**2.  No Matrix
-is built.
+Every sign is computed on the representation's operators (eps, the
+spacelike generators and C), which are ``Monomial`` words: products,
+transposes and equality of Pauli strings, with -1 tested as the phase
+i**2.  No row is built.
 
 The period-8 checker asserts row equality at keys eight apart over a
 range of at least nine consecutive values.
@@ -61,7 +61,7 @@ class ConjugationRow:
 
 
 def _sign(a, b, failure):
-    """+1 if the monomials a == b, -1 if a == -b; otherwise an AssertionError."""
+    """+1 if the operators a == b, -1 if a == -b; otherwise an AssertionError."""
     sign = a.sign_against(b)
     if not sign:
         raise AssertionError(failure)
@@ -92,7 +92,7 @@ def metric_symmetry_table(n_max, n_min=1):
     rows = []
     for n in _keys(n_min, n_max, "N"):
         rep = _rep_for(n)
-        eps_std, eps_alt = rep.monomial("eps_std"), rep.monomial("eps_alt")
+        eps_std, eps_alt = rep.eps_std, rep.eps_alt
         sq_std = _square_sign(eps_std)
         sq_alt = _square_sign(eps_alt)
         if _symmetry_sign(eps_std) != sq_std or _symmetry_sign(eps_alt) != sq_alt:
@@ -104,13 +104,14 @@ def metric_symmetry_table(n_max, n_min=1):
 def commutation_sign(rep, eps):
     """The global sign s with gamma^T eps = s eps gamma for every vector.
 
-    `eps` is a metric monomial of `rep`, or a Matrix that `rep` returned
-    for one (such as ``rep.eps``).
+    `eps` is a metric operator, a ``Monomial`` such as ``rep.eps``; a
+    Matrix of any other type is a ValueError.
     """
-    eps = rep.monomial_of(eps)
+    if not isinstance(eps, Monomial):
+        raise ValueError("commutation_sign needs a metric operator (a Monomial), not a dense Matrix")
     sign = None
     for a in range(1, rep.N + 1):
-        g = rep.spacelike_monomial(a)
+        g = rep.gamma_spacelike_form(a)
         s = _sign(g.transpose() @ eps, eps @ g, "vector transpose law has no uniform sign")
         if sign is None:
             sign = s
@@ -126,8 +127,8 @@ def gamma_commutation_table(n_max, n_min=1):
         rows.append(
             CommutationRow(
                 n,
-                commutation_sign(rep, rep.monomial("eps_std")),
-                commutation_sign(rep, rep.monomial("eps_alt")),
+                commutation_sign(rep, rep.eps_std),
+                commutation_sign(rep, rep.eps_alt),
             )
         )
     return rows
@@ -137,7 +138,7 @@ def _conjugation_symmetry(spacelike, timelike, metric):
     rep = build_representation(
         RepConfig(Signature(spacelike=spacelike, timelike=timelike), metric=metric)
     )
-    return _symmetry_sign(rep.monomial("C"))
+    return _symmetry_sign(rep.C)
 
 
 def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):

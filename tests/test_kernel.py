@@ -9,8 +9,9 @@ the blade coefficients of the per-plane transform against trace(raised @
 m) / dim computed the same way and against ``blade_coefficient``.
 Orthonormal blades are also checked against the bitmap product of
 geometric algebra, which needs no matrices, in up to 64 dimensions, and
-the axes against the Clifford relations.  The factored outer product is
-checked against the plain Matrix of its rows.
+the axes against the Clifford relations.  Each word operation of a
+Monomial, and the factored outer product, is checked against the plain
+Matrix of its rows on the general kernel.
 """
 
 import copy
@@ -42,7 +43,7 @@ from sga.representation import (
     METRIC_CHOICES, ODD_MODES, RepConfig, Signature, _even_core, build_representation,
 )
 from sga.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar, i_power, unit
-from sga.symmetry import conjugate
+from sga.symmetry import conjugate, metric_preserved, plane_rotor
 
 
 # -- the block-doubling oracle -------------------------------------------------
@@ -408,7 +409,7 @@ def word_gammas(n, timelike):
     """
     core = _even_core(n // 2)
     gammas = [g for pair in core["orth"] for g in pair] + [core["kappa"]] * (n % 2)
-    return [g.scale(1) if timelike >> a & 1 else g for a, g in enumerate(gammas)]
+    return [g.times_unit(1) if timelike >> a & 1 else g for a, g in enumerate(gammas)]
 
 
 def word_blade(gammas, bitmap):
@@ -433,7 +434,7 @@ def test_orthonormal_blades_multiply_like_bitmaps(case):
     gammas = word_gammas(n, timelike)
     sign, ab = bitmap_blade_product(a, b, [-1 if timelike >> k & 1 else 1 for k in range(n)])
     want = word_blade(gammas, ab)
-    assert word_blade(gammas, a) @ word_blade(gammas, b) == (want if sign == 1 else want.scale(2))
+    assert word_blade(gammas, a) @ word_blade(gammas, b) == (want if sign == 1 else -want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,6 +452,23 @@ def test_bitmap_product_agrees_with_the_blade_matrices(case):
 
 
 # -- the monomial type against Matrix ------------------------------------------
+
+
+def plain(m):
+    """The ordinary Matrix of m's rows, whose products, scaling and comparisons run on the general kernel."""
+    return Matrix(m.sparse_rows, m.ncols)
+
+
+def assert_same(got, want):
+    """got has the rows of the ordinary Matrix want, and compares and hashes like it either way round."""
+    assert plain(got).sparse_rows == want.sparse_rows
+    assert got == want and want == got and hash(got) == hash(want)
+
+
+def assert_word_result(got, want):
+    """got is a Monomial equal to the ordinary Matrix want."""
+    assert type(got) is Monomial and type(want) is Matrix
+    assert_same(got, want)
 
 
 def matrix_of_words(n, x, z, m, v, p, e):
@@ -488,7 +506,7 @@ def monomial_pairs(draw):
 def assert_canonical(mono):
     """`mono` is what the constructor makes of its own words, or the zero operator."""
     if mono.v < 0:
-        assert mono == Monomial.zero(mono.n) and mono.to_matrix().is_zero()
+        assert mono == Monomial.zero(mono.n) and mono.is_zero() and plain(mono).is_zero()
         return
     assert mono.z & mono.m == 0 and mono.v & ~mono.m == 0 and 0 <= mono.p < 4
     again = Monomial(mono.n, mono.x, mono.z, mono.m, mono.v, mono.p, mono.e)
@@ -498,44 +516,70 @@ def assert_canonical(mono):
 @given(words())
 def test_monomial_words_follow_the_definition(w):
     mono = Monomial(*w)
-    assert mono.to_matrix() == matrix_of_words(*w)
+    assert_same(mono, matrix_of_words(*w))
+    assert list(mono.nonzero_items()) == list(matrix_of_words(*w).nonzero_items())
     assert_canonical(mono)
+
+
+@given(monomials())
+def test_monomials_copy_and_pickle_as_their_words(mono):
+    for copied in (copy.copy(mono), copy.deepcopy(mono), pickle.loads(pickle.dumps(mono))):
+        assert type(copied) is Monomial and repr(copied) == repr(mono)
+        assert_same(copied, plain(mono))
 
 
 @given(monomial_pairs())
 def test_monomial_product_agrees_with_matrix(pair):
     a, b = pair
-    assert (a @ b).to_matrix() == a.to_matrix() @ b.to_matrix()
+    assert_word_result(a @ b, plain(a) @ plain(b))
 
 
 @given(monomials(), st.integers(min_value=-5, max_value=5), st.integers(min_value=-4, max_value=4))
 def test_monomial_scale_agrees_with_matrix(a, p, e):
-    assert a.scale(p, e).to_matrix() == a.to_matrix().scale(unit(p, e))
+    u = unit(p, e)
+    want = plain(a).scale(u)
+    assert_word_result(a.times_unit(p, e), want)
+    assert_word_result(a.scale(u), want)
+    assert_word_result(-a, -plain(a))
+    for factor in (Scalar(3), Scalar(1, 1), ZERO):  # not units: the general path
+        got = a.scale(factor)
+        assert type(got) is Matrix and got == plain(a).scale(factor)
 
 
 @given(monomials())
 def test_monomial_transpose_and_listings(a):
-    m = a.to_matrix()
-    assert a.transpose().to_matrix() == m.transpose()
-    assert a.dagger().to_matrix() == m.dagger() == m.conj().transpose()
-    assert list(m.nonzero_items()) == [(i, j, unit(p, e)) for i, j, p, e in a.entries]
-    assert a.units == {(p, e) for _, _, p, e in a.entries}
+    m = plain(a)
+    assert_word_result(a.transpose(), m.transpose())
+    assert_word_result(a.conj(), m.conj())
+    assert_word_result(a.dagger(), m.conj().transpose())
+    assert list(a.nonzero_items()) == list(m.nonzero_items()) == [
+        (i, j, unit(q, a.e)) for i, j, q in a.row_items()
+    ]
+    assert a.is_zero() == m.is_zero()
 
 
 @given(monomial_pairs(), st.integers(min_value=-5, max_value=5), st.integers(min_value=-4, max_value=4))
 def test_monomial_results_are_normalised(pair, p, e):
-    # equality and hashing compare words, so every result must be canonical
+    # two Monomials compare by their words, so every result must be canonical
     a, b = pair
-    for m in (a @ b, a.scale(p, e), a.transpose(), a.dagger(), a @ a.transpose()):
+    for m in (a @ b, a.times_unit(p, e), a.transpose(), a.dagger(), a @ a.transpose()):
         assert_canonical(m)
 
 
 @given(monomial_pairs(), st.integers(min_value=0, max_value=3))
 def test_monomial_sign_against_agrees_with_matrix(pair, p):
     a, b = pair
-    for other in (b, a.scale(p)):
-        m, n = a.to_matrix(), other.to_matrix()
+    for other in (b, a.times_unit(p)):
+        m, n = plain(a), plain(other)
         assert a.sign_against(other) == (1 if m == n else -1 if m == -n else 0)
+
+
+def test_monomial_equality_checks_the_shape():
+    one = Monomial.identity(1)
+    assert one == Matrix.identity(2) and Matrix.identity(2) == one
+    assert one != Monomial.identity(2) and one != Matrix.identity(4) and one != Matrix.zeros(2, 1)
+    assert one != Matrix.diagonal([ONE, ZERO]) and one != Matrix.identity(2).scale(I)
+    assert (one == "identity") is False
 
 
 def test_nilpotent_generators_square_to_the_zero_operator():
@@ -543,11 +587,12 @@ def test_nilpotent_generators_square_to_the_zero_operator():
     zero = Monomial.zero(rep.n_bits)
     for k in range(1, 4):
         for barred in (False, True):
-            g = rep.chiral_monomial(k, barred)
+            g = rep.gamma_chiral(k, barred)
             assert g @ g == zero
-            assert (rep.gamma_chiral(k, barred) @ rep.gamma_chiral(k, barred)).is_zero()
-            assert zero @ g == g @ zero == zero.transpose() == zero.dagger() == zero.scale(1, 1)
-    assert zero.entries == () and zero.units == frozenset()
+            assert (plain(g) @ plain(g)).is_zero()
+            assert zero @ g == g @ zero == zero.transpose() == zero.dagger() == zero.times_unit(1, 1)
+    assert list(zero.row_items()) == [] and list(zero.nonzero_items()) == []
+    assert zero.is_zero() and zero == Matrix.zeros(rep.dim)
     assert zero.sign_against(zero) == 1 and zero.sign_against(Monomial.identity(rep.n_bits)) == 0
 
 
@@ -618,7 +663,7 @@ def test_conjugation_equals_the_three_product_reference(odd_mode, data):
         assert got == conjugate_reference(rep, x, species)
         if rep.dim > 1:  # a Matrix is read by its shape
             assert conjugate(rep, x) == got
-        assert got.monomial is None
+        assert type(got) is not Monomial
 
 
 @pytest.mark.parametrize("odd_mode", (None, *ODD_MODES))
@@ -635,7 +680,7 @@ def test_conjugation_is_multiplicative_and_squares_to_the_symmetry_sign(odd_mode
 
     for x, y in ((a, b), (a, psi), (row, a)):
         assert conj(multiply(x, y)) == multiply(conj(x), conj(y))
-    c = rep.monomial("C")
+    c = rep.C
     sign = c.transpose().sign_against(c)  # C^T = +-C
     assert sign in (1, -1)
     assert conj(conj(psi)) == psi.scale(sign)
@@ -682,16 +727,17 @@ def test_element_products_and_scaling_match_numpy(odd_mode, data):
 
 
 def algebra_axes(rep):
-    """(monomial, square) of the vector of each axis 1..N."""
-    return [(rep.gamma_monomial(a), -1 if rep.signature.is_timelike(a) else 1) for a in range(1, rep.N + 1)]
+    """(operator, square) of the vector of each axis 1..N."""
+    return [(rep.gamma(a), -1 if rep.signature.is_timelike(a) else 1) for a in range(1, rep.N + 1)]
 
 
 def built_axes(rep):
-    """(monomial, square) of the plus and minus vector of each built plane, times i on a timelike axis."""
+    """(operator, square) of the plus and minus vector of each built plane, times i on a timelike axis."""
     out = []
     for b in range(1, 2 * rep.n_bits + 1):
-        g = rep.orth_monomial((b + 1) // 2, minus=b % 2 == 0)
-        out.append((g.scale(1), -1) if rep.built_axis_is_timelike(b) else (g, 1))
+        k = (b + 1) // 2
+        g = rep.gamma_minus(k) if b % 2 == 0 else rep.gamma_plus(k)
+        out.append((g.times_unit(1), -1) if rep.built_axis_is_timelike(b) else (g, 1))
     return out
 
 
@@ -704,9 +750,9 @@ def test_the_axis_words_satisfy_the_clifford_relations(config):
     for axes in (algebra_axes(rep), built_axes(rep)):
         for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(axes), 2):
             if a == b:
-                assert ga @ ga == (one if square == 1 else one.scale(2)), a
+                assert ga @ ga == (one if square == 1 else -one), a
             else:
-                assert ga @ gb == (gb @ ga).scale(2), (a, b)  # scale(2) is times -1
+                assert ga @ gb == -(gb @ ga), (a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -715,27 +761,37 @@ def test_the_axis_matrices_satisfy_the_clifford_relations(config):
     rep = build_representation(config)
     ident = Matrix.identity(rep.dim)
     for axes in (algebra_axes(rep), built_axes(rep)):
-        dense = [(Matrix(mono.to_matrix().rows), square) for mono, square in axes]  # products on the general kernel
+        dense = [(plain(op), square) for op, square in axes]  # products on the general kernel
         for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(dense), 2):
             assert ga @ gb + gb @ ga == ident.scale(2 * square if a == b else 0), (a, b)
-    for a in range(1, rep.N + 1):
-        assert rep.gamma(a) == algebra_axes(rep)[a - 1][0].to_matrix()
     for b in range(1, 2 * rep.n_bits + 1):
-        assert rep.built_axis_matrix(b) == built_axes(rep)[b - 1][0].to_matrix()
+        assert rep.built_axis_matrix(b) == built_axes(rep)[b - 1][0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep_configs(max_n=10))
+def test_quarter_turn_rotors_preserve_the_metric_on_dense_matrices(config):
+    """R^T eps R = eps for every quarter-turn rotor of a rotation plane, on plain copies of R and eps.
+
+    A boost has no exact quarter turn, and a plane that holds the scalar
+    dimension of an embed odd mode is not a rotation plane of the algebra.
+    """
+    rep = build_representation(config)
+    eps = plain(rep.eps)
+    scalar = rep.scalar_axis_matrix
+    for k in range(1, rep.n_bits + 1):
+        if rep.plane_is_boost(k):
+            continue
+        if scalar is not None and any(rep.built_axis_matrix(a) == scalar for a in rep.plane_built_axes(k)):
+            continue
+        for quarters in range(4):
+            rotor = plane_rotor(rep, k, quarters=quarters)
+            r = plain(rotor.matrix)
+            assert r.transpose() @ eps @ r == eps, (k, quarters)
+            assert metric_preserved(rep, rotor)
 
 
 # -- the factored outer product against its rows ---------------------------------
-
-
-def plain(m):
-    """The ordinary Matrix of m's rows."""
-    return Matrix(m.sparse_rows, m.ncols)
-
-
-def assert_same(got, want):
-    """got has the rows of the ordinary Matrix want, and compares and hashes like it either way round."""
-    assert plain(got).sparse_rows == want.sparse_rows
-    assert got == want and want == got and hash(got) == hash(want)
 
 
 def assert_fast_paths_match_the_rows(rep, rng, outer):

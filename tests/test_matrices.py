@@ -13,6 +13,7 @@ from sga.elements import outer_product
 from sga.matrices import (
     DEFAULT_MAX_DIM,
     Matrix,
+    Monomial,
     OuterProduct,
     anticommutator,
     commutator,
@@ -389,44 +390,45 @@ OPERATOR_NAMES = sorted(operators())
 @given(st.sampled_from(OPERATOR_NAMES), st.integers(1, 8), st.data())
 def test_products_with_operators_match_the_oracles(name, other_side, data):
     op = operators()[name]
-    assert op.monomial is not None
+    assert type(op) is Monomial
     dim = op.nrows
     right = data.draw(exact_matrices(dim, other_side))
     left = data.draw(exact_matrices(other_side, dim))
     for product in (check_product(op, right), check_product(left, op)):
-        assert product.monomial is None
+        assert type(product) is not Monomial
     square = data.draw(exact_matrices(dim, dim))
-    assert check_product(op, square).monomial is None
-    assert check_product(square, op).monomial is None
+    assert type(check_product(op, square)) is not Monomial
+    assert type(check_product(square, op)) is not Monomial
 
 
 @pytest.mark.parametrize("name", OPERATOR_NAMES)
 def test_operator_matrices_compare_and_hash_like_dense_rows(name):
     op = operators()[name]
     dense = Matrix(op.rows)
-    assert dense.monomial is None
-    assert dense == op and hash(dense) == hash(op)
+    assert type(dense) is not Monomial
+    assert dense == op and op == dense and hash(dense) == hash(op)
     assert dense.sparse_rows == op.sparse_rows
     for a, b in ((op, op), (op, operators()["C"])):
         product = a @ b
-        assert product.monomial == a.monomial @ b.monomial
+        assert type(product) is Monomial
         assert product == dense @ Matrix(b.rows) == naive_product(a, b)
-    mono = op.monomial
+    assert -op == op.times_unit(2) and op.scale(I) == op.times_unit(1)
+    assert op.scale(-INV_SQRT2) == op.times_unit(2, -1) and op.scale(Scalar(0, 0, 4)) == op.times_unit(1, 4)
     derived = (
-        (-op, mono.scale(2), -dense),
-        (op.scale(I), mono.scale(1), dense.scale(I)),
-        (op.scale(-INV_SQRT2), mono.scale(2, -1), dense.scale(-INV_SQRT2)),
-        (op.scale(Scalar(0, 0, 4)), mono.scale(1, 4), dense.scale(Scalar(0, 0, 4))),
-        (op.transpose(), mono.transpose(), dense.transpose()),
-        (op.conj(), mono.conj(), dense.conj()),
-        (op.dagger(), mono.dagger(), dense.dagger()),
+        (-op, -dense),
+        (op.scale(I), dense.scale(I)),
+        (op.scale(-INV_SQRT2), dense.scale(-INV_SQRT2)),
+        (op.scale(Scalar(0, 0, 4)), dense.scale(Scalar(0, 0, 4))),
+        (op.transpose(), dense.transpose()),
+        (op.conj(), dense.conj()),
+        (op.dagger(), dense.dagger()),
     )
-    for got, want_monomial, plain in derived:
-        assert got.monomial == want_monomial
-        assert got == plain and hash(got) == hash(plain)
-        assert got == Matrix(plain.rows) and plain.monomial is None
+    for got, plain in derived:
+        assert type(got) is Monomial and type(plain) is not Monomial
+        assert got == plain and plain == got and hash(got) == hash(plain)
+        assert got == Matrix(plain.rows)
     for factor in (Scalar(3), Scalar(1, 1), Scalar(0, 0, 3, 0, 2)):  # not of the form i**p * sqrt2**e
-        assert op.scale(factor).monomial is None  # no unit: the general path
+        assert type(op.scale(factor)) is not Monomial  # no unit: the general path
         assert op.scale(factor) == dense.scale(factor)
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from sga.bitcodes import Bitcode, all_bitcodes
-from sga.matrices import Matrix, anticommutator
+from sga.matrices import Matrix, Monomial, anticommutator
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import I, ONE, SQRT2, ZERO, Scalar, i_power
 
@@ -337,18 +337,15 @@ def test_odd_rep_dumps_final_vector():
     assert Matrix.from_json(rep.to_json()["gamma_N"]) == rep.gamma(3)
 
 
-def test_matrices_are_converted_once_and_resolve_to_their_monomials():
+def test_operator_attributes_are_monomials_read_as_themselves():
     rep = rep_for(4, 1)
     for name in ("kappa_diag", "kappa", "eps_std", "eps_alt", "eps", "eps_T",
                  "pseudoscalar", "Gamma", "C"):
         m = getattr(rep, name)
-        assert getattr(rep, name) is m
-        assert rep.monomial(name).to_matrix() == m
-        assert rep.monomial_of(m) == rep.monomial(name)  # equal operators share one Matrix
+        assert type(m) is Monomial and getattr(rep, name) is m
+    assert type(rep.gamma(1)) is Monomial and isinstance(rep.C, Matrix)
     assert rep.scalar_axis_matrix is None
-    assert rep.eps_T == rep.eps.transpose()
-    with pytest.raises(ValueError):
-        rep.monomial_of(rep.eps.transpose())
+    assert rep.eps_T == rep.eps.transpose() == Matrix(rep.eps.sparse_rows, rep.dim).transpose()
 
 
 def test_a_used_representation_is_freed_without_the_cycle_collector():

@@ -114,6 +114,15 @@ def test_floats_are_not_scalars():
         assert x != value and value != x
 
 
+@pytest.mark.parametrize("part", [0.5, Fraction(1, 2), 1j, 2.0])
+def test_the_constructor_takes_int_parts_only(part):
+    """A float, Fraction or complex part would build a value that neither prints nor compares as its number."""
+    for args in ((part,), (1, part), (1, 0, 0, 0, part)):
+        with pytest.raises(TypeError):
+            Scalar(*args)
+    assert Scalar.from_fraction(Fraction(1, 2)) == HALF
+
+
 def test_real_sign_exact():
     assert (SQRT2 - ONE).real_sign() == 1
     assert (ONE - SQRT2).real_sign() == -1

@@ -1,4 +1,4 @@
-"""Static checks of the package source: no imported name goes unread, no private name goes unused."""
+"""Static checks of the package source: no imported name goes unread, and no private or public name goes unused."""
 
 import ast
 from pathlib import Path
@@ -48,29 +48,51 @@ def is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def unused_private_names(sources):
-    """(module, line, name) of each private module-level function or class, or method, that no source refers to.
+def is_public(name):
+    return not name.startswith("_")
 
-    `sources` maps module names to their source text; a reference is any
-    name or attribute read with that name, in any of the sources.
-    """
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    referenced = set()
-    for tree in trees.values():
+
+def referenced_names(trees):
+    """Every name or attribute read, and every name imported, in the parsed sources."""
+    out = set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                out.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def unused_names(sources, selected, readers=()):
+    """(module, line, name) of each module-level function or class, or method, of `sources` that no source refers to.
+
+    `sources` maps module names to their source text, and only the names
+    that `selected` accepts are reported; a reference is any name or
+    attribute read, or name imported, with that name, in any of the
+    sources or of the `readers` texts.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = referenced_names([*trees.values(), *map(ast.parse, readers)])
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     out = []
     for module, tree in trees.items():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *members]:
-                if isinstance(item, defs) and is_private(item.name) and item.name not in referenced:
+                if isinstance(item, defs) and selected(item.name) and item.name not in referenced:
                     out.append((module, item.lineno, item.name))
     return sorted(out)
+
+
+def unused_private_names(sources):
+    return unused_names(sources, is_private)
+
+
+def unused_public_names(sources, readers):
+    return unused_names(sources, is_public, readers)
 
 
 def test_scanner_finds_unused_private_names():
@@ -93,3 +115,28 @@ def test_scanner_finds_unused_private_names():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def test_scanner_finds_unused_public_names():
+    sources = {
+        "a": (
+            "def used():\n    pass\n"
+            "def unused():\n    pass\n"
+            "class Gone:\n    pass\n"
+            "class Kept:\n"
+            "    def __eq__(self, other):\n        return self.helper()\n"
+            "    def helper(self):\n        pass\n"
+            "    def stale(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+        ),
+    }
+    readers = ["from a import used, Kept\n"]
+    assert unused_public_names(sources, readers) == [("a", 3, "unused"), ("a", 5, "Gone"), ("a", 12, "stale")]
+    assert ("a", 1, "used") in unused_public_names(sources, [])  # read only outside the package
+
+
+def test_no_unused_public_names():
+    """Every public function, class and method of the package is read in it, its tests or the benchmark."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for folder in ("tests", "bench") for p in (SRC.parent.parent / folder).glob("*.py")]
+    assert unused_public_names(sources, readers) == []

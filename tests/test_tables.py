@@ -1,6 +1,7 @@
 """Classification tables: anchors, hand-derived signs, periodicity."""
 
 import pytest
+from test_kernel import plain
 
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import ONE
@@ -126,11 +127,12 @@ def test_commutation_markdown(commutation_rows):
 
 
 # Oracle for all three tables: the same signs computed with Matrix
-# operations on the representation's Matrix views, not on its monomials.
+# operations on plain copies of the operators' rows, not on their words.
 
 
 def matrix_sign(a, b):
     """+1 if a == b, -1 if a == -b, 0 otherwise, by Matrix comparison."""
+    a, b = plain(a), plain(b)
     if a == b:
         return 1
     if a == -b:
@@ -139,14 +141,16 @@ def matrix_sign(a, b):
 
 
 def matrix_square_sign(m):
+    m = plain(m)
     s = (m @ m).scalar_multiple_of_identity()
     return 1 if s == ONE else -1 if s == -ONE else 0
 
 
 def matrix_commutation_sign(rep, eps):
+    eps = plain(eps)
     signs = {
         matrix_sign(g.transpose() @ eps, eps @ g)
-        for g in (rep.gamma_spacelike_form(a) for a in range(1, rep.N + 1))
+        for g in (plain(rep.gamma_spacelike_form(a)) for a in range(1, rep.N + 1))
     }
     assert len(signs) == 1
     return signs.pop()
@@ -163,7 +167,7 @@ def test_tables_match_matrix_oracle():
             (rep.eps_alt, m_row.sq_alternative, c_row.sign_alternative),
         ):
             assert matrix_square_sign(eps) == sq
-            assert matrix_sign(eps.transpose(), eps) == sq
+            assert matrix_sign(plain(eps).transpose(), eps) == sq
             assert matrix_commutation_sign(rep, eps) == sign
     for row in conjugation_symmetry_table(-4, 10):
         assert len(row.signatures) == 2
@@ -173,16 +177,18 @@ def test_tables_match_matrix_oracle():
                                      ("alternative", row.sym_alternative)):
                 rep = build_representation(
                     RepConfig(Signature(spacelike=k, timelike=m), metric=metric_name))
-                assert matrix_sign(rep.C.transpose(), rep.C) == sym
+                assert matrix_sign(plain(rep.C).transpose(), rep.C) == sym
 
 
 def test_commutation_sign_takes_the_matrix_or_the_monomial():
     rep = build_representation(RepConfig(Signature(spacelike=6)))
     for name in ("eps", "eps_std", "eps_alt"):
-        sign = commutation_sign(rep, rep.monomial(name))
-        assert commutation_sign(rep, getattr(rep, name)) == sign
+        eps = getattr(rep, name)
+        sign = commutation_sign(rep, eps)
+        assert sign == matrix_commutation_sign(rep, eps)
+        assert commutation_sign(rep, -eps) == sign  # a negated operator is still an operator
     with pytest.raises(ValueError):
-        commutation_sign(rep, -rep.eps_std)  # a Matrix the representation never returned
+        commutation_sign(rep, plain(rep.eps_std))  # a dense Matrix has no words
 
 
 @pytest.mark.parametrize("call", [
