@@ -23,7 +23,10 @@ it the other way.  The butterfly only adds and subtracts, so each value
 travels as one int, its four numerators over a common denominator packed
 in lanes too wide to carry.  That costs O(n 4**n) on dense input and O(n) per
 nonzero in or out on sparse input.  The trace formula of
-``blade_coefficient`` is the reference.
+``blade_coefficient`` is the reference.  ``verify_isomorphism`` runs
+the transform once per diagonal r ^ c for all basis elements on it,
+each tagged with its own index in the bits above n; the report is the
+one a round trip of each element alone gives.
 
 Each basis outer product e_a e_b. has a single nonzero entry, so that
 direction is a direct read-off against the metric's sign pattern, on
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .elements import Element, multiply, row_of
@@ -188,32 +191,35 @@ def _column_maps(rep):
     return rep._colmap
 
 
+def _outer_keys(items, maps):
+    """(i, k, value) of each (i, j, value) item, with (k, negated) = maps[j] and value negated when it says so.
+
+    With the by-column map it turns matrix entries into outer coefficients
+    on the int index of each bitcode, and with the by-row map back.
+    """
+    for i, j, value in items:
+        k, negated = maps[j]
+        yield i, k, -value if negated else value
+
+
 def spinor_outer_decompose(rep, m):
     """Coefficients c[(a, b)] with m = sum c * e_a e_b. ; exact read-off."""
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
     codes = rep.bitcodes()
-    by_column = _column_maps(rep)[1]
-    out = {}
-    for i, j, value in m.nonzero_items():
-        k, negated = by_column[j]
-        out[(codes[i], codes[k])] = -value if negated else value
-    return out
+    return {(codes[i], codes[k]): value for i, k, value in _outer_keys(m.nonzero_items(), _column_maps(rep)[1])}
 
 
 def reconstruct_from_outer(rep, coeffs):
     """The Matrix sum of c * e_a e_b. over outer coefficients c[(a, b)]."""
     # each e_a e_b. has one nonzero entry, so accumulate by position
-    by_row = _column_maps(rep)[0]
     n = rep.n_bits
-    items = []
-    for (a, b), c in coeffs.items():
+    for a, b in coeffs:
         if len(a.bits) != n or len(b.bits) != n:
             rep.check_bitcode(a)
             rep.check_bitcode(b)
-        j, negated = by_row[b.index()]
-        items.append((a.index(), j, -c if negated else c))
-    return Matrix.from_items(rep.dim, rep.dim, items)
+    items = ((a.index(), b.index(), c) for (a, b), c in coeffs.items())
+    return Matrix.from_items(rep.dim, rep.dim, _outer_keys(items, _column_maps(rep)[0]))
 
 
 # -- blade decomposition ------------------------------------------------------
@@ -289,6 +295,10 @@ def _plane_transform(n, items, forward):
     or difference of two values is one int operation.  The width is read
     in the grouping pass, once per distinct input Scalar, and
     ``_unpacked`` makes one Scalar per distinct result.
+
+    Bits of r and c above the n plane bits pass through untouched: they
+    cancel in x, and neither the butterfly nor the sign (-1)**J reads
+    them.  ``_tagged_transform`` uses them to run several elements at once.
     """
     groups = {}  # x -> {r: id of its Scalar}
     scalars = {}  # id -> each distinct Scalar, read once for the denominator and the lane width
@@ -313,7 +323,7 @@ def _plane_transform(n, items, forward):
     full = (1 << n) - 1
     out = []
     for x, group in groups.items():
-        flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
+        flips = _jw_flips(x) & full  # entries of odd J are negated before the forward butterfly, after the inverse one
         vals = _butterfly({
             r: -packed[k] if forward and (r & flips).bit_count() & 1 else packed[k] for r, k in group.items()
         }, ~x & full)
@@ -323,6 +333,22 @@ def _plane_transform(n, items, forward):
                 if not forward and (r & flips).bit_count() & 1:
                     v = -v
                 out.append((r, r ^ x, _unpacked(v, width, den, e)))
+    return out
+
+
+def _tagged_transform(n, elements, forward):
+    """[{(r, c): Scalar}] of the transforms of several elements' (r, c, Scalar) items, by one ``_plane_transform``.
+
+    Element t's entries are tagged with t in the bits above n, and the
+    results are split by that tag.  Each result is still a signed sum of
+    one element's inputs, so the lane width holds; on a single diagonal
+    r ^ c all elements share one butterfly.
+    """
+    tagged = [(t << n | r, t << n | c, s) for t, items in enumerate(elements) for r, c, s in items]
+    out = [{} for _ in elements]
+    full = (1 << n) - 1
+    for r, c, s in _plane_transform(n, tagged, forward):
+        out[r >> n][r & full, c & full] = s
     return out
 
 
@@ -419,36 +445,64 @@ def chiral_project(rep, m, handedness):
 def verify_isomorphism(rep):
     """Round-trip every basis blade and every basis outer product.
 
-    Each blade is built from generator products and must also decompose
-    to itself with coefficient one, which checks the forward transform on
-    a basis; the outer round trip then checks its inverse.
+    Each blade is built from generator products, goes to outer
+    coefficients and back, and must also decompose to itself with
+    coefficient one, which checks the forward transform on a basis; each
+    outer product must come back from its blade coefficients, which
+    checks the inverse one.  The transform keeps the diagonal x = r ^ c,
+    so the elements are grouped by x and each group runs one tagged
+    transform per direction: 2**n calls each, not one per element.
 
-    Returns {"dim", "blades_checked", "outer_checked", "failures": [...]}.
+    Returns {"dim", "blades_checked", "outer_checked", "failures": [...]}:
+    the failures blade by blade, the outer round trip before the
+    self-decomposition, then the outer products with a before b.
     """
-    failures = []
+    n = rep.n_bits
+    by_row, by_column = _column_maps(rep)
     blades = all_chiral_blades(rep)
-    for blade in blades:
-        m = blade_matrix(rep, blade)
-        coeffs = spinor_outer_decompose(rep, m)
-        if reconstruct_from_outer(rep, coeffs) != m:
+    diagonals = {}
+    for t, blade in enumerate(blades):
+        r, c = blade._planes
+        diagonals.setdefault(r ^ c, []).append(t)
+    outer_failed, self_failed = set(), set()
+    for ts in diagonals.values():  # one diagonal's entry lists at a time
+        elements = []
+        for t in ts:
+            items = list(blade_matrix(rep, blades[t]).nonzero_items())
+            if list(_outer_keys(_outer_keys(items, by_column), by_row)) != items:
+                outer_failed.add(t)
+            elements.append(items)
+        for t, coeffs in zip(ts, _tagged_transform(n, elements, True)):
+            if coeffs != {blades[t]._planes: ONE}:
+                self_failed.add(t)
+    failures = []
+    for t, blade in enumerate(blades):
+        if t in outer_failed:
             failures.append(f"blade {blade.label()} failed the outer round trip")
-        if decompose_multivector(rep, m) != {blade: ONE}:
+        if t in self_failed:
             failures.append(f"blade {blade.label()} does not decompose to itself")
+
     codes = rep.bitcodes()
     # e_a e_b. is the product of column a and row b, so each spinor is built once
     columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
     rows = [row_of(rep, column) for column in columns]
-    outer_count = 0
-    for a, column in zip(codes, columns):
-        for b, row in zip(codes, rows):
-            outer_count += 1
-            m = multiply(column, row).payload
-            coeffs = decompose_multivector(rep, m)
-            if reconstruct_from_blades(rep, coeffs) != m:
-                failures.append(f"outer product ({a}, {b}) failed the blade round trip")
+    products = {}  # x -> {t: the entries on diagonal x of product t = a * dim + b}
+    for t, (column, row) in enumerate(product(columns, rows)):
+        for i, j, s in multiply(column, row).payload.nonzero_items():
+            products.setdefault(i ^ j, {}).setdefault(t, []).append((i, j, s))
+    products_failed = set()
+    for diagonal in products.values():
+        coeffs = _tagged_transform(n, diagonal.values(), True)
+        rebuilt = _tagged_transform(n, [[(r, c, s) for (r, c), s in d.items()] for d in coeffs], False)
+        for (t, items), back in zip(diagonal.items(), rebuilt):
+            if back != {(i, j): s for i, j, s in items}:
+                products_failed.add(t)
+    dim = rep.dim
+    failures += [f"outer product ({codes[t // dim]}, {codes[t % dim]}) failed the blade round trip"
+                 for t in sorted(products_failed)]
     return {
-        "dim": rep.dim,
+        "dim": dim,
         "blades_checked": len(blades),
-        "outer_checked": outer_count,
+        "outer_checked": dim * dim,
         "failures": failures,
     }

@@ -129,32 +129,33 @@ class Matrix:
         self.ncols = ncols
 
     # -- constructors --------------------------------------------------
+    # each builds a plain Matrix, also when a subclass inherits it
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        return cls([{}] * nrows, nrows if ncols is None else ncols)
+        return Matrix([{}] * nrows, nrows if ncols is None else ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls.diagonal([ONE] * n)
+        return Matrix.diagonal([ONE] * n)
 
     @classmethod
     def diagonal(cls, entries):
-        return cls([{} if s.is_zero() else {i: s} for i, s in enumerate(entries)], len(entries))
+        return Matrix([{} if s.is_zero() else {i: s} for i, s in enumerate(entries)], len(entries))
 
     @classmethod
     def column(cls, entries):
-        return cls([[s] for s in entries])
+        return Matrix([[s] for s in entries])
 
     @classmethod
     def row_vector(cls, entries):
-        return cls([list(entries)])
+        return Matrix([list(entries)])
 
     @classmethod
     def unit_column(cls, dim, index):
         rows = [{}] * dim
         rows[index] = {0: ONE}
-        return cls(rows, 1)
+        return Matrix(rows, 1)
 
     @classmethod
     def from_items(cls, nrows, ncols, items):
@@ -170,7 +171,7 @@ class Matrix:
         for i, row in rows.items():
             if 0 <= i < nrows:
                 out[i] = _canonical(row)
-        return cls(out, ncols)
+        return Matrix(out, ncols)
 
     # -- shape ----------------------------------------------------------
 
@@ -393,16 +394,16 @@ class Matrix:
         """
         if isinstance(obj, dict):
             if "shape" in obj:
-                return cls._from_sparse_json(obj["shape"], obj.get("entries"))
+                return Matrix._from_sparse_json(obj["shape"], obj.get("entries"))
             if "entries" not in obj:
                 raise ValueError("matrix JSON object needs a 'shape' or an 'entries' key")
             obj = obj["entries"]
         if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
             raise ValueError("matrix JSON must be a list of rows")
-        return cls([[Scalar.from_json(x) for x in row] for row in obj])
+        return Matrix([[Scalar.from_json(x) for x in row] for row in obj])
 
-    @classmethod
-    def _from_sparse_json(cls, shape, entries):
+    @staticmethod
+    def _from_sparse_json(shape, entries):
         if not (isinstance(shape, list) and len(shape) == 2
                 and all(type(n) is int and n >= 0 for n in shape)):
             raise ValueError("matrix JSON 'shape' must be two non-negative ints")
@@ -425,7 +426,7 @@ class Matrix:
             if j in row:
                 raise ValueError(f"matrix JSON entry ({i}, {j}) is given twice")
             row[j] = Scalar.from_json(value)
-        return cls([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
+        return Matrix([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -54,11 +54,16 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
     `quarters` counts exact quarter turns (theta = quarters * pi/2);
     `theta` is a float angle.  Exact mode refuses angles that are not
     multiples of pi/2 and refuses boosts at nonzero rapidity; a float
-    rotor holds numpy arrays.
+    rotor holds numpy arrays.  The plane that holds the scalar dimension
+    of an embed odd mode is not a rotation plane of the algebra, and
+    raises ValueError.
     """
     a1, a2 = rep.plane_built_axes(k)
     v1 = rep.built_axis_matrix(a1)
     v2 = rep.built_axis_matrix(a2)
+    if rep.scalar_axis_matrix in (v1, v2):
+        raise ValueError(f"plane {k} holds the scalar dimension of the {rep.odd_mode} odd mode, "
+                         "so it is not a rotation plane of the algebra")
     generator = v1 @ v2  # distinct orthogonal vectors: the wedge is the product
     boost = rep.plane_is_boost(k)
 

@@ -25,7 +25,7 @@ from sga.blades import (
     verify_isomorphism,
 )
 from sga.elements import outer_product, scalar_product
-from sga.matrices import Matrix
+from sga.matrices import Matrix, Monomial
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar
 from sga.suites import random_multivector, random_spinor
@@ -336,3 +336,116 @@ def test_outer_dictionary_rejects_wrong_lengths():
     with pytest.raises(ValueError, match="dimension"):
         spinor_outer_decompose(rep, Matrix.identity(2))
     assert reconstruct_from_outer(rep, {(up, up): ONE}) == outer_basis_matrix(rep, up, up)
+
+
+# -- the batched round trip against the per-element one ------------------------------
+
+
+def per_element_verify(rep):
+    """The Brauer-Weyl round trip one basis element at a time, through the public dictionary alone."""
+    failures = []
+    blades = all_chiral_blades(rep)
+    for blade in blades:
+        m = blade_matrix(rep, blade)
+        if reconstruct_from_outer(rep, spinor_outer_decompose(rep, m)) != m:
+            failures.append(f"blade {blade.label()} failed the outer round trip")
+        if decompose_multivector(rep, m) != {blade: ONE}:
+            failures.append(f"blade {blade.label()} does not decompose to itself")
+    codes = rep.bitcodes()
+    for a in codes:
+        for b in codes:
+            m = outer_basis_matrix(rep, a, b)
+            if reconstruct_from_blades(rep, decompose_multivector(rep, m)) != m:
+                failures.append(f"outer product ({a}, {b}) failed the blade round trip")
+    return {"dim": rep.dim, "blades_checked": len(blades), "outer_checked": rep.dim ** 2, "failures": failures}
+
+
+REFERENCE_CONFIGS = (
+    [(n, metric, "project") for n in range(1, 9) for metric in ("standard", "alternative")]
+    + [(n, metric, mode) for n in (1, 3, 5, 7) for metric, mode in (
+        ("standard", "embed_scalar_n"), ("alternative", "embed_scalar_n"), ("prime_standard", "embed_scalar_n"),
+        ("standard", "embed_scalar_n_plus_1"), ("alternative", "embed_scalar_n_plus_1"),
+        ("prime_alternative", "embed_scalar_n_plus_1"),
+    )]
+)
+
+
+@pytest.mark.parametrize("n, metric, odd_mode", REFERENCE_CONFIGS)
+def test_verify_isomorphism_equals_the_per_element_round_trip(n, metric, odd_mode):
+    rep = rep_for(n - n // 3, n // 3, metric=metric, odd_mode=odd_mode)
+    report = verify_isomorphism(rep)
+    assert report == per_element_verify(rep)
+    assert not report["failures"]
+
+
+def faulty_column_maps(column_maps):
+    """The metric maps with the sign of row 1 flipped on the way back."""
+    def faulty(rep):
+        by_row, by_column = column_maps(rep)
+        col, negated = by_row[1]
+        return by_row[:1] + [(col, not negated)] + by_row[2:], by_column
+    return faulty
+
+
+def faulty_unpacked(unpacked):
+    """The unpacking, with every value at an odd power of sqrt2 doubled."""
+    def faulty(v, width, den, e):
+        s = unpacked(v, width, den, e)
+        return s + s if e & 1 else s
+    return faulty
+
+
+@pytest.mark.parametrize("n, metric, odd_mode", [
+    (2, "standard", "project"), (4, "alternative", "project"), (5, "standard", "project"),
+    (5, "prime_standard", "embed_scalar_n"), (6, "standard", "project"), (8, "alternative", "project"),
+])
+def test_injected_faults_give_the_per_element_failures_in_order(monkeypatch, n, metric, odd_mode):
+    """A flipped metric sign and a corrupted unpacked value fail the same blades and products, in the same order."""
+    monkeypatch.setattr(blades, "_column_maps", faulty_column_maps(blades._column_maps))
+    monkeypatch.setattr(blades, "_unpacked", faulty_unpacked(blades._unpacked))
+    rep = rep_for(n, metric=metric, odd_mode=odd_mode)
+    report = verify_isomorphism(rep)
+    assert report == per_element_verify(rep)
+    failures = report["failures"]
+    for kind, checked in (("failed the outer round trip", "blades_checked"),
+                          ("does not decompose to itself", "blades_checked"),
+                          ("failed the blade round trip", "outer_checked")):
+        assert 0 < sum(kind in f for f in failures) < report[checked], kind
+    assert any("outer round trip" in f and "itself" in g for f, g in zip(failures, failures[1:]))
+
+
+def random_items(rng, n, count):
+    """`count` distinct (r, c, Scalar) entries on n bits."""
+    entries = {(rng.randrange(1 << n), rng.randrange(1 << n)): Scalar(
+        rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-3, 3), rng.randint(-1, 1), rng.choice((1, 2, 3)))
+        for _ in range(count)}
+    return [(r, c, s) for (r, c), s in entries.items() if not s.is_zero()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("forward", [True, False])
+def test_the_tagged_transform_is_each_element_transform(n, forward):
+    """Elements tagged in the bits above n and split by r >> n transform as they do alone."""
+    rng = Random(97 + 2 * n + forward)
+    for _ in range(4):
+        elements = [random_items(rng, n, rng.randint(0, 2 ** n)) for _ in range(rng.randint(1, 9))]
+        diagonal = rng.randrange(1 << n)  # and one batch on a single diagonal, as the round trip runs it
+        elements.append([(r, r ^ diagonal, s) for r, _, s in random_items(rng, n, 2 ** n)])
+        want = [{(r, c): s for r, c, s in blades._plane_transform(n, items, forward)} for items in elements]
+        assert blades._tagged_transform(n, elements, forward) == want
+
+
+def test_verify_isomorphism_runs_one_transform_per_diagonal(monkeypatch):
+    """On N=8 the round trip makes at most 3 * 2**n transform calls and reads no blade's rows."""
+    rep = rep_for(8)
+    transforms, read = [], []
+    plane_transform, rows = blades._plane_transform, Monomial.sparse_rows
+    monkeypatch.setattr(blades, "_plane_transform", lambda *args: transforms.append(1) or plane_transform(*args))
+    monkeypatch.setattr(Monomial, "sparse_rows", property(lambda m: read.append(m) or rows.fget(m)))
+    assert not verify_isomorphism(rep)["failures"]
+    assert 0 < len(transforms) <= 3 * 2 ** rep.n_bits
+    built = list(rep._blade_cache.values())
+    assert len(built) == 4 ** rep.n_bits
+    assert not [m for m in read if any(m is b for b in built)]
+    built[-1].sparse_rows
+    assert read[-1] is built[-1]  # the count sees a read

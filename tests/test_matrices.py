@@ -222,6 +222,34 @@ def test_unit_column():
     assert e2[2, 0] == ONE and e2[0, 0] == ZERO
 
 
+ROW_CONSTRUCTORS = [
+    ("zeros", (2,)),
+    ("zeros", (2, 3)),
+    ("identity", (2,)),
+    ("diagonal", ([ONE, ZERO, I],)),
+    ("diagonal", ([],)),
+    ("column", ([ONE, HALF],)),
+    ("row_vector", ([ONE, HALF],)),
+    ("unit_column", (2, 0)),
+    ("from_items", (2, 2, [(0, 1, ONE), (0, 1, ONE), (1, 0, HALF)])),
+    ("from_items", (2, 2, [])),
+    ("from_json", ([[1]],)),
+    ("from_json", ({"shape": [2, 2], "entries": [[0, 1, 1]]},)),
+]
+
+
+@pytest.mark.parametrize("cls", [Monomial, OuterProduct])
+@pytest.mark.parametrize("name, args", ROW_CONSTRUCTORS)
+def test_row_constructors_build_a_plain_matrix_on_the_subclasses(cls, name, args):
+    """A subclass inherits the row-based constructors, and they build what Matrix's build."""
+    if cls is Monomial and name == "identity":
+        assert Monomial.identity(1) == Matrix.identity(2)  # the word identity takes a bit count
+        return
+    got = getattr(cls, name)(*args)
+    assert type(got) is Matrix
+    assert got == getattr(Matrix, name)(*args)
+
+
 def test_nonzero_items():
     m = Matrix([[ZERO, ONE], [SQRT2, ZERO]])
     assert list(m.nonzero_items()) == [(0, 1, ONE), (1, 0, SQRT2)]

@@ -73,6 +73,24 @@ def test_metric_invariance_quarter_turns():
                 assert metric_preserved(rep, plane_rotor(rep, plane, quarters=q))
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("metric, odd_mode", [
+    ("standard", "embed_scalar_n"), ("alternative", "embed_scalar_n"), ("prime_standard", "embed_scalar_n"),
+    ("alternative", "embed_scalar_n_plus_1"), ("prime_alternative", "embed_scalar_n_plus_1"),
+])
+def test_the_plane_of_the_embedded_scalar_is_refused(n, metric, odd_mode):
+    """The plane that holds an embed mode's scalar dimension has no rotor; every other plane keeps the metric."""
+    rep = rep_for(n, metric=metric, odd_mode=odd_mode)
+    scalar_plane = next(k for k in range(1, rep.pair_count + 1)
+                        if rep.scalar_axis_matrix in map(rep.built_axis_matrix, rep.plane_built_axes(k)))
+    for theta in (None, 0.7):
+        with pytest.raises(ValueError, match=f"plane {scalar_plane} holds the scalar dimension of the {odd_mode}"):
+            plane_rotor(rep, scalar_plane, theta, quarters=1 if theta is None else None)
+    for k in range(1, rep.pair_count + 1):
+        if k != scalar_plane:
+            assert metric_preserved(rep, plane_rotor(rep, k, quarters=1))
+
+
 def test_rotor_charge_phases():
     rep = rep_for(4)
     rot = plane_rotor(rep, 2, quarters=1)
