@@ -178,8 +178,9 @@ def _column_maps(rep):
     Both are lists indexed by the row or column; built once per representation.
     """
     if rep._colmap is None:
-        by_row = []
-        for row in rep.eps.sparse_rows:
+        by_row, rows = [], rep.eps.sparse_rows
+        for i in range(rep.dim):
+            row = rows.get(i, {})
             if len(row) != 1 or next(iter(row.values())) not in (ONE, -ONE):
                 raise AssertionError("metric row is not a signed unit row")
             [(col, sign)] = row.items()
@@ -235,8 +236,8 @@ def blade_coefficient(rep, blade, m):
     x, z, mask, v, p = raised.x, raised.z, raised.m, raised.v, raised.p
     e = raised.e - 2 * rep.n_bits  # the 1 / 2**n as a power of sqrt2
     acc = ZERO
-    for i, row in enumerate(m.sparse_rows):
-        if row and i & mask == v:
+    for i, row in m.sparse_rows.items():
+        if i & mask == v:
             s = row.get(i ^ x)
             if s is not None:
                 acc = acc + unit(p ^ 2 * ((i & z).bit_count() & 1), e) * s

@@ -252,7 +252,8 @@ def _parser():
             "Exact kernel for spinors, Clifford algebras, their outer-product "
             "algebra, and the mod-8 classification tables."
         ),
-        epilog="The SGA_MAX_DIM environment variable overrides the matrix dimension cap.",
+        epilog="The SGA_MAX_DIM environment variable overrides the dimension cap on matrices "
+               "written out or read entry by entry; building a representation is not capped.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

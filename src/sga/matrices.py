@@ -1,12 +1,15 @@
 """Matrices over the exact scalar ring, and the signed monomials among them.
 
-``Matrix`` is the exact matrix type.  It keeps each row as a {column:
-Scalar} dict of its nonzero entries only, in increasing column order.
-Sums, products, negation, transposition and comparison cost O(nnz) and
-never scan a zero, and entries that cancel are dropped, so equal
-matrices have equal rows.  The dense ``rows`` view is built on demand
-for elimination and the tests.  JSON holds the nonzero entries only:
-{"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
+``Matrix`` is the exact matrix type.  It keeps its nonempty rows only,
+as a {row: {column: Scalar}} dict of their nonzero entries, rows and
+columns in increasing order, with the number of rows beside it.  Sums,
+products, negation, transposition and comparison cost O(nnz) at any
+dimension and never scan a zero, and entries that cancel are dropped, so
+equal matrices have equal rows.  The dense ``rows`` view is built on
+demand for elimination and the tests.  JSON holds the nonzero entries
+only: {"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
+The dimension cap (``max_dimension``) bounds only what lists dim-many
+entries: a Monomial's rows and the shape of a JSON matrix.
 
 Two subclasses are kept as their structure, and their rows are derived
 only when someone reads them:
@@ -58,7 +61,7 @@ outside the quarter turns, runs on the numpy array of ``to_numpy``.
 from __future__ import annotations
 
 import os
-from itertools import compress
+from collections import defaultdict
 from math import lcm
 
 from .scalars import ONE, ZERO, Scalar, _coerce, _normalised, unit
@@ -110,22 +113,23 @@ def _canonical(acc):
 class Matrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
-    def __init__(self, rows, ncols=None):
-        """A matrix from dense rows of Scalars.
+    def __init__(self, rows, nrows=None, ncols=None):
+        """A matrix from dense rows of Scalars, or Matrix(rows, nrows, ncols) from sparse rows.
 
-        With ``ncols`` given, ``rows`` are {column: Scalar} dicts that hold
-        only nonzero entries, in increasing column order, and are kept as
-        they are.  Either way the rows are read-only from then on.
+        Sparse ``rows`` is a {row: {column: Scalar}} dict of the nonempty
+        rows and their nonzero entries only, rows and columns in increasing
+        order, kept as it is.  Either way the rows are read-only from then on.
         """
-        if ncols is None:
+        if nrows is None:
             dense = [tuple(r) for r in rows]
-            ncols = len(dense[0]) if dense else 0
+            nrows, ncols = len(dense), len(dense[0]) if dense else 0
             for r in dense:
                 if len(r) != ncols:
                     raise ValueError("ragged matrix rows")
-            rows = [{j: s for j, s in enumerate(r) if not s.is_zero()} for r in dense]
-        self.sparse_rows = tuple(rows)
-        self.nrows = len(self.sparse_rows)
+            rows = {i: row for i, r in enumerate(dense)
+                    if (row := {j: s for j, s in enumerate(r) if not s.is_zero()})}
+        self.sparse_rows = rows
+        self.nrows = nrows
         self.ncols = ncols
 
     # -- constructors --------------------------------------------------
@@ -133,7 +137,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        return Matrix([{}] * nrows, nrows if ncols is None else ncols)
+        return Matrix({}, nrows, nrows if ncols is None else ncols)
 
     @classmethod
     def identity(cls, n):
@@ -141,7 +145,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries):
-        return Matrix([{} if s.is_zero() else {i: s} for i, s in enumerate(entries)], len(entries))
+        return Matrix({i: {i: s} for i, s in enumerate(entries) if not s.is_zero()}, len(entries), len(entries))
 
     @classmethod
     def column(cls, entries):
@@ -153,9 +157,9 @@ class Matrix:
 
     @classmethod
     def unit_column(cls, dim, index):
-        rows = [{}] * dim
-        rows[index] = {0: ONE}
-        return Matrix(rows, 1)
+        if not 0 <= index < dim:
+            raise IndexError("unit column index out of range")
+        return Matrix({index: {0: ONE}}, dim, 1)
 
     @classmethod
     def from_items(cls, nrows, ncols, items):
@@ -167,11 +171,8 @@ class Matrix:
                 rows[i] = {j: v}
             else:
                 row[j] = row[j] + v if j in row else v
-        out = [{}] * nrows
-        for i, row in rows.items():
-            if 0 <= i < nrows:
-                out[i] = _canonical(row)
-        return Matrix(out, ncols)
+        out = {i: row for i in sorted(rows) if 0 <= i < nrows and (row := _canonical(rows[i]))}
+        return Matrix(out, nrows, ncols)
 
     # -- shape ----------------------------------------------------------
 
@@ -188,54 +189,48 @@ class Matrix:
     @property
     def rows(self):
         """Dense read-only view: a tuple of row tuples, zeros included."""
-        out = []
-        for r in self.sparse_rows:
-            dense = [ZERO] * self.ncols
-            for j, s in r.items():
-                dense[j] = s
-            out.append(tuple(dense))
-        return tuple(out)
+        rows, cols = self.sparse_rows, range(self.ncols)
+        return tuple(tuple(rows[i].get(j, ZERO) for j in cols) if i in rows else (ZERO,) * self.ncols
+                     for i in range(self.nrows))
 
     def __getitem__(self, key):
         i, j = key
+        if not -self.nrows <= i < self.nrows:
+            raise IndexError("matrix row index out of range")
         if not -self.ncols <= j < self.ncols:
             raise IndexError("matrix column index out of range")
-        return self.sparse_rows[i].get(j % self.ncols, ZERO)
+        return self.sparse_rows.get(i % self.nrows, {}).get(j % self.ncols, ZERO)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self - other when `negate`, in one pass over the union of their rows."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch in addition")
-        rows = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            if not rb or not ra:
-                rows.append(ra or rb)
+            raise ValueError(f"matrix shape mismatch in {'subtraction' if negate else 'addition'}")
+        rows_a, rows_b, rows = self.sparse_rows, other.sparse_rows, {}
+        for i in sorted(rows_a.keys() | rows_b.keys()):
+            ra, rb = rows_a.get(i), rows_b.get(i)
+            if rb is not None and negate:
+                rb = {j: -t for j, t in rb.items()}
+            if ra is None or rb is None:
+                rows[i] = ra or rb
                 continue
             acc = dict(ra)
             for j, t in rb.items():
                 acc[j] = acc[j] + t if j in acc else t
-            rows.append(_canonical(acc))
-        return Matrix(rows, self.ncols)
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch in subtraction")
-        rows = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            if not rb:
-                rows.append(ra)
-            elif not ra:
-                rows.append({j: -t for j, t in rb.items()})
-            else:
-                acc = dict(ra)
-                for j, t in rb.items():
-                    acc[j] = acc[j] - t if j in acc else -t
-                rows.append(_canonical(acc))
-        return Matrix(rows, self.ncols)
+            if row := _canonical(acc):
+                rows[i] = row
+        return Matrix(rows, self.nrows, self.ncols)
 
     def __neg__(self):
-        return Matrix([{j: -s for j, s in r.items()} for r in self.sparse_rows], self.ncols)
+        return Matrix({i: {j: -s for j, s in r.items()} for i, r in self.sparse_rows.items()},
+                      self.nrows, self.ncols)
 
     def scale(self, s):
         """This matrix times s: a Scalar, an int or a Fraction."""
@@ -248,7 +243,8 @@ class Matrix:
             return -self
         if s.is_zero():
             return Matrix.zeros(self.nrows, self.ncols)
-        return Matrix([_times_row(s, _numerators(r)) for r in self.sparse_rows], self.ncols)
+        return Matrix({i: _times_row(s, _numerators(r)) for i, r in self.sparse_rows.items()},
+                      self.nrows, self.ncols)
 
     def __mul__(self, s):
         return NotImplemented if _coerce(s) is NotImplemented else self.scale(s)
@@ -260,14 +256,14 @@ class Matrix:
             raise ValueError("matrix shape mismatch in product")
         if self.ncols == 1 and _keeps_factors(self, other):
             return OuterProduct(self, other)
-        return Matrix(_exact_product(self.sparse_rows, other.sparse_rows), other.ncols)
+        return Matrix(_exact_product(self.sparse_rows, other.sparse_rows), self.nrows, other.ncols)
 
     def transpose(self):
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.sparse_rows):
+        cols = defaultdict(dict)
+        for i, row in self.sparse_rows.items():
             for j, s in row.items():
                 cols[j][i] = s
-        return Matrix(cols, self.nrows)
+        return Matrix({j: cols[j] for j in sorted(cols)}, self.ncols, self.nrows)
 
     def conj(self):
         """Entrywise complex conjugation with respect to i."""
@@ -278,7 +274,7 @@ class Matrix:
 
     def trace(self):
         t = ZERO
-        for i, row in enumerate(self.sparse_rows[: self.ncols]):
+        for i, row in self.sparse_rows.items():
             if i in row:
                 t = t + row[i]
         return t
@@ -325,7 +321,7 @@ class Matrix:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.sparse_rows)
+        return not self.sparse_rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -337,28 +333,26 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r.items()) for r in self.sparse_rows)))
+        return hash((self.nrows, self.ncols, tuple((i, tuple(r.items())) for i, r in self.sparse_rows.items())))
 
     def is_identity(self):
         return self.is_square and self == Matrix.identity(self.nrows)
 
     def scalar_multiple_of_identity(self):
         """Return s if the matrix equals s*identity, else None."""
-        if not self.is_square:
+        rows = self.sparse_rows
+        if not self.is_square or len(rows) not in (0, self.nrows):
             return None
-        s = self[0, 0]
-        if s.is_zero():
-            return s if self.is_zero() else None
-        for i, row in enumerate(self.sparse_rows):
+        s = rows[0].get(0) if rows else ZERO  # row 0 comes first, so a None is never compared
+        for i, row in rows.items():
             if len(row) != 1 or i not in row or row[i] != s:
                 return None
         return s
 
     def nonzero_items(self):
         """(i, j, value) of every nonzero entry, row by row, columns increasing."""
-        rows = self.sparse_rows
-        for i in compress(range(len(rows)), rows):
-            for j, s in rows[i].items():
+        for i, row in self.sparse_rows.items():
+            for j, s in row.items():
                 yield i, j, s
 
     # -- conversions -------------------------------------------------------
@@ -409,7 +403,7 @@ class Matrix:
             raise ValueError("matrix JSON 'shape' must be two non-negative ints")
         cap = max_dimension()
         if max(shape) > cap:
-            # the shape alone sizes the row tuple, so bound it before allocating
+            # input validation: bound the shape like any operator listed entry by entry
             raise ValueError(f"matrix JSON shape {shape} exceeds the dimension cap {cap}; "
                              "raise SGA_MAX_DIM to override")
         if not isinstance(entries, list):
@@ -426,7 +420,7 @@ class Matrix:
             if j in row:
                 raise ValueError(f"matrix JSON entry ({i}, {j}) is given twice")
             row[j] = Scalar.from_json(value)
-        return Matrix([_canonical(rows[i]) if i in rows else {} for i in range(nrows)], ncols)
+        return Matrix({i: row for i in sorted(rows) if (row := _canonical(rows[i]))}, nrows, ncols)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -452,7 +446,7 @@ class OuterProduct(Matrix):
     @property
     def sparse_rows(self):
         if self._rows is None:
-            self._rows = tuple(_exact_product(self.u.sparse_rows, self.v.sparse_rows))
+            self._rows = _exact_product(self.u.sparse_rows, self.v.sparse_rows)
         return self._rows
 
     def __neg__(self):
@@ -509,20 +503,20 @@ class OuterProduct(Matrix):
 
 def _keeps_factors(column, row):
     """True when the product column @ row is kept as an OuterProduct: two nonzeros or more each."""
-    [r] = row.sparse_rows
-    return len(r) > 1 and sum(map(bool, column.sparse_rows)) > 1
+    return len(row.sparse_rows.get(0, ())) > 1 and len(column.sparse_rows) > 1
 
 
 def _column(m):
     """{i: entry} of the nonzero entries of a one-column matrix."""
-    return {i: r[0] for i, r in enumerate(m.sparse_rows) if r}
+    return {i: r[0] for i, r in m.sparse_rows.items()}
 
 
 def sandwich(left, m, right=None, conj=False):
     """left @ m @ right in one pass over m's nonzeros, with m conjugated entrywise first when `conj`.
 
     `left` and `right` are Monomials, or None for an absent side.  Row j
-    of m moves to the rows that `left` sends it to, column k to column
+    of m moves to row j ^ left.x when j & left.m == left.v (the filter
+    the right side applies to the columns), column k to column
     k ^ right.x, and each entry is multiplied once, by the product of its
     two units with the conjugation folded in (``times_unit``): one
     Scalar, or the entry itself when that unit is 1 and m is not
@@ -538,13 +532,13 @@ def sandwich(left, m, right=None, conj=False):
         return m if right is None else m @ right
     if type(m) is OuterProduct:  # (A u*) (v* B)
         return OuterProduct(sandwich(left, m.u, None, conj), sandwich(None, m.v, right, conj))
-    rows = m.sparse_rows
+    rows, out = m.sparse_rows, {}
     if left is None:
-        el, out = 0, [{}] * len(rows)
-        sources = ((i, rows[i], 0) for i in compress(range(len(rows)), rows))
+        el, sources = 0, ((i, row, 0) for i, row in rows.items())
     else:
-        el, out = left.e, [{}] * left.nrows
-        sources = ((i, rows[j], p) for i, j, p in left.row_items())
+        xl, zl, ml, vl, pl0, el = left.x, left.z, left.m, left.v, left.p, left.e
+        sources = ((j ^ xl, row, pl0 ^ 2 * ((j & zl).bit_count() & 1))
+                   for j, row in rows.items() if j & ml == vl)
     if right is None:
         for i, src, pl in sources:
             if pl or el:
@@ -552,22 +546,25 @@ def sandwich(left, m, right=None, conj=False):
             elif conj:
                 src = {k: s.conjugate() for k, s in src.items()}
             out[i] = src  # with the unit 1 and no conjugation, the row is shared
-        return Matrix(out, m.ncols)
-    x, z, mask, pr0, er = right.x, right.z, right.m, right.p, right.e
-    kept = right.v ^ (x & mask)  # row k of `right` is nonempty when k & mask == kept
-    e = el + er
-    for i, src, pl in sources:
-        acc = {}
-        for k, s in src.items():
-            if k & mask != kept:
-                continue
-            j = k ^ x
-            pr = pr0 + 2 * (j & z).bit_count()
-            if (pl + pr) & 3 or e or conj:
-                s = s.times_unit(pl + pr, e, conj)
-            acc[j] = s
-        out[i] = {j: acc[j] for j in sorted(acc)} if x and len(acc) > 1 else acc
-    return Matrix(out, right.ncols)
+    else:
+        x, z, mask, pr0, er = right.x, right.z, right.m, right.p, right.e
+        kept = right.v ^ (x & mask)  # row k of `right` is nonempty when k & mask == kept
+        e = el + er
+        for i, src, pl in sources:
+            acc = {}
+            for k, s in src.items():
+                if k & mask != kept:
+                    continue
+                j = k ^ x
+                pr = pr0 + 2 * (j & z).bit_count()
+                if (pl + pr) & 3 or e or conj:
+                    s = s.times_unit(pl + pr, e, conj)
+                acc[j] = s
+            if acc:
+                out[i] = {j: acc[j] for j in sorted(acc)} if x and len(acc) > 1 else acc
+    if left is not None and left.x and len(out) > 1:  # the left X flip moved the rows out of order
+        out = {i: out[i] for i in sorted(out)}
+    return Matrix(out, m.nrows, m.ncols if right is None else right.ncols)
 
 
 def _numerators(row):
@@ -603,27 +600,27 @@ def _exact_product(left, right):
     from the Q(i, sqrt2) product formula, are summed as ints and the sum
     becomes one Scalar, normalised once.
     """
-    numerators, scaled = {}, None
-    out = [{}] * len(left)
-    for i in compress(range(len(left)), left):
-        row = left[i]
+    numerators, scaled, out = {}, None, {}
+    for i, row in left.items():
         if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
             [(k, s)] = row.items()
+            if k not in right:
+                continue
             if k not in numerators:
                 numerators[k] = _numerators(right[k])
             out[i] = _times_row(s, numerators[k])
             continue
         if scaled is None:
-            q_right = lcm(*{s.q for r in right for s in r.values()})
-            scaled = [
-                [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
-                for r in right
-            ]
+            q_right = lcm(*{s.q for r in right.values() for s in r.values()})
+            scaled = {
+                k: [(j, s.a * (m := q_right // s.q), s.b * m, s.c * m, s.d * m) for j, s in r.items()]
+                for k, r in right.items()
+            }
         q_row = lcm(*{s.q for s in row.values()})
         acc = {}
         for k, s in row.items():
-            terms = scaled[k]
-            if not terms:
+            terms = scaled.get(k)
+            if terms is None:
                 continue
             m = q_row // s.q
             a1, b1, c1, d1 = s.a * m, s.b * m, s.c * m, s.d * m
@@ -642,7 +639,8 @@ def _exact_product(left, right):
                     t[2] += c
                     t[3] += d
         den = q_row * q_right
-        out[i] = {j: _normalised(*t, den) for j in sorted(acc) if any(t := acc[j])}
+        if sums := {j: _normalised(*t, den) for j in sorted(acc) if any(t := acc[j])}:
+            out[i] = sums
     return out
 
 
@@ -684,10 +682,15 @@ class Monomial(Matrix):
     def row_items(self):
         """(i, j, q) of every nonempty row i, i increasing: its column j and the phase q of its unit.
 
-        Row i is nonempty when i & m == v ^ (x & m); the bits outside m run over their submasks.
+        Row i is nonempty when i & m == v ^ (x & m); the bits outside m run
+        over their submasks.  This is where the words become dim-many
+        entries, so a dimension above ``max_dimension()`` is a ValueError
+        here and nowhere else in the operator algebra.
         """
         if self.v < 0:
             return
+        if self.nrows > (cap := max_dimension()):
+            raise ValueError(f"matrix dimension {self.nrows} exceeds cap {cap}; raise SGA_MAX_DIM to override")
         x, z, p = self.x, self.z, self.p
         free = ~self.m & (self.nrows - 1)
         base = self.v ^ (x & self.m)
@@ -705,11 +708,8 @@ class Monomial(Matrix):
 
     @property
     def sparse_rows(self):
-        rows = [{}] * self.nrows
         units = self._units()
-        for i, j, q in self.row_items():
-            rows[i] = {j: units[q]}
-        return tuple(rows)
+        return {i: {j: units[q]} for i, j, q in self.row_items()}
 
     def nonzero_items(self):
         units = self._units()
@@ -787,19 +787,20 @@ class Monomial(Matrix):
             return False
         if self.v < 0:
             return other.is_zero()
-        # each nonempty row of other must be the row the words give, and there must be as many
+        # other must have as many nonempty rows, each the row the words give
         x, z, mask, p = self.x, self.z, self.m, self.p
-        kept, units, count = self.v ^ (x & mask), self._units(), 0
+        kept, units = self.v ^ (x & mask), self._units()
         rows = other.sparse_rows
-        for i in compress(range(len(rows)), rows):
-            row, j = rows[i], i ^ x
+        if len(rows) != self.nrows >> mask.bit_count():
+            return False
+        for i, row in rows.items():
+            j = i ^ x
             if i & mask != kept or len(row) != 1 or j not in row:
                 return False
             s, u = row[j], units[p ^ 2 * ((j & z).bit_count() & 1)]
             if s is not u and s != u:
                 return False
-            count += 1
-        return count == self.nrows >> mask.bit_count()
+        return True
 
     __hash__ = Matrix.__hash__
 

@@ -34,7 +34,9 @@ Matrix kept as a masked Pauli string of a few words, with no per-row
 list.  The attributes and accessors return those operators themselves,
 so a product of two is a word product, and a product with any other
 Matrix gathers or relabels that factor's entries instead of multiplying
-Scalars.
+Scalars.  Building a representation allocates nothing of size dim, so
+it is not capped: ``SGA_MAX_DIM`` bounds only the listing of an
+operator's dim-many entries (its rows, JSON or hash).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bitcodes import Bitcode
-from .matrices import Matrix, Monomial, max_dimension
+from .matrices import Matrix, Monomial
 from .scalars import i_power
 
 METRIC_CHOICES = ("standard", "alternative", "prime_standard", "prime_alternative")
@@ -91,7 +93,6 @@ class RepConfig:
     odd_mode: str = "project"
     gamma_phase_sign: int = 1
     timelike_pseudoscalar_phase: bool = False
-    max_dim: int | None = None
 
     def __post_init__(self):
         if self.metric not in METRIC_CHOICES:
@@ -165,13 +166,6 @@ class Representation:
             built_pairs = (n_total + 1) // 2
         else:
             built_pairs = n_total // 2
-        dim = 1 << built_pairs
-        cap = config.max_dim if config.max_dim is not None else max_dimension()
-        if dim > cap:
-            raise ValueError(
-                f"matrix dimension {dim} exceeds cap {cap}; raise SGA_MAX_DIM to override"
-            )
-
         core = _even_core(built_pairs)
         self.n_bits = built_pairs
         self.dim = core["dim"]

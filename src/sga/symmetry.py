@@ -241,23 +241,20 @@ def axis_reflection_classify(rep, generators):
             x = x @ rep.gamma(a)
         member_axes = set(axes)
 
-    sq = (x @ x).scalar_multiple_of_identity()
-    if sq is None or sq not in (Scalar(1), Scalar(-1)):
+    sq = (x @ x).sign_against(Monomial.identity(rep.n_bits))
+    if not sq:
         raise ValueError("reflection operator does not square to +-1")
-    x_inv = x if sq == Scalar(1) else -x
+    x_inv = x if sq == 1 else -x
 
     flipped_space = 0
     flipped_time = 0
     p = len(member_axes) if generators != "scalar" else 1
     for a in range(1, rep.N + 1):
         g = rep.gamma(a)
-        image = x @ g @ x_inv
-        if image == g:
-            flipped = False
-        elif image == -g:
-            flipped = True
-        else:
+        sign = (x @ g @ x_inv).sign_against(g)
+        if not sign:
             raise AssertionError("reflection did not map a basis vector to +-itself")
+        flipped = sign == -1
         expected = (p - (1 if a in member_axes else 0)) % 2 == 1
         if flipped != expected:
             raise AssertionError("reflection parity disagrees with the matrix action")

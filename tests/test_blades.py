@@ -175,7 +175,7 @@ def test_decompose_agrees_with_coefficient_formula():
 
 def test_the_transform_builds_no_blade_and_reads_no_trace(monkeypatch):
     """Decomposing and rebuilding a dense N=12 matrix builds no blade monomial and calls no trace formula."""
-    rep = build_representation(RepConfig(Signature(spacelike=12), max_dim=64))
+    rep = build_representation(RepConfig(Signature(spacelike=12)))
     rng = Random(43)
     m = Matrix([[Scalar(rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-2, 2), 0, rng.choice((1, 2)))
                  for _ in range(64)] for _ in range(64)])

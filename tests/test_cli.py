@@ -11,6 +11,7 @@ from sga.blades import decompose_multivector, spinor_outer_decompose
 from sga.cli import _json_dumps, main
 from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
+from sga.scalars import SQRT2, Scalar
 
 
 def run(capsys, *argv):
@@ -250,6 +251,21 @@ def test_max_dim_env(capsys, monkeypatch):
     monkeypatch.setenv("SGA_MAX_DIM", "8")
     code, _, _ = run(capsys, "build", "-K", "6")
     assert code == 0
+
+
+def test_word_level_commands_run_past_the_dimension_cap(capsys, monkeypatch):
+    """Building, chains on basis spinors, metric tables and reflections never list dim-many entries."""
+    monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    code, out, _ = run(capsys, "eval", "-K", "64", f"e[{'u' * 32}]' g[1bar] e[u{'d' * 31}]")
+    assert code == 0 and json.loads(out)["species"] == "scalar"
+    assert Scalar.from_json(json.loads(out)["value"]) == -SQRT2
+    code, out, _ = run(capsys, "tables", "--max-dim", "40", "--kind", "metric", "--check-period8")
+    assert code == 0 and "(N range 1..40, computed exactly)" in out
+    code, out, _ = run(capsys, "classify-reflection", "-K", "64", "--generators", "1,2")
+    assert code == 0 and out == "neither\n"
+    code, out, err = run(capsys, "eval", "-K", "64", "g[1] g[2]")  # an operator written out entry by entry
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "SGA_MAX_DIM" in err
 
 
 def test_output_file(tmp_path, capsys):

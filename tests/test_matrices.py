@@ -516,7 +516,7 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     assert scaled == Matrix([[factor * x for x in r] for r in a.rows])
     assert conj == naive_product(naive_product(c, m.conj()), c.dagger())
     assert conj_row == naive_product(naive_product(c, naive_product(eps, row.transpose()).conj()).transpose(), eps)
-    rows_first, rows_second = Matrix(first.sparse_rows, 64), Matrix(second.sparse_rows, 64)
+    rows_first, rows_second = Matrix(first.sparse_rows, 64, 64), Matrix(second.sparse_rows, 64, 64)
     assert conj_first == conjugate(rep64, rows_first)
     assert negated == -rows_first and scaled_second == rows_second.scale(factor)
     assert compared == [rows_first == rows_second, True, False]
@@ -546,3 +546,67 @@ def test_scaling_by_an_unsupported_type_is_a_type_error(factor):
         m * factor
     with pytest.raises(TypeError):
         factor * m
+
+
+# -- sparse storage: nonempty rows only ------------------------------------------
+
+
+def test_sparse_kernels_cost_the_nonzeros_at_any_dimension(monkeypatch):
+    """At dim 2**64 each kernel runs on the stored nonzeros alone, with no dimension cap in the way."""
+    from sga.bitcodes import Bitcode
+    from sga.elements import Element, lower_index, raise_index, row_of
+    from sga.matrices import sandwich
+    from sga.representation import RepConfig, Signature
+
+    monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    n, top = 64, 1 << 63
+    dim = 1 << n
+    a, b = Matrix.unit_column(dim, 5), Matrix.unit_column(dim, dim - 1).scale(I)
+    assert a.sparse_rows == {5: {0: ONE}} and (a.nrows, a.ncols) == (dim, 1)
+    assert Matrix.zeros(dim).is_zero() and Matrix.zeros(dim, 1) == a - a
+    total = a + b
+    assert total.sparse_rows == {5: {0: ONE}, dim - 1: {0: I}}
+    assert (a - b).sparse_rows == {5: {0: ONE}, dim - 1: {0: -I}}
+    assert total.scale(SQRT2).sparse_rows == {5: {0: SQRT2}, dim - 1: {0: I * SQRT2}}
+    row = total.transpose()
+    assert (row.nrows, row.ncols) == (1, dim) and row.sparse_rows == {0: {5: ONE, dim - 1: I}}
+    assert row.transpose() == total and total != a and total[-1, 0] == I and total[6, 0] == ZERO
+
+    # i X**x Z**2: column j goes to row j ^ x with the unit i * (-1)**(j >> 1 & 1)
+    flip, keep_even_pairs = Monomial(n, x=1 | top, z=2, p=1), Monomial(n, m=2)
+    moved = {top - 2: {0: ONE}, top + 4: {0: I}}
+    assert sandwich(flip, total).sparse_rows == moved and (flip @ total).sparse_rows == moved
+    assert list(moved) == sorted(moved)
+    assert sandwich(keep_even_pairs, total).sparse_rows == {5: {0: ONE}}
+    assert sandwich(None, row, flip).sparse_rows == {0: {top - 2: ONE, top + 4: I}} == (row @ flip).sparse_rows
+    assert sandwich(None, row, keep_even_pairs).sparse_rows == {0: {5: ONE}}
+
+    # basis spinors of a K=128 representation
+    rep = build_representation(RepConfig(Signature(spacelike=128)))
+    index = 3 << 40 | 9
+    psi = Element.basis_spinor(rep, Bitcode.from_index(index, n))
+    lowered, raised = row_of(rep, psi).payload, raise_index(rep, psi)
+    assert lowered.nrows == 1 and list(lowered.sparse_rows[0]) == [index ^ (dim - 1)]
+    assert list(raised.payload.sparse_rows) == [index ^ (dim - 1)]
+    assert raised.payload[index ^ (dim - 1), 0] in (ONE, -ONE)
+    assert lower_index(rep, raised) == psi
+
+    # equal matrices built by different paths hash equal: the rows stay in increasing order
+    c = Matrix.from_items(dim, dim, [(dim - 1, 0, ONE), (3, dim - 2, I), (top, 7, SQRT2)])
+    d = Matrix.from_items(dim, dim, [(0, 1, -ONE), (3, 4, HALF), (top, 7, -SQRT2)])
+    assert c + d == d + c and hash(c + d) == hash(d + c)
+    assert list((c + d).sparse_rows) == [0, 3, dim - 1]
+    assert c.transpose().transpose() == c and hash(c.transpose().transpose()) == hash(c)
+    back = flip.dagger() @ (flip @ c)
+    assert back == c and hash(back) == hash(c) and hash(flip.dagger() @ (flip @ total)) == hash(total)
+
+
+def test_entry_reads_check_both_bounds():
+    m = Matrix([[ONE, ZERO, I], [ZERO, SQRT2, -ONE]])
+    for key in ((2, 0), (0, 3), (-3, 0), (0, -4)):
+        with pytest.raises(IndexError):
+            m[key]
+    assert m[-1, -1] == -ONE and m[-2, 0] == ONE and m[1, 0] == ZERO
+    for index in (4, -1):
+        with pytest.raises(IndexError):
+            Matrix.unit_column(4, index)

@@ -300,12 +300,18 @@ def test_pseudoscalar_timelike_phase_flag():
 
 
 def test_dimension_cap(monkeypatch):
-    with pytest.raises(ValueError):
-        build_representation(RepConfig(Signature(spacelike=18), max_dim=256))
+    """Building is uncapped; listing an operator's entries meets the cap."""
+    rep = build_representation(RepConfig(Signature(spacelike=18)))
+    assert rep.dim == 512
+    with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+        rep.eps.to_json()
     monkeypatch.setenv("SGA_MAX_DIM", "8")
-    with pytest.raises(ValueError):
-        rep_for(8)
-    assert rep_for(6).dim == 8
+    rep = rep_for(8)
+    with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+        rep.eps.sparse_rows
+    with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+        list(rep.gamma(1).nonzero_items())
+    assert len(rep_for(6).eps.sparse_rows) == 8
 
 
 def test_n17_fits_default_cap():
@@ -345,7 +351,7 @@ def test_operator_attributes_are_monomials_read_as_themselves():
         assert type(m) is Monomial and getattr(rep, name) is m
     assert type(rep.gamma(1)) is Monomial and isinstance(rep.C, Matrix)
     assert rep.scalar_axis_matrix is None
-    assert rep.eps_T == rep.eps.transpose() == Matrix(rep.eps.sparse_rows, rep.dim).transpose()
+    assert rep.eps_T == rep.eps.transpose() == Matrix(rep.eps.sparse_rows, rep.dim, rep.dim).transpose()
 
 
 def test_a_used_representation_is_freed_without_the_cycle_collector():
