@@ -24,9 +24,10 @@ travels as one int, its four numerators over a common denominator packed
 in lanes too wide to carry.  That costs O(n 4**n) on dense input and O(n) per
 nonzero in or out on sparse input.  The trace formula of
 ``blade_coefficient`` is the reference.  ``verify_isomorphism`` runs
-the transform once per diagonal r ^ c for all basis elements on it,
-each tagged with its own index in the bits above n; the report is the
-one a round trip of each element alone gives.
+the transform once per diagonal r ^ c for all basis elements on it:
+element t's lanes sit above those of elements 0..t-1 in one int per
+position, so one butterfly serves them all; the report is the one a
+round trip of each element alone gives.
 
 Each basis outer product e_a e_b. has a single nonzero entry, so that
 direction is a direct read-off against the metric's sign pattern, on
@@ -113,9 +114,16 @@ def canonicalize(factors):
 
 
 def all_chiral_blades(rep):
-    """All 4**n basis blades over the representation's chiral generators."""
-    gens = [(k, barred) for k in range(1, rep.n_bits + 1) for barred in (False, True)]
-    return [BladeIndex(CHIRAL, combo) for p in range(len(gens) + 1) for combo in combinations(gens, p)]
+    """All 4**n basis blades over the representation's chiral generators, as a new list."""
+    return list(_chiral_blades(rep.n_bits))
+
+
+@lru_cache(maxsize=8)
+def _chiral_blades(n):
+    """all_chiral_blades on n planes, frozen, as the ``_blade_of_bits`` objects the blade caches hold."""
+    gens = [(k, barred) for k in range(1, n + 1) for barred in (False, True)]
+    return tuple(_blade_of_bits(*BladeIndex(CHIRAL, combo)._planes)
+                 for p in range(len(gens) + 1) for combo in combinations(gens, p))
 
 
 def blade_matrix(rep, blade):
@@ -252,18 +260,19 @@ def decompose_multivector(rep, m):
     """
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
-    return {_blade_of_bits(r, c): s for r, c, s in _plane_transform(rep.n_bits, m.nonzero_items(), True)}
+    [coeffs] = _plane_transform(rep.n_bits, [{(i, j): s for i, j, s in m.nonzero_items()}], True)
+    return {_blade_of_bits(r, c): s for (r, c), s in coeffs.items()}
 
 
 def reconstruct_from_blades(rep, coeffs):
     """The Matrix sum of c * blade over chiral blade coefficients, by the inverse transform."""
-    items = []
+    element = {}
     for blade, s in coeffs.items():
         if blade.kind != CHIRAL:
             raise ValueError("reconstruct_from_blades takes chiral blades")
-        r, c = blade._planes
-        items.append((r, c, s))
-    return Matrix.from_items(rep.dim, rep.dim, _plane_transform(rep.n_bits, items, False))
+        element[blade._planes] = s
+    [entries] = _plane_transform(rep.n_bits, [element], False)
+    return Matrix.from_items(rep.dim, rep.dim, ((r, c, s) for (r, c), s in entries.items()))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -285,71 +294,67 @@ def _jw_flips(x):
     return flips
 
 
-def _plane_transform(n, items, forward):
-    """(r, c, Scalar) of the nonzero results of the transform of (r, c, Scalar) items, forward or back.
+def _plane_transform(n, elements, forward):
+    """[{(r, c): Scalar}] of the nonzero results of the transform of each element {(r, c): Scalar}, forward or back.
 
     It keeps x = r ^ c, so it runs on each x apart, over the planes outside
     x.  A value travels as the int a + b*2**w + c*2**2w + d*2**3w of its
-    numerators over the common denominator.  Each result is a signed sum
-    of at most 2**n inputs, and w is one bit more than such a sum of the
-    largest numerator needs, so no lane carries into the next and a sum
-    or difference of two values is one int operation.  The width is read
-    in the grouping pass, once per distinct input Scalar, and
-    ``_unpacked`` makes one Scalar per distinct result.
-
-    Bits of r and c above the n plane bits pass through untouched: they
-    cancel in x, and neither the butterfly nor the sign (-1)**J reads
-    them.  ``_tagged_transform`` uses them to run several elements at once.
+    numerators over the common denominator, and element t's value at
+    (r, r ^ x) sits in the bits from t * 4w up of one int per position, so
+    each x runs one butterfly for every element.  Each result is a signed
+    sum of at most 2**n inputs of one element, and w is one bit more than
+    such a sum of the largest numerator needs, so no lane carries into the
+    next and a sum or difference of positions is one int operation.  The
+    width is read once per distinct input Scalar, and ``_unpacked`` makes
+    one Scalar per distinct result.
     """
-    groups = {}  # x -> {r: id of its Scalar}
-    scalars = {}  # id -> each distinct Scalar, read once for the denominator and the lane width
+    scalars = {id(s): s for element in elements for s in element.values()}
     den = 1
     top = 0  # the bits of every numerator's magnitude
-    for r, c, s in items:
-        x = r ^ c
-        group = groups.get(x)
-        if group is None:
-            group = groups[x] = {}
-        group[r] = k = id(s)
-        if k not in scalars:
-            scalars[k] = s
-            if den % s.q:
-                den = lcm(den, s.q)
-            top |= abs(s.a) | abs(s.b) | abs(s.c) | abs(s.d)
+    for s in scalars.values():
+        if den % s.q:
+            den = lcm(den, s.q)
+        top |= abs(s.a) | abs(s.b) | abs(s.c) | abs(s.d)
     width = top.bit_length() + den.bit_length() + n + 1
+    slot = 4 * width
     packed = {
         k: den // s.q * (s.a + (s.b << width) + (s.c << 2 * width) + (s.d << 3 * width))
         for k, s in scalars.items()
     }
+    groups = {}  # x -> {r: the int of position (r, r ^ x)}
+    for t, element in enumerate(elements):
+        shift = t * slot
+        for (r, c), s in element.items():
+            x = r ^ c
+            group = groups.get(x)
+            if group is None:
+                group = groups[x] = {}
+            group[r] = group.get(r, 0) + (packed[id(s)] << shift)
     full = (1 << n) - 1
-    out = []
-    for x, group in groups.items():
-        flips = _jw_flips(x) & full  # entries of odd J are negated before the forward butterfly, after the inverse one
-        vals = _butterfly({
-            r: -packed[k] if forward and (r & flips).bit_count() & 1 else packed[k] for r, k in group.items()
-        }, ~x & full)
-        e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
-        for r, v in vals.items():
-            if v:
-                if not forward and (r & flips).bit_count() & 1:
-                    v = -v
-                out.append((r, r ^ x, _unpacked(v, width, den, e)))
-    return out
-
-
-def _tagged_transform(n, elements, forward):
-    """[{(r, c): Scalar}] of the transforms of several elements' (r, c, Scalar) items, by one ``_plane_transform``.
-
-    Element t's entries are tagged with t in the bits above n, and the
-    results are split by that tag.  Each result is still a signed sum of
-    one element's inputs, so the lane width holds; on a single diagonal
-    r ^ c all elements share one butterfly.
-    """
-    tagged = [(t << n | r, t << n | c, s) for t, items in enumerate(elements) for r, c, s in items]
+    mask, half, carry = (1 << slot) - 1, 1 << (slot - 1), 1 << slot
     out = [{} for _ in elements]
-    full = (1 << n) - 1
-    for r, c, s in _plane_transform(n, tagged, forward):
-        out[r >> n][r & full, c & full] = s
+    for x, group in groups.items():
+        flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
+        if forward:
+            group = {r: -u if (r & flips).bit_count() & 1 else u for r, u in group.items()}
+        e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
+        for r, u in _butterfly(group, ~x & full).items():
+            if not forward and (r & flips).bit_count() & 1:
+                u = -u
+            key, t = (r, r ^ x), 0
+            while u:  # u holds the slots from t up: those below were exactly zero or read off
+                v = u & mask
+                if not v:  # skip to the lowest nonzero slot
+                    skip = ((u & -u).bit_length() - 1) // slot
+                    t += skip
+                    u >>= skip * slot
+                    v = u & mask
+                u >>= slot
+                if v & half:  # a negative slot borrowed one from the slots above it
+                    v -= carry
+                    u += 1
+                out[t][key] = _unpacked(v, width, den, e)
+                t += 1
     return out
 
 
@@ -435,8 +440,7 @@ def chiral_projector(rep, handedness):
             "chirality projectors need an even representation or an embedded odd one"
         )
     sign = ONE if handedness in ("right", "R", "+", 1) else -ONE
-    ident = Matrix.identity(rep.dim)
-    return (ident + rep.kappa.scale(sign)).scale(HALF)
+    return (Monomial.identity(rep.n_bits) + rep.kappa.scale(sign)).scale(HALF)
 
 
 def chiral_project(rep, m, handedness):
@@ -451,8 +455,15 @@ def verify_isomorphism(rep):
     coefficient one, which checks the forward transform on a basis; each
     outer product must come back from its blade coefficients, which
     checks the inverse one.  The transform keeps the diagonal x = r ^ c,
-    so the elements are grouped by x and each group runs one tagged
-    transform per direction: 2**n calls each, not one per element.
+    so the elements are grouped by x and each group runs one transform
+    per direction, every element in its own lanes of one int per
+    position: 2**n calls each, not one per element.  The forward results
+    of the outer products go straight into the inverse call.
+
+    A blade entry in column j comes back from its outer key unchanged
+    exactly when by_row[by_column[j][0]] == (j, by_column[j][1]), as no
+    nonzero value equals its negation; so a blade fails the outer round
+    trip exactly when it has an entry in a column where the maps disagree.
 
     Returns {"dim", "blades_checked", "outer_checked", "failures": [...]}:
     the failures blade by blade, the outer round trip before the
@@ -460,20 +471,18 @@ def verify_isomorphism(rep):
     """
     n = rep.n_bits
     by_row, by_column = _column_maps(rep)
+    unmapped = {j for j, (k, negated) in enumerate(by_column) if by_row[k] != (j, negated)}
     blades = all_chiral_blades(rep)
     diagonals = {}
     for t, blade in enumerate(blades):
         r, c = blade._planes
         diagonals.setdefault(r ^ c, []).append(t)
     outer_failed, self_failed = set(), set()
-    for ts in diagonals.values():  # one diagonal's entry lists at a time
-        elements = []
-        for t in ts:
-            items = list(blade_matrix(rep, blades[t]).nonzero_items())
-            if list(_outer_keys(_outer_keys(items, by_column), by_row)) != items:
-                outer_failed.add(t)
-            elements.append(items)
-        for t, coeffs in zip(ts, _tagged_transform(n, elements, True)):
+    for ts in diagonals.values():  # one diagonal's entries at a time
+        elements = [{(i, j): s for i, j, s in blade_matrix(rep, blades[t]).nonzero_items()} for t in ts]
+        if unmapped:
+            outer_failed.update(t for t, element in zip(ts, elements) if any(j in unmapped for _, j in element))
+        for t, coeffs in zip(ts, _plane_transform(n, elements, True)):
             if coeffs != {blades[t]._planes: ONE}:
                 self_failed.add(t)
     failures = []
@@ -487,17 +496,15 @@ def verify_isomorphism(rep):
     # e_a e_b. is the product of column a and row b, so each spinor is built once
     columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
     rows = [row_of(rep, column) for column in columns]
-    products = {}  # x -> {t: the entries on diagonal x of product t = a * dim + b}
+    products = {}  # x -> {t: {(i, j): s} of the entries on diagonal x of product t = a * dim + b}
     for t, (column, row) in enumerate(product(columns, rows)):
         for i, j, s in multiply(column, row).payload.nonzero_items():
-            products.setdefault(i ^ j, {}).setdefault(t, []).append((i, j, s))
+            products.setdefault(i ^ j, {}).setdefault(t, {})[i, j] = s
     products_failed = set()
     for diagonal in products.values():
-        coeffs = _tagged_transform(n, diagonal.values(), True)
-        rebuilt = _tagged_transform(n, [[(r, c, s) for (r, c), s in d.items()] for d in coeffs], False)
-        for (t, items), back in zip(diagonal.items(), rebuilt):
-            if back != {(i, j): s for i, j, s in items}:
-                products_failed.add(t)
+        elements = list(diagonal.values())
+        rebuilt = _plane_transform(n, _plane_transform(n, elements, True), False)
+        products_failed.update(t for t, element, back in zip(diagonal, elements, rebuilt) if back != element)
     dim = rep.dim
     failures += [f"outer product ({codes[t // dim]}, {codes[t % dim]}) failed the blade round trip"
                  for t in sorted(products_failed)]

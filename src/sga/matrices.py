@@ -336,7 +336,9 @@ class Matrix:
         return hash((self.nrows, self.ncols, tuple((i, tuple(r.items())) for i, r in self.sparse_rows.items())))
 
     def is_identity(self):
-        return self.is_square and self == Matrix.identity(self.nrows)
+        rows = self.sparse_rows
+        return self.is_square and len(rows) == self.nrows and all(
+            len(row) == 1 and row.get(i) == ONE for i, row in rows.items())
 
     def scalar_multiple_of_identity(self):
         """Return s if the matrix equals s*identity, else None."""
@@ -492,8 +494,7 @@ class OuterProduct(Matrix):
         i, j = next(iter(col)), next(iter(row))
         if i not in ocol or j not in orow:
             return False
-        return (_times_row(col[i], _numerators(row)) == _times_row(ocol[i], _numerators(orow))
-                and _times_row(row[j], _numerators(col)) == _times_row(orow[j], _numerators(ocol)))
+        return _same_products(col[i], row, ocol[i], orow) and _same_products(row[j], col, orow[j], ocol)
 
     __hash__ = Matrix.__hash__
 
@@ -570,6 +571,19 @@ def sandwich(left, m, right=None, conj=False):
 def _numerators(row):
     """(j, a, b, c, d, q) of each entry of `row`, read once for every factor it meets."""
     return [(j, t.a, t.b, t.c, t.d, t.q) for j, t in row.items()]
+
+
+def _same_products(s, row, t, other):
+    """True when s * row == t * other for nonzero s and t, on raw product numerators cross-multiplied: no gcd."""
+    return row.keys() == other.keys() and all(
+        _raw_product(s, x, t.q * other[j].q) == _raw_product(t, other[j], s.q * x.q) for j, x in row.items())
+
+
+def _raw_product(s, t, m):
+    """m times the numerators of s * t over s.q * t.q, by the Q(i, sqrt2) product formula."""
+    a1, b1, c1, d1, a2, b2, c2, d2 = s.a, s.b, s.c, s.d, t.a, t.b, t.c, t.d
+    return ((a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2) * m, (a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2) * m,
+            (a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)) * m, (a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2) * m)
 
 
 def _times_row(s, terms):
@@ -718,6 +732,9 @@ class Monomial(Matrix):
 
     def is_zero(self):
         return self.v < 0
+
+    def is_identity(self):
+        return self._words() == (self.n, 0, 0, 0, 0, 0, 0)
 
     def __matmul__(self, other):
         """The product self @ other: column j goes through other, then through self."""

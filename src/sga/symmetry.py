@@ -41,9 +41,8 @@ class Rotor:
     description: str = ""
 
 
-def _rotor_from_generator(dim, generator, c, s):
-    ident = Matrix.identity(dim)
-    cos_part = ident.scale(c)
+def _rotor_from_generator(n_bits, generator, c, s):
+    cos_part = Monomial.identity(n_bits).scale(c)
     sin_part = generator.scale(s)
     return cos_part - sin_part, cos_part + sin_part
 
@@ -85,7 +84,7 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
             raise ValueError("boost rotors are exact only at zero rapidity")
         c = cos_quarter_turns(quarters)
         s = sin_quarter_turns(quarters)
-        m, r = _rotor_from_generator(rep.dim, generator, c, s)
+        m, r = _rotor_from_generator(rep.n_bits, generator, c, s)
         return Rotor(m, r, "exact", f"plane {k}, {quarters} quarter turns")
 
     import numpy as np
@@ -115,7 +114,7 @@ def bivector_rotor(rep, generator, theta, exact=False):
             raise ValueError("exact mode needs an angle that is a multiple of pi/2")
         q = round(ratio)
         m, r = _rotor_from_generator(
-            rep.dim, generator, cos_quarter_turns(q), sin_quarter_turns(q)
+            rep.n_bits, generator, cos_quarter_turns(q), sin_quarter_turns(q)
         )
         return Rotor(m, r, "exact", f"bivector, {q} quarter turns")
 

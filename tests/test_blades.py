@@ -1,5 +1,6 @@
 """Blade dictionary: coefficients, decompositions, projectors, round trips."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -85,6 +86,18 @@ def test_blade_matrices_multiply_like_generators():
         got = blade_matrix(rep, a) @ blade_matrix(rep, b)
         want = blade_matrix(rep, BladeIndex(CHIRAL, merged)).scale(Scalar(sign))
         assert got == want
+
+
+def test_all_chiral_blades_is_a_fresh_list_of_the_canonical_blades():
+    """Each call returns a new list, by grade and then factor order, of one set of shared frozen blades."""
+    gens = [(k, barred) for k in (1, 2, 3) for barred in (False, True)]
+    want = [BladeIndex(CHIRAL, combo) for p in range(7) for combo in combinations(gens, p)]
+    first = all_chiral_blades(rep_for(6))
+    assert first == want and len(set(first)) == 64
+    first.reverse()
+    second = all_chiral_blades(rep_for(6, metric="alternative"))
+    assert second == want and second is not first
+    assert all(a is b for a, b in zip(second, reversed(first)))
 
 
 def test_metric_column_map_signs():
@@ -414,25 +427,43 @@ def test_injected_faults_give_the_per_element_failures_in_order(monkeypatch, n, 
     assert any("outer round trip" in f and "itself" in g for f, g in zip(failures, failures[1:]))
 
 
-def random_items(rng, n, count):
-    """`count` distinct (r, c, Scalar) entries on n bits."""
+def random_element(rng, n, count):
+    """Up to `count` nonzero {(r, c): Scalar} entries on n bits; at a repeated position the last value is kept."""
     entries = {(rng.randrange(1 << n), rng.randrange(1 << n)): Scalar(
         rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-3, 3), rng.randint(-1, 1), rng.choice((1, 2, 3)))
         for _ in range(count)}
-    return [(r, c, s) for (r, c), s in entries.items() if not s.is_zero()]
+    return {key: s for key, s in entries.items() if not s.is_zero()}
+
+
+def assert_each_element_alone(n, elements, forward):
+    """Several elements transform in one call as each does alone, though their lanes share one int per position."""
+    assert blades._plane_transform(n, elements, forward) == [
+        blades._plane_transform(n, [element], forward)[0] for element in elements]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("forward", [True, False])
-def test_the_tagged_transform_is_each_element_transform(n, forward):
-    """Elements tagged in the bits above n and split by r >> n transform as they do alone."""
+def test_the_lanes_never_carry(n, forward):
+    """Random elements, a full diagonal of wide values, and negative slots next to zero slots."""
     rng = Random(97 + 2 * n + forward)
     for _ in range(4):
-        elements = [random_items(rng, n, rng.randint(0, 2 ** n)) for _ in range(rng.randint(1, 9))]
+        elements = [random_element(rng, n, rng.randint(0, 2 ** n)) for _ in range(rng.randint(1, 9))]
         diagonal = rng.randrange(1 << n)  # and one batch on a single diagonal, as the round trip runs it
-        elements.append([(r, r ^ diagonal, s) for r, _, s in random_items(rng, n, 2 ** n)])
-        want = [{(r, c): s for r, c, s in blades._plane_transform(n, items, forward)} for items in elements]
-        assert blades._tagged_transform(n, elements, forward) == want
+        elements.append({(r, r ^ diagonal): s for (r, _), s in random_element(rng, n, 2 ** n).items()})
+        assert_each_element_alone(n, elements, forward)
+
+    # 2**n elements filling one diagonal, numerators up to 2**70 over denominators up to 10**6
+    big, dens = 2 ** 70, [1] + [rng.randint(2, 10 ** 6) for _ in range(3)]
+    diagonal = rng.randrange(1 << n)
+    full = [{(r, r ^ diagonal): Scalar(*(rng.randint(-big, big) for _ in range(4)), rng.choice(dens))
+             for r in range(2 ** n)} for _ in range(2 ** n)]
+    assert_each_element_alone(n, full, forward)
+
+    # constant negative elements, whose transforms are zero at most positions, between empty ones
+    top = Scalar(-big, -big, -big, -big, dens[-1])
+    signs = [{(r, r ^ diagonal): top for r in range(2 ** n)}, {}, {(r, r ^ diagonal): -ONE for r in range(2 ** n)},
+             {}, {}, {(0, diagonal): -HALF}, {(r, r ^ diagonal): top for r in range(0, 2 ** n, 2)}]
+    assert_each_element_alone(n, signs, forward)
 
 
 def test_verify_isomorphism_runs_one_transform_per_diagonal(monkeypatch):

@@ -856,3 +856,12 @@ def test_outer_product_fast_paths_match_its_rows(odd_mode, data):
         assert zero == Matrix.zeros(dim) and zero == OuterProduct(Matrix.zeros(dim, 1), Matrix.zeros(1, dim))
         assert (zero == OuterProduct(u, v)) == naive_product(u, v).is_zero()
         assert_fast_paths_match_the_rows(rep, rng, zero)
+    # factors that both differ: equality is that of the materialised rows, also off by a sign or one entry
+    outer, factor = OuterProduct(u, v), Scalar(1, 1, 0, 0, 3)
+    changed_entry = v + Matrix.unit_column(dim, dim - 1).transpose()
+    for a, b in ((u.scale(2), v.scale(HALF)), (u.scale(2), v.scale(-HALF)), (u.scale(I), v.scale(-I)),
+                 (u.scale(SQRT2), v.scale(SQRT2 * HALF)), (u.scale(factor), v.scale(factor)),
+                 (u.scale(-ONE), changed_entry.scale(-ONE)), (u.scale(HALF), changed_entry.scale(2))):
+        other = OuterProduct(a, b)
+        want = Matrix.__eq__(plain(other), plain(outer))
+        assert (other == outer) == want and (outer == other) == want

@@ -314,6 +314,39 @@ def test_dimension_cap(monkeypatch):
     assert len(rep_for(6).eps.sparse_rows) == 8
 
 
+def test_no_identity_is_built_past_the_cap(monkeypatch):
+    """At K=34 the projector and the rotor meet the cap before any identity is built, and is_identity builds none."""
+    from sga.blades import chiral_projector
+    from sga.matrices import max_dimension
+    from sga.symmetry import plane_rotor
+
+    monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    asked, identity = [], Matrix.identity.__func__
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, n: asked.append(n) or identity(cls, n)))
+    rep = rep_for(34)
+    for build in (lambda: chiral_projector(rep, "right"), lambda: plane_rotor(rep, 1, quarters=1)):
+        with pytest.raises(ValueError, match="SGA_MAX_DIM"):
+            build()
+    assert (rep.Gamma @ rep.Gamma).is_identity()
+    assert not rep.kappa.is_identity() and not Monomial.zero(rep.n_bits).is_identity()
+    assert all(n <= max_dimension() for n in asked)
+
+
+@pytest.mark.parametrize("k, m", [(1, 0), (2, 0), (3, 1), (4, 0), (2, 3), (5, 0), (7, 1), (8, 0)])
+def test_is_identity_agrees_with_the_dense_comparison(k, m):
+    rep = rep_for(k, m)
+    ident = Matrix([[ONE if i == j else ZERO for j in range(rep.dim)] for i in range(rep.dim)])
+    half = Matrix([[ONE if i == j and i % 2 else ZERO for j in range(rep.dim)] for i in range(rep.dim)])
+    ops = [rep.Gamma @ rep.Gamma, rep.kappa, rep.kappa @ rep.kappa, rep.eps, rep.eps @ rep.eps, rep.C,
+           Monomial.identity(rep.n_bits), Monomial.identity(rep.n_bits).scale(I), Monomial.zero(rep.n_bits),
+           Matrix.zeros(rep.dim), ident, ident.scale(-ONE), half, Matrix.zeros(rep.dim, 1)]
+    ops += [rep.gamma(a) @ rep.gamma(a) for a in range(1, k + m + 1)]
+    for op in ops:
+        dense = Matrix(op.rows)
+        want = dense.nrows == dense.ncols and dense.rows == ident.rows
+        assert op.is_identity() == want and dense.is_identity() == want, op
+
+
 def test_n17_fits_default_cap():
     rep = rep_for(17)
     assert rep.dim == 256
