@@ -17,7 +17,6 @@ from .blades import (
     decompose_multivector,
     gamma_coefficients,
     spinor_outer_decompose,
-    trace_outer,
     verify_isomorphism,
 )
 from .elements import (
@@ -88,7 +87,6 @@ __all__ = [
     "scalar_product",
     "simplify_chain",
     "spinor_outer_decompose",
-    "trace_outer",
     "verify_isomorphism",
 ]
 

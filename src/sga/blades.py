@@ -4,10 +4,13 @@ Chiral basis blades are wedges of the 2n chiral generators in the order
 g_1 < g_1bar < g_2 < ... ; orthonormal blades are wedges of distinct
 axes.  A chiral blade is the ordered product of its per-plane factors 1,
 g_k, g_kbar or g_k g_kbar - 1 = Z_k, a masked Pauli string too.
-``blade_matrix`` and ``raised_blade_matrix`` return each blade as that
-``Monomial``, cached per representation as its words, so a decomposition
-or comparison of a blade reads its entries from the words and builds no
-rows.
+``blade_matrix`` returns each blade as that ``Monomial``, cached per
+representation as its words, so a decomposition or comparison of a blade
+reads its entries from the words and builds no rows.
+``raised_blade_matrix`` reads the raised blade off that cache by the
+blade's bits: barring every chiral index (k <-> kbar) swaps its two
+plane masks, the metric signs the orthonormal axes, and reversing the
+factor order is the reversal sign.
 
 Under the Jordan-Wigner twist each factor acts on its plane's index bit
 alone, so entry (r, c) of a blade is a Kronecker product of 2x2 factors
@@ -29,11 +32,11 @@ element t's lanes sit above those of elements 0..t-1 in one int per
 position, so one butterfly serves them all; the report is the one a
 round trip of each element alone gives.
 
-Each basis outer product e_a e_b. has a single nonzero entry, so that
-direction is a direct read-off against the metric's sign pattern, on
-the int index of each bitcode.  Raising a blade bars every chiral index
-(k <-> kbar), applies the metric sign to orthonormal indices, and
-reverses the factor order.
+Each basis outer product e_a e_b. has a single nonzero entry, and the
+metric is one signed permutation on bitcodes, its word i**p X**x Z**z.
+So that direction is a direct read-off, on the int index of each
+bitcode: an entry in column j has outer key j ^ x and the sign of the
+metric's column j.  It lists nothing of size dim, so it runs at any N.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 
+from .bitcodes import Bitcode
 from .elements import Element, multiply, row_of
 from .matrices import Matrix, Monomial
 from .scalars import HALF, ONE, Scalar, ZERO, _normalised, unit
@@ -97,22 +101,6 @@ class BladeIndex:
         return "^".join(f"e{a}" for a in self.factors)
 
 
-def canonicalize(factors):
-    """Sort generator factors, tracking the permutation sign."""
-    items = list(factors)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            raise ValueError("repeated generator in blade")
-    return tuple(items), sign
-
-
 def all_chiral_blades(rep):
     """All 4**n basis blades over the representation's chiral generators, as a new list."""
     return list(_chiral_blades(rep.n_bits))
@@ -157,66 +145,54 @@ def _chiral_blade(rep, blade):
 
 
 def raised_blade_matrix(rep, blade):
-    """The index-raised blade (bar, metric signs, reversed order) as a ``Monomial``; cached per representation."""
-    cached = rep._raised_cache.get(blade)
-    if cached is not None:
-        return cached
+    """The index-raised blade (bar, metric signs, reversed order) as a ``Monomial``, read off the blade's bits.
+
+    Barring a chiral blade (r, c) gives the blade (c, r), and putting its
+    factors back in order swaps the two of each paired plane: (-1)**|r & c|.
+    An orthonormal axis is raised by its metric sign, -1 when timelike.
+    """
     if blade.kind == CHIRAL:
-        barred = [(k, not b) for k, b in blade.factors]
-        canon, sign = canonicalize(barred)
-        m = blade_matrix(rep, BladeIndex(CHIRAL, canon))
-        s = sign * blade.reversal_sign()
+        r, c = blade._planes
+        m = blade_matrix(rep, _blade_of_bits(c, r))
+        flips = (r & c).bit_count()
     else:
         m = blade_matrix(rep, blade)
-        s = blade.reversal_sign()
-        for axis in blade.factors:
-            if rep.signature.is_timelike(axis):
-                s = -s
-    out = -m if s != 1 else m
-    rep._raised_cache[blade] = out
-    return out
+        flips = sum(map(rep.signature.is_timelike, blade.factors))
+    return -m if blade.reversal_sign() * (-1) ** flips == -1 else m
 
 
 # -- outer-product basis ------------------------------------------------------
 
 
-def _column_maps(rep):
-    """(column, negated) of the one entry, +-1, of each metric row, and (row, negated) per column.
+def _outer_keys(rep, items, forward):
+    """(i, j ^ x, value times the sign) of each (i, j, value), read off the metric's word i**p X**x Z**z.
 
-    Both are lists indexed by the row or column; built once per representation.
+    Column j of the metric holds i**(p + 2|j & z|) = +-1 in row j ^ x.  Forward,
+    from matrix entries to outer coefficients on the int index of each
+    bitcode, an entry in column j takes column j's sign; back, an outer
+    coefficient at k takes column (k ^ x)'s.
     """
-    if rep._colmap is None:
-        by_row, rows = [], rep.eps.sparse_rows
-        for i in range(rep.dim):
-            row = rows.get(i, {})
-            if len(row) != 1 or next(iter(row.values())) not in (ONE, -ONE):
-                raise AssertionError("metric row is not a signed unit row")
-            [(col, sign)] = row.items()
-            by_row.append((col, sign != ONE))
-        by_column = [None] * rep.dim
-        for i, (col, negated) in enumerate(by_row):
-            by_column[col] = i, negated
-        rep._colmap = by_row, by_column
-    return rep._colmap
-
-
-def _outer_keys(items, maps):
-    """(i, k, value) of each (i, j, value) item, with (k, negated) = maps[j] and value negated when it says so.
-
-    With the by-column map it turns matrix entries into outer coefficients
-    on the int index of each bitcode, and with the by-row map back.
-    """
+    eps = rep.eps
+    if eps.m or eps.v or eps.e or eps.p & 1:
+        raise AssertionError("metric is not a signed permutation")
+    x, z = eps.x, eps.z
+    flip = (eps.p >> 1) ^ (0 if forward else (x & z).bit_count())
     for i, j, value in items:
-        k, negated = maps[j]
-        yield i, k, -value if negated else value
+        yield i, j ^ x, -value if ((j & z).bit_count() ^ flip) & 1 else value
 
 
 def spinor_outer_decompose(rep, m):
     """Coefficients c[(a, b)] with m = sum c * e_a e_b. ; exact read-off."""
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
-    codes = rep.bitcodes()
-    return {(codes[i], codes[k]): value for i, k, value in _outer_keys(m.nonzero_items(), _column_maps(rep)[1])}
+    codes = {}  # the Bitcode of each index met
+    out = {}
+    for i, k, value in _outer_keys(rep, m.nonzero_items(), True):
+        for index in (i, k):
+            if index not in codes:
+                codes[index] = Bitcode.from_index(index, rep.n_bits)
+        out[codes[i], codes[k]] = value
+    return out
 
 
 def reconstruct_from_outer(rep, coeffs):
@@ -228,7 +204,7 @@ def reconstruct_from_outer(rep, coeffs):
             rep.check_bitcode(a)
             rep.check_bitcode(b)
     items = ((a.index(), b.index(), c) for (a, b), c in coeffs.items())
-    return Matrix.from_items(rep.dim, rep.dim, _outer_keys(items, _column_maps(rep)[0]))
+    return Matrix.from_items(rep.dim, rep.dim, _outer_keys(rep, items, False))
 
 
 # -- blade decomposition ------------------------------------------------------
@@ -270,7 +246,10 @@ def reconstruct_from_blades(rep, coeffs):
     for blade, s in coeffs.items():
         if blade.kind != CHIRAL:
             raise ValueError("reconstruct_from_blades takes chiral blades")
-        element[blade._planes] = s
+        r, c = blade._planes
+        if (r | c) >> rep.n_bits:
+            raise ValueError(f"blade {blade.label()} has a plane above {rep.n_bits}")
+        element[r, c] = s
     [entries] = _plane_transform(rep.n_bits, [element], False)
     return Matrix.from_items(rep.dim, rep.dim, ((r, c, s) for (r, c), s in entries.items()))
 
@@ -424,12 +403,6 @@ def gamma_coefficients(rep, blade, a, b):
     return upper, lower
 
 
-def trace_outer(rep, x):
-    """Trace of an outer product; equals the scalar product psi . chi."""
-    m = x.payload if hasattr(x, "payload") else x
-    return m.trace()
-
-
 # -- chirality -----------------------------------------------------------------
 
 
@@ -439,7 +412,12 @@ def chiral_projector(rep, handedness):
         raise ValueError(
             "chirality projectors need an even representation or an embedded odd one"
         )
-    sign = ONE if handedness in ("right", "R", "+", 1) else -ONE
+    if handedness in ("right", "R", "+", 1):
+        sign = ONE
+    elif handedness in ("left", "L", "-", -1):
+        sign = -ONE
+    else:
+        raise ValueError(f"unknown handedness {handedness!r}: use right, R, +, 1, left, L, - or -1")
     return (Monomial.identity(rep.n_bits) + rep.kappa.scale(sign)).scale(HALF)
 
 
@@ -461,17 +439,18 @@ def verify_isomorphism(rep):
     of the outer products go straight into the inverse call.
 
     A blade entry in column j comes back from its outer key unchanged
-    exactly when by_row[by_column[j][0]] == (j, by_column[j][1]), as no
-    nonzero value equals its negation; so a blade fails the outer round
-    trip exactly when it has an entry in a column where the maps disagree.
+    exactly when the probe (0, j, 1) does, as no nonzero value equals its
+    negation; so a blade fails the outer round trip exactly when it has an
+    entry in a column whose probe does not come back.
 
     Returns {"dim", "blades_checked", "outer_checked", "failures": [...]}:
     the failures blade by blade, the outer round trip before the
     self-decomposition, then the outer products with a before b.
     """
     n = rep.n_bits
-    by_row, by_column = _column_maps(rep)
-    unmapped = {j for j, (k, negated) in enumerate(by_column) if by_row[k] != (j, negated)}
+    probes = [(0, j, 1) for j in range(rep.dim)]
+    back = _outer_keys(rep, _outer_keys(rep, probes, True), False)
+    unmapped = {j for (_, j, _), probe in zip(probes, back) if probe != (0, j, 1)}
     blades = all_chiral_blades(rep)
     diagonals = {}
     for t, blade in enumerate(blades):

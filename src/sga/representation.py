@@ -147,10 +147,11 @@ class Representation:
     eps_std, eps_alt, eps, scalar_axis_matrix (None unless an embed odd
     mode) and Gamma are built with the representation, and eps_T,
     pseudoscalar and C on first read, since the tables never read them.
-    The spinor bitcodes, the blades and the metric column map are cached
-    on first use.  Nothing else changes after construction, and a first
-    use yields equal results in any thread, so concurrent first use is
-    harmless.
+    The spinor bitcodes and the blades are cached on first use.  The blade
+    dictionary reads the metric's map of bitcodes and the raised blades off
+    words, so it caches nothing else here.  Nothing else changes after
+    construction, and a first use yields equal results in any thread, so
+    concurrent first use is harmless.
     """
 
     def __init__(self, config):
@@ -209,8 +210,6 @@ class Representation:
         self.Gamma, self.gamma_phase = self._build_time_product()
 
         self._blade_cache = {}
-        self._raised_cache = {}
-        self._colmap = None  # the metric's column and sign per row, and its inverse; built by blades on first use
         self._codes = None
 
     # -- helpers used during construction --------------------------------
@@ -292,9 +291,6 @@ class Representation:
         if self._codes is None:
             self._codes = tuple(Bitcode.from_index(i, self.n_bits) for i in range(self.dim))
         return self._codes
-
-    def bitcode_of_index(self, index):
-        return self.bitcodes()[index]
 
     # -- operator accessors --------------------------------------------------
 

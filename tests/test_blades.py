@@ -13,7 +13,6 @@ from sga.blades import (
     all_chiral_blades,
     blade_coefficient,
     blade_matrix,
-    canonicalize,
     chiral_project,
     chiral_projector,
     decompose_multivector,
@@ -22,12 +21,11 @@ from sga.blades import (
     reconstruct_from_blades,
     reconstruct_from_outer,
     spinor_outer_decompose,
-    trace_outer,
     verify_isomorphism,
 )
 from sga.elements import outer_product, scalar_product
 from sga.matrices import Matrix, Monomial
-from sga.representation import RepConfig, Signature, build_representation
+from sga.representation import METRIC_CHOICES, ODD_MODES, RepConfig, Signature, build_representation
 from sga.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar
 from sga.suites import random_multivector, random_spinor
 
@@ -37,14 +35,33 @@ def rep_for(k, m=0, **kw):
 
 
 def metric_column_map(rep):
-    """For each bitcode b, the (column, sign) of the single nonzero of e_b. , from the metric map the blades read."""
-    by_row = blades._column_maps(rep)[0]
-    return {b: (col, -ONE if negated else ONE) for b, (col, negated) in zip(rep.bitcodes(), by_row)}
+    """For each bitcode b, the (column, sign) of the single nonzero of e_b. , from the metric read-off the blades use."""
+    out = {}
+    for b in rep.bitcodes():
+        [(_, col, sign)] = blades._outer_keys(rep, [(0, b.index(), ONE)], False)
+        out[b] = col, sign
+    return out
 
 
 def outer_basis_matrix(rep, a, b):
     """The matrix e_a e_b. (single nonzero entry)."""
     return outer_product(rep, rep.basis_spinor(a), rep.basis_spinor(b)).payload
+
+
+def canonicalize(factors):
+    """Sort generator factors, tracking the permutation sign."""
+    items = list(factors)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b:
+            raise ValueError("repeated generator in blade")
+    return tuple(items), sign
 
 
 def test_canonicalize_tracks_the_sign():
@@ -101,15 +118,24 @@ def test_all_chiral_blades_is_a_fresh_list_of_the_canonical_blades():
 
 
 def test_metric_column_map_signs():
-    # the map describes the single nonzero of each metric-dressed row spinor
-    rep = rep_for(4)
-    colmap = metric_column_map(rep)
-    for b, (col, sign) in colmap.items():
-        row = rep.basis_spinor(b).transpose() @ rep.eps
-        entries = [ZERO] * rep.dim
-        entries[col] = sign
-        assert row == Matrix.row_vector(entries)
-        assert col == rep.spinor_index(b.flip())
+    """The map describes the single nonzero of each metric-dressed row spinor, for every metric and odd mode."""
+    checked = 0
+    for n in range(1, 11):
+        for odd_mode in ODD_MODES if n % 2 else ("project",):
+            for metric in METRIC_CHOICES:
+                try:
+                    rep = rep_for(n, metric=metric, odd_mode=odd_mode)
+                except ValueError:
+                    continue  # a primed metric outside its embed mode
+                checked += 1
+                for b, (col, sign) in metric_column_map(rep).items():
+                    row = rep.basis_spinor(b).transpose() @ rep.eps
+                    entries = [ZERO] * rep.dim
+                    entries[col] = sign
+                    assert row == Matrix.row_vector(entries), (n, metric, odd_mode, str(b))
+                    if rep.odd_mode in (None, "project"):
+                        assert col == rep.spinor_index(b.flip())
+    assert checked == 5 * 2 + 5 * 8  # even N: two metrics; odd N: two projected, three per embed mode
 
 
 def test_unit_blade_coefficient_is_half_metric():
@@ -196,9 +222,18 @@ def test_the_transform_builds_no_blade_and_reads_no_trace(monkeypatch):
     monkeypatch.setattr(blades, "blade_coefficient", lambda *args: calls.append(args))
     coeffs = decompose_multivector(rep, m)
     assert reconstruct_from_blades(rep, coeffs) == m
-    assert not calls and not rep._blade_cache and not rep._raised_cache
+    assert not calls and not rep._blade_cache
     blades.blade_coefficient(rep, BladeIndex(CHIRAL, ()), m)
     assert len(calls) == 1  # the count sees a call
+
+
+def test_reconstruct_refuses_a_plane_above_the_representation():
+    rep = rep_for(4)
+    for blade in (BladeIndex(CHIRAL, ((3, False),)), BladeIndex(CHIRAL, ((1, False), (5, True)))):
+        with pytest.raises(ValueError, match="plane above 2"):
+            reconstruct_from_blades(rep, {blade: ONE})
+    top = BladeIndex(CHIRAL, ((2, False), (2, True)))
+    assert reconstruct_from_blades(rep, {top: ONE}) == blade_matrix(rep, top)
 
 
 def test_spinor_outer_round_trip_random():
@@ -228,14 +263,13 @@ def test_triplet_outer_coefficients():
 
 
 def test_trace_outer(subtests=None):
+    """The trace of an outer product's payload is the scalar product: Tr(chi psi.) = psi . chi."""
     rng = Random(29)
     rep = rep_for(3)
     for _ in range(20):
         psi = random_spinor(rep, rng)
         chi = random_spinor(rep, rng)
-        assert trace_outer(rep, outer_product(rep, chi, psi)) == scalar_product(
-            rep, psi, chi
-        )
+        assert outer_product(rep, chi, psi).payload.trace() == scalar_product(rep, psi, chi)
     assert Matrix.identity(8).trace() == Scalar(8)
 
 
@@ -274,6 +308,18 @@ def test_chiral_projectors():
     with pytest.raises(ValueError):
         chiral_projector(rep_for(3), "right")
     assert chiral_projector(rep_for(3, odd_mode="embed_scalar_n_plus_1"), "right") is not None
+
+
+def test_chiral_projector_names_its_handedness():
+    rep = rep_for(4)
+    right, left = chiral_projector(rep, "right"), chiral_projector(rep, "left")
+    assert right == (Matrix.identity(4) + rep.kappa).scale(HALF) and left == Matrix.identity(4) - right
+    for names, want in ((("R", "+", 1), right), (("L", "-", -1), left)):
+        for h in names:
+            assert chiral_projector(rep, h) == want, h
+    for bad in ("rigth", "", "r", 0, 2, None):
+        with pytest.raises(ValueError, match="unknown handedness"):
+            chiral_projector(rep, bad)
 
 
 def test_outer_products_grade_by_column_chirality():
@@ -339,6 +385,20 @@ def test_verify_isomorphism_builds_each_spinor_once(monkeypatch):
         assert product.payload == outer_basis_matrix(rep, a, b), (str(a), str(b))
 
 
+@pytest.mark.parametrize("n", [18, 40])
+def test_outer_round_trip_at_large_n(monkeypatch, n):
+    """A three-entry matrix goes to outer coefficients and back without listing a dim-sized map or the bitcodes."""
+    monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    for metric in ("standard", "alternative"):
+        rep = rep_for(n - 1, 1, metric=metric)
+        top = rep.dim - 1
+        m = Matrix.from_items(rep.dim, rep.dim, [(0, top, ONE), (top, 5, -SQRT2), (top // 3, top // 7, HALF * I)])
+        coeffs = spinor_outer_decompose(rep, m)
+        assert len(coeffs) == 3 and all(len(a) == len(b) == rep.n_bits for a, b in coeffs)
+        assert reconstruct_from_outer(rep, coeffs) == m
+        assert rep._codes is None
+
+
 def test_outer_dictionary_rejects_wrong_lengths():
     rep = rep_for(4)
     up = Bitcode.from_string("ud")
@@ -391,12 +451,12 @@ def test_verify_isomorphism_equals_the_per_element_round_trip(n, metric, odd_mod
     assert not report["failures"]
 
 
-def faulty_column_maps(column_maps):
-    """The metric maps with the sign of row 1 flipped on the way back."""
-    def faulty(rep):
-        by_row, by_column = column_maps(rep)
-        col, negated = by_row[1]
-        return by_row[:1] + [(col, not negated)] + by_row[2:], by_column
+def faulty_outer_keys(outer_keys):
+    """The metric read-off with the sign of outer index 1 flipped on the way back."""
+    def faulty(rep, items, forward):
+        if not forward:
+            items = ((i, j, -value if j == 1 else value) for i, j, value in items)
+        return outer_keys(rep, items, forward)
     return faulty
 
 
@@ -414,7 +474,7 @@ def faulty_unpacked(unpacked):
 ])
 def test_injected_faults_give_the_per_element_failures_in_order(monkeypatch, n, metric, odd_mode):
     """A flipped metric sign and a corrupted unpacked value fail the same blades and products, in the same order."""
-    monkeypatch.setattr(blades, "_column_maps", faulty_column_maps(blades._column_maps))
+    monkeypatch.setattr(blades, "_outer_keys", faulty_outer_keys(blades._outer_keys))
     monkeypatch.setattr(blades, "_unpacked", faulty_unpacked(blades._unpacked))
     rep = rep_for(n, metric=metric, odd_mode=odd_mode)
     report = verify_isomorphism(rep)

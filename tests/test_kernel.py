@@ -6,7 +6,9 @@ every earlier vector g as diag(g, -g) and adjoins the new plane's vectors
 as off-diagonal blocks.  It is kept here, built with ``Matrix`` only.
 Blades are checked against ordered ``Matrix`` products of the gammas, and
 the blade coefficients of the per-plane transform against trace(raised @
-m) / dim computed the same way and against ``blade_coefficient``.
+m) / dim computed the same way and against ``blade_coefficient``, and
+the raised blades read off the bits against the canonicalize route on
+words up to N = 64.
 Orthonormal blades are also checked against the bitmap product of
 geometric algebra, which needs no matrices, in up to 64 dimensions, and
 the axes against the Clifford relations.  Each word operation of a
@@ -23,15 +25,16 @@ from random import Random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_blades import canonicalize
 from test_matrices import naive_product
 
 from sga.blades import (
+    CHIRAL,
     ORTHONORMAL,
     BladeIndex,
     all_chiral_blades,
     blade_coefficient,
     blade_matrix,
-    canonicalize,
     decompose_multivector,
     raised_blade_matrix,
     reconstruct_from_blades,
@@ -256,6 +259,33 @@ def test_blade_matrices_are_ordered_products_of_the_gammas(n):
 def oracle_raised(rep, blade):
     barred, sign = canonicalize([(k, not b) for k, b in blade.factors])
     return oracle_chiral_blade(rep, barred).scale(Scalar(sign * blade.reversal_sign()))
+
+
+def raised_by_canonicalize(rep, blade):
+    """The raised blade on words: its factors raised one by one, reversed, and put back in order by canonicalize.
+
+    A chiral factor is raised by barring it, an axis a by the sign of g_a**2.
+    """
+    if blade.kind == CHIRAL:
+        factors, sign = canonicalize(reversed([(k, not barred) for k, barred in blade.factors]))
+    else:
+        factors, sign = canonicalize(reversed(blade.factors))
+        for a in factors:
+            sign *= (rep.gamma(a) @ rep.gamma(a)).sign_against(Monomial.identity(rep.n_bits))
+    return blade_matrix(rep, BladeIndex(blade.kind, factors)).scale(Scalar(sign))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raised_blades_from_the_bits_equal_the_canonicalize_route(data):
+    """Word equality up to N = 64, for chiral and orthonormal blades."""
+    rep = build_representation(data.draw(rep_configs(max_n=64)))
+    n = rep.n_bits
+    chiral = data.draw(st.sets(st.tuples(st.integers(1, max(n, 1)), st.booleans()), max_size=2 * n))
+    axes = data.draw(st.sets(st.integers(1, rep.N)))
+    for blade in BladeIndex(CHIRAL, tuple(sorted(chiral))), BladeIndex(ORTHONORMAL, tuple(sorted(axes))):
+        got = raised_blade_matrix(rep, blade)
+        assert type(got) is Monomial and got == raised_by_canonicalize(rep, blade), blade.label()
 
 
 def random_dense(rng, dim):

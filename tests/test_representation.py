@@ -388,7 +388,7 @@ def test_operator_attributes_are_monomials_read_as_themselves():
 
 
 def test_a_used_representation_is_freed_without_the_cycle_collector():
-    # its caches (blades, matrices, column map) can hold megabytes, so no
+    # its caches (blades, bitcodes) can hold megabytes, so no
     # reference cycle may keep it alive until the collector runs
     from sga.blades import verify_isomorphism
 
@@ -398,7 +398,7 @@ def test_a_used_representation_is_freed_without_the_cycle_collector():
         rep = rep_for(5, 1)
         for name in ("eps_T", "pseudoscalar", "C", "kappa"):
             getattr(rep, name)
-        rep.bitcode_of_index(0)
+        rep.bitcodes()
         verify_isomorphism(rep)
         ref = weakref.ref(rep)
         del rep

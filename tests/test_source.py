@@ -44,6 +44,42 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def rep_attribute_stores(source):
+    """(line, name) of each attribute of a name `rep` that the source assigns or deletes, by statement or setattr."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target, name = node.value, node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("setattr", "delattr"):
+            target, name = node.args[0], ast.unparse(node.args[1])
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "rep":
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_scanner_finds_rep_attribute_stores():
+    source = (
+        "rep.a = 1\n"
+        "rep.b += 1\n"
+        "x.rep = rep.read\n"
+        "rep.c.d = 3\n"
+        "rep._cache[k] = v\n"
+        "(rep.e, y) = 1, 2\n"
+        "setattr(rep, 'f', 1)\n"
+        "del rep.g\n"
+        "setattr(other, 'h', rep)\n"
+    )
+    assert rep_attribute_stores(source) == [(1, "a"), (2, "b"), (6, "e"), (7, "'f'"), (8, "g")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "representation.py"])
+def test_only_the_representation_sets_its_attributes(module):
+    """A Representation's state is its own: other modules may fill its caches but add or replace no attribute."""
+    assert rep_attribute_stores((SRC / module).read_text()) == []
+
+
 def is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
