@@ -55,12 +55,16 @@ The arithmetic has three kernels, none of which multiplies two Scalars:
   normalised once.
 
 Every entry is an exact Scalar; float work, such as a rotor at an angle
-outside the quarter turns, runs on the numpy array of ``to_numpy``.
+outside the quarter turns, runs on numpy arrays.  ``to_numpy`` gives a
+Matrix's array, and a Monomial multiplies an array on either side by
+index (``Monomial @ array``, ``array @ Monomial``), moving its rows or
+columns and scaling them by the units, with no dense copy of its own.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from collections import defaultdict
 from math import lcm
 
@@ -149,11 +153,16 @@ class Matrix:
 
     @classmethod
     def column(cls, entries):
-        return Matrix([[s] for s in entries])
+        """The len(entries) x 1 matrix of `entries`, its nonzero ones written straight into sparse rows."""
+        entries = list(entries)
+        return Matrix({i: {0: s} for i, s in enumerate(entries) if not s.is_zero()}, len(entries), 1)
 
     @classmethod
     def row_vector(cls, entries):
-        return Matrix([list(entries)])
+        """The 1 x len(entries) matrix of `entries`, its nonzero ones written straight into a sparse row."""
+        entries = list(entries)
+        row = {j: s for j, s in enumerate(entries) if not s.is_zero()}
+        return Matrix({0: row} if row else {}, 1, len(entries))
 
     @classmethod
     def unit_column(cls, dim, index):
@@ -252,7 +261,11 @@ class Matrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if self.ncols != other.nrows:
+        try:
+            nrows = other.nrows
+        except AttributeError:  # not a matrix: Python tries other.__rmatmul__, else raises TypeError
+            return NotImplemented
+        if self.ncols != nrows:
             raise ValueError("matrix shape mismatch in product")
         if self.ncols == 1 and _keeps_factors(self, other):
             return OuterProduct(self, other)
@@ -671,9 +684,14 @@ class Monomial(Matrix):
     from the words on each read and not kept.  Listing its nonzero
     entries and comparing it with any Matrix walk the words, and a
     product with a Matrix that is not a Monomial is one ``sandwich`` pass.
+    A product with a numpy array of one or two axes, on either side, is
+    the complex array of the same product with ``to_numpy()``, made by
+    moving the array's rows or columns by the word and scaling each by
+    its unit; numpy defers to the operator for array @ Monomial.
     """
 
     __slots__ = ("n", "x", "z", "m", "v", "p", "e")
+    __array_ufunc__ = None  # an ndarray operand defers to this class: array @ Monomial calls __rmatmul__
 
     def __init__(self, n, x=0, z=0, m=0, v=0, p=0, e=0):
         if n < 0 or (x | z | m | v) >> n or v & ~m:
@@ -739,7 +757,9 @@ class Monomial(Matrix):
     def __matmul__(self, other):
         """The product self @ other: column j goes through other, then through self."""
         if type(other) is not Monomial:
-            return sandwich(self, other)
+            if isinstance(other, Matrix):
+                return sandwich(self, other)
+            return self._act_on_array(other, True)
         n = self.n
         if n != other.n:
             raise ValueError("matrix shape mismatch in product")
@@ -753,7 +773,37 @@ class Monomial(Matrix):
                         self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
 
     def __rmatmul__(self, other):
-        return sandwich(None, other, self)
+        if isinstance(other, Matrix):
+            return sandwich(None, other, self)
+        return self._act_on_array(other, False)
+
+    def _act_on_array(self, a, left):
+        """self @ a if `left`, else a @ self, for a numpy array `a` of one or two axes; NotImplemented for any other operand.
+
+        Column j of the operator holds one entry, its unit in row j ^ x,
+        when j & m == v.  So row i of self @ a is row i ^ x of `a` times
+        the unit of column i ^ x, and column j of a @ self is column j ^ x
+        of `a` times the unit of column j; rows and columns without an
+        entry read zero.  No dim x dim array is built and no BLAS product
+        runs, and the result is the complex array of the same product with
+        ``to_numpy()``.  The array already holds dim entries, so the
+        dimension cap does not apply.
+        """
+        np = sys.modules.get("numpy")  # an ndarray means numpy is loaded, so it is never imported here
+        if np is None or not isinstance(a, np.ndarray):
+            return NotImplemented
+        if a.ndim not in (1, 2) or a.shape[0 if left else -1] != self.nrows:
+            raise ValueError("matrix shape mismatch in product")
+        x, z, m, v = self.x, self.z, self.m, self.v
+        u = unit(self.p, self.e).to_complex()
+        units = (u, -u)  # Z**z negates the unit of column j when j & z has an odd number of bits
+        index = range(self.nrows)
+        flipped = [k ^ x for k in index]
+        values = np.array([units[(j & z).bit_count() & 1] if j & m == v else 0j
+                           for j in (flipped if left else index)])
+        if left:
+            return a.take(flipped, 0) * (values[:, None] if a.ndim == 2 else values)
+        return a.take(flipped, -1) * values
 
     def times_unit(self, p, e=0):
         """This operator times the unit i**p * sqrt2**e."""

@@ -75,6 +75,27 @@ def _s(x):
     raise TypeError(x)
 
 
+# the 450 Scalars ``random_scalar`` can give, by draw index; the two zero draws are ZERO itself
+_DRAWS = tuple(ZERO if s.is_zero() else s
+               for s in (Scalar(a, b, c, d, q) for a in range(-2, 3) for b in range(-1, 2)
+                         for c in range(-2, 3) for d in range(-1, 2) for q in (1, 2)))
+
+
+def _draw(bits):
+    """One draw of ``random_scalar`` from ``bits`` = rng.getrandbits: a shared Scalar, or ZERO."""
+    while (a := bits(3)) >= 5:
+        pass
+    while (b := bits(2)) >= 3:
+        pass
+    while (c := bits(3)) >= 5:
+        pass
+    while (d := bits(2)) >= 3:
+        pass
+    while (q := bits(2)) >= 2:
+        pass
+    return _DRAWS[(((a * 3 + b) * 5 + c) * 3 + d) * 2 + q]
+
+
 def random_scalar(rng, allow_zero=True):
     """((a + b sqrt2) + i (c + d sqrt2)) / q with a, c in -2..2, b, d in -1..1 and q in {1, 2}.
 
@@ -82,42 +103,43 @@ def random_scalar(rng, allow_zero=True):
     they read n or more, as ``Random.randint`` and ``Random.choice`` draw
     from n values, so a seed gives the stream that ``randint(-2, 2)``,
     ``randint(-1, 1)``, ``randint(-2, 2)``, ``randint(-1, 1)``,
-    ``choice((1, 2))`` would, at half the cost.
+    ``choice((1, 2))`` would, at half the cost.  The result is one of the
+    450 Scalars those values give, built once and shared by every draw
+    (Scalars are immutable); a zero draw gives ZERO itself.
     """
     bits = rng.getrandbits
     while True:
-        while (a := bits(3)) >= 5:
-            pass
-        while (b := bits(2)) >= 3:
-            pass
-        while (c := bits(3)) >= 5:
-            pass
-        while (d := bits(2)) >= 3:
-            pass
-        while (q := bits(2)) >= 2:
-            pass
-        s = Scalar(a - 2, b - 1, c - 2, d - 1, q + 1)
-        if allow_zero or not s.is_zero():
+        s = _draw(bits)
+        if allow_zero or s is not ZERO:
             return s
 
 
 def random_spinor(rep, rng, nonzero=True):
+    """A dim x 1 column of ``random_scalar`` draws, drawn again while it is zero if `nonzero`.
+
+    Only the nonzero draws are written, straight into sparse rows, so no
+    zero entry is stored or scanned; the stream is that of drawing every
+    entry.
+    """
+    bits, dim = rng.getrandbits, rep.dim
     while True:
-        col = Matrix.column([random_scalar(rng) for _ in range(rep.dim)])
-        if not nonzero or not col.is_zero():
-            return col
+        rows = {i: {0: s} for i in range(dim) if (s := _draw(bits)) is not ZERO}
+        if rows or not nonzero:
+            return Matrix(rows, dim, 1)
 
 
 def random_multivector(rep, rng, density=0.4):
-    rows = []
-    for _ in range(rep.dim):
-        rows.append(
-            [
-                random_scalar(rng) if rng.random() < density else ZERO
-                for _ in range(rep.dim)
-            ]
-        )
-    return Matrix(rows)
+    """A dim x dim matrix whose entry (i, j) is a ``random_scalar`` draw where rng.random() < density, else zero.
+
+    Entries are drawn row by row, random() first, and only the nonzero
+    draws are written, straight into sparse rows; the stream is that of
+    the dense rows.
+    """
+    bits, random, dim, rows = rng.getrandbits, rng.random, rep.dim, {}
+    for i in range(dim):
+        if row := {j: s for j in range(dim) if random() < density and (s := _draw(bits)) is not ZERO}:
+            rows[i] = row
+    return Matrix(rows, dim, dim)
 
 
 # ---------------------------------------------------------------- pauli
@@ -412,13 +434,14 @@ def rotor_suite(seed=DEFAULT_SEED, float_angles=20):
             if rep.plane_is_boost(k):
                 continue
             ok = True
+            g = rep.gamma_chiral(k)
+            g_values = g.to_numpy()
             for _ in range(float_angles):
                 theta = rng.uniform(-2 * math.pi, 2 * math.pi)
                 rot = plane_rotor(rep, k, theta, exact=False)
                 ok = ok and metric_preserved(rep, rot, tol=1e-12)
-                g = rep.gamma_chiral(k).to_numpy()
                 got = rot.matrix @ g @ rot.reverse_matrix
-                ok = ok and abs(got - g * cmath.exp(-1j * theta)).max() <= 1e-12
+                ok = ok and abs(got - g_values * cmath.exp(-1j * theta)).max() <= 1e-12
             checks.append(
                 _check(f"rotor: {float_angles} random angles {label} plane {k}", ok)
             )
@@ -426,14 +449,14 @@ def rotor_suite(seed=DEFAULT_SEED, float_angles=20):
     rep = _rep(3, 1)
     boost_plane = next(k for k in range(1, rep.pair_count + 1) if rep.plane_is_boost(k))
     ok = True
+    g, gb = rep.gamma_chiral(boost_plane), rep.gamma_chiral(boost_plane, barred=True)
+    g_values, gb_values = g.to_numpy(), gb.to_numpy()
     for _ in range(10):
         theta = rng.uniform(-1.5, 1.5)
         rot = plane_rotor(rep, boost_plane, theta, exact=False)
         ok = ok and metric_preserved(rep, rot, tol=1e-12)
-        g = rep.gamma_chiral(boost_plane).to_numpy()
-        gb = rep.gamma_chiral(boost_plane, barred=True).to_numpy()
-        ok = ok and abs(rot.matrix @ g @ rot.reverse_matrix - g * math.exp(theta)).max() <= 1e-12
-        ok = ok and abs(rot.matrix @ gb @ rot.reverse_matrix - gb * math.exp(-theta)).max() <= 1e-12
+        ok = ok and abs(rot.matrix @ g @ rot.reverse_matrix - g_values * math.exp(theta)).max() <= 1e-12
+        ok = ok and abs(rot.matrix @ gb @ rot.reverse_matrix - gb_values * math.exp(-theta)).max() <= 1e-12
         for code in all_bitcodes(rep.n_bits):
             col = rep.basis_spinor(code).to_numpy()
             factor = math.exp(theta / 2) if code.bit(boost_plane) else math.exp(-theta / 2)
@@ -460,8 +483,7 @@ def conjugation_suite(seed=DEFAULT_SEED, positivity_samples=100):
             if rep.plane_is_boost(k):
                 theta = rng.uniform(-1.5, 1.5)
                 rot = plane_rotor(rep, k, theta, exact=False)
-                c = rep.C.to_numpy()
-                ok = ok and abs(c @ rot.matrix.conj() - rot.matrix @ c).max() <= 1e-12
+                ok = ok and abs(rep.C @ rot.matrix.conj() - rot.matrix @ rep.C).max() <= 1e-12
             else:
                 rot = plane_rotor(rep, k, quarters=rng.choice((1, 2, 3)))
                 ok = ok and rep.C @ rot.matrix.conj() == rot.matrix @ rep.C

@@ -9,7 +9,9 @@ that the chiral vector of the plane picks up exp(-i*theta) and an up bit
 of the plane picks up exp(-i*theta/2).  A rotor at any other angle, a
 boost at nonzero rapidity and a general bivector rotor are float rotors:
 their matrices are numpy complex arrays, built from the generator's
-``to_numpy``, and rotating by one gives a numpy array.
+``to_numpy``, and rotating by one gives a numpy array.  Float checks
+multiply those arrays by the signed-monomial operators themselves
+(``Monomial @ array`` moves rows by index), not by their ``to_numpy()``.
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
@@ -167,11 +169,15 @@ def reverse_multivector(rep, m):
 
 
 def metric_preserved(rep, rotor, tol=None):
-    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within tol (1e-12 if None) for a float one."""
+    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within tol (1e-12 if None) for a float one.
+
+    For a float rotor the arrays are multiplied by eps itself, a signed
+    monomial that moves their columns by index; eps's ``to_numpy()`` is
+    only the array the product is compared with.
+    """
     if rotor.mode == "exact":
         return rotor.matrix.transpose() @ rep.eps @ rotor.matrix == rep.eps
-    eps = rep.eps.to_numpy()
-    return abs(rotor.matrix.T @ eps @ rotor.matrix - eps).max() <= (tol or 1e-12)
+    return abs(rotor.matrix.T @ rep.eps @ rotor.matrix - rep.eps.to_numpy()).max() <= (tol or 1e-12)
 
 
 # -- conjugation ---------------------------------------------------------------

@@ -367,21 +367,33 @@ def test_closed_stdout_exits_141_quietly():
 
 
 EXACT_COMMANDS = """
+import contextlib
+import io
 import sys
 
 import sga
 from sga.cli import main
 
 build, tables, matrix = sys.argv[1:]
+assert not sga.verify_isomorphism(sga.build_representation(spacelike=8))["failures"]
 assert main(["build", "-K", "5", "-o", build]) == 0
 assert main(["tables", "--check-period8", "-o", tables]) == 0
 assert main(["decompose", "-K", "2", "--input", matrix, "-o", build]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["tables", "--check-period8", "--max-dim", "9", "--km-min", "0", "--km-max", "8"]) == 0
+    assert main(["build", "-K", "6"]) == 0
+    assert main(["verify", "--suite", "traces-chains"]) == 0
 print(sorted(name for name in ("numpy", "scipy") if name in sys.modules))
 """
 
 
 def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
-    """numpy and scipy are imported by float work only, so exact commands start without them."""
+    """numpy and scipy are imported by float work only, so exact commands start without them.
+
+    The script runs the benchmark's exact paths (the round trip at N = 8,
+    the tables, a build and the random chains) in a fresh process:
+    importing numpy would add about 14 MB to its peak RSS.
+    """
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps([[1, {"re": ["1/2", "1"], "im": ["0", "-3"]}], [0.5, 0]]))
     argv = [str(tmp_path / "build.json"), str(tmp_path / "tables.md"), str(matrix)]

@@ -1,6 +1,7 @@
 """Species grid, exclusion, chains, index raising and the scalar product."""
 
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -260,3 +261,45 @@ def test_random_scalar_keeps_the_randint_stream(allow_zero):
         for _ in range(200):
             assert random_scalar(ours, allow_zero) == randint_scalar(theirs, allow_zero)
         assert ours.getstate() == theirs.getstate()
+
+
+def dense_spinor(rep, rng, nonzero=True):
+    """The builder ``random_spinor`` replaces: dim drawn entries, zeros included, in dense rows."""
+    while True:
+        col = Matrix([[randint_scalar(rng)] for _ in range(rep.dim)])
+        if not nonzero or not col.is_zero():
+            return col
+
+
+def dense_multivector(rep, rng, density=0.4):
+    """The builder ``random_multivector`` replaces: dim x dim dense rows, an entry drawn where random() < density."""
+    return Matrix([[randint_scalar(rng) if rng.random() < density else ZERO for _ in range(rep.dim)]
+                   for _ in range(rep.dim)])
+
+
+@pytest.mark.parametrize("n", (3, 6, 8))
+def test_random_inputs_keep_the_dense_draws(n):
+    """The sparse builders give the dense builders' matrices and leave the Random in the same state.
+
+    ``sga verify`` prints the same text for every seed, so only this test
+    shows that a seed still draws the same inputs.
+    """
+    rep = rep_for(n)
+    for seed in range(8):
+        ours, theirs = Random(seed), Random(seed)
+        for nonzero in (True, False):
+            for _ in range(3):
+                assert random_spinor(rep, ours, nonzero) == dense_spinor(rep, theirs, nonzero)
+        for density in (0.4, 0.05, 1.0):
+            assert random_multivector(rep, ours, density) == dense_multivector(rep, theirs, density)
+        assert random_multivector(rep, ours) == dense_multivector(rep, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_random_spinor_redraws_a_zero_column_as_before():
+    tiny = SimpleNamespace(dim=1)  # a zero draw has probability 2/450 per entry
+    ours, theirs = Random(5), Random(5)
+    draws = [random_spinor(tiny, ours) for _ in range(3000)]
+    assert draws == [dense_spinor(tiny, theirs) for _ in range(3000)]
+    assert ours.getstate() == theirs.getstate()
+    assert all(d.nrows == 1 and d.ncols == 1 and not d.is_zero() for d in draws)

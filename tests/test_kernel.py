@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_blades import canonicalize
+from strategies import rep_configs, valid_choices
 from test_matrices import naive_product
 
 from sga.blades import (
@@ -42,7 +43,7 @@ from sga.blades import (
 from sga.elements import COLUMN, MULTIVECTOR, ROW, SCALAR, Element, multiply
 from sga.matrices import Matrix, Monomial, OuterProduct
 from sga.representation import (
-    METRIC_CHOICES, ODD_MODES, RepConfig, Signature, _even_core, build_representation,
+    ODD_MODES, RepConfig, Signature, _even_core, build_representation,
 )
 from sga.scalars import HALF, I, ONE, SQRT2, ZERO, Scalar, i_power, unit
 from sga.symmetry import conjugate, metric_preserved, plane_rotor
@@ -153,19 +154,6 @@ def oracle_operators(config):
             "Gamma": gamma_matrix, "C": eps @ gamma_matrix.transpose()}
 
 
-def valid_choices(n):
-    """Every valid (metric, odd_mode) pair for total dimension n."""
-    out = []
-    for odd_mode in ODD_MODES:
-        for metric in METRIC_CHOICES:
-            try:
-                RepConfig(Signature(n), metric=metric, odd_mode=odd_mode)
-            except ValueError:
-                continue
-            out.append((metric, odd_mode))
-    return out
-
-
 def assert_matches_oracle(config):
     rep = build_representation(config)
     want = oracle_operators(config)
@@ -202,25 +190,6 @@ def test_every_metric_and_odd_mode_matches_the_oracle(n):
                                odd_mode=odd_mode, gamma_phase_sign=-1,
                                timelike_pseudoscalar_phase=True)
             assert_matches_oracle(config)
-
-
-@st.composite
-def rep_configs(draw, max_n=17, odd_mode=None):
-    """Any signature of N <= max_n; with `odd_mode` given, an odd N in that mode."""
-    if odd_mode is None:
-        n = draw(st.integers(min_value=1, max_value=max_n))
-    else:
-        n = 2 * draw(st.integers(min_value=0, max_value=(max_n - 1) // 2)) + 1
-    axes = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True, max_size=n))
-    choices = [c for c in valid_choices(n) if odd_mode in (None, c[1])]
-    metric, odd_mode = draw(st.sampled_from(choices))
-    return RepConfig(
-        Signature(n - len(axes), len(axes), tuple(axes)),
-        metric=metric,
-        odd_mode=odd_mode,
-        gamma_phase_sign=draw(st.sampled_from((1, -1))),
-        timelike_pseudoscalar_phase=draw(st.booleans()),
-    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,9 @@ from random import Random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from strategies import rep_configs
 
+from sga.blades import CHIRAL, BladeIndex, blade_matrix
 from sga.cli import main
 from sga.elements import outer_product
 from sga.matrices import (
@@ -248,6 +250,25 @@ def test_row_constructors_build_a_plain_matrix_on_the_subclasses(cls, name, args
     got = getattr(cls, name)(*args)
     assert type(got) is Matrix
     assert got == getattr(Matrix, name)(*args)
+
+
+def test_vectors_write_their_nonzero_entries_and_keep_their_shape():
+    assert (Matrix.column([]).nrows, Matrix.column([]).ncols) == (0, 1)
+    assert (Matrix.row_vector([]).nrows, Matrix.row_vector([]).ncols) == (1, 0)
+    entries = [ZERO, HALF, ZERO, -I]
+    col, row = Matrix.column(iter(entries)), Matrix.row_vector(iter(entries))
+    assert col.sparse_rows == {1: {0: HALF}, 3: {0: -I}} and col == Matrix([[s] for s in entries])
+    assert row.sparse_rows == {0: {1: HALF, 3: -I}} and row == Matrix([entries])
+    assert Matrix.row_vector([ZERO, ZERO]).sparse_rows == {} and Matrix.row_vector([ZERO, ZERO]).ncols == 2
+
+
+@pytest.mark.parametrize("m", [Matrix.identity(2), Monomial(1)], ids=["Matrix", "Monomial"])
+def test_a_product_with_a_non_matrix_is_a_type_error(m):
+    for other in (3, 0.5, "x", None, [[1, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            m @ other
+        with pytest.raises(TypeError):
+            other @ m
 
 
 def test_nonzero_items():
@@ -610,3 +631,48 @@ def test_entry_reads_check_both_bounds():
     for index in (4, -1):
         with pytest.raises(IndexError):
             Matrix.unit_column(4, index)
+
+
+# -- signed monomials acting on numpy arrays ---------------------------------------
+
+
+def array_operators(rep):
+    """eps, C, Gamma, the gammas, a chiral projector, a paired blade and the zero operator: all Monomials."""
+    ops = {"eps": rep.eps, "C": rep.C, "Gamma": rep.Gamma, "zero": Monomial.zero(rep.n_bits)}
+    ops.update((f"gamma_{a}", rep.gamma(a)) for a in range(1, rep.N + 1))
+    if rep.n_bits:
+        # g gbar / 2 projects onto the indices whose plane-1 bit is down: a masked word
+        ops["projector"] = (rep.gamma_chiral(1) @ rep.gamma_chiral(1, barred=True)).scale(HALF)
+        ops["paired blade"] = blade_matrix(rep, BladeIndex(CHIRAL, ((1, False), (1, True))))
+    assert all(type(m) is Monomial for m in ops.values())
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_configs(max_n=9), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_monomials_act_on_arrays_as_their_numpy_matrices(config, k, complex_values, seed):
+    """M @ X, X @ M and M @ x equal the products with M.to_numpy(): each output entry is one unit times one input entry."""
+    rep = build_representation(config)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_values else x
+
+    left, right, vector = draw(rep.dim, k), draw(k, rep.dim), draw(rep.dim)
+    for name, m in array_operators(rep).items():
+        dense = m.to_numpy()
+        for got, want in ((m @ left, dense @ left), (right @ m, right @ dense),
+                          (m @ vector, dense @ vector), (vector @ m, vector @ dense)):
+            assert got.shape == want.shape and got.dtype == complex, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_an_array_of_the_wrong_shape_is_a_value_error():
+    m = build_representation(spacelike=4, timelike=1).C
+    for bad in (np.ones((3, 4)), np.ones(5), np.ones((4, 4, 4)), np.ones(())):
+        with pytest.raises(ValueError):
+            m @ bad
+    for bad in (np.ones((4, 3)), np.ones(5), np.ones((4, 4, 4))):
+        with pytest.raises(ValueError):
+            bad @ m
