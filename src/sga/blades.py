@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 
-from .bitcodes import Bitcode
+from .bitcodes import Bitcode, all_bitcodes
 from .elements import Element, multiply, row_of
 from .matrices import Matrix, Monomial
 from .scalars import HALF, ONE, Scalar, ZERO, _normalised, unit
@@ -471,7 +471,7 @@ def verify_isomorphism(rep):
         if t in self_failed:
             failures.append(f"blade {blade.label()} does not decompose to itself")
 
-    codes = rep.bitcodes()
+    codes = all_bitcodes(n)
     # e_a e_b. is the product of column a and row b, so each spinor is built once
     columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
     rows = [row_of(rep, column) for column in columns]

@@ -71,13 +71,25 @@ def _add_signature_args(parser):
 def _rep_from_args(args):
     axes = None
     if args.timelike_axes:
-        axes = tuple(int(x) for x in args.timelike_axes.split(","))
+        axes = _axis_numbers(args.timelike_axes, "--timelike-axes")
     sig = Signature(
         spacelike=args.spacelike, timelike=args.timelike, timelike_axes=axes
     )
     return build_representation(
         RepConfig(signature=sig, metric=args.metric, odd_mode=args.odd_mode.replace("-", "_"))
     )
+
+
+def _axis_numbers(text, option):
+    """The axes of a comma-separated list; a ValueError naming the first item that is not a number."""
+    axes = []
+    for item in text.split(","):
+        try:
+            axes.append(int(item))
+        except ValueError:
+            raise ValueError(f"{option} expects comma-separated axis numbers, "
+                             f"got {item!r} in {text!r}") from None
+    return tuple(axes)
 
 
 def _emit(args, text):
@@ -237,7 +249,7 @@ def cmd_classify(args):
     if args.generators.strip() == "scalar":
         generators = "scalar"
     else:
-        generators = [int(x) for x in args.generators.split(",")]
+        generators = _axis_numbers(args.generators, "--generators")
     _emit(args, axis_reflection_classify(rep, generators))
     return 0
 

@@ -256,7 +256,7 @@ def raise_index(rep, psi):
 
 def lower_index(rep, psi):
     m = psi.payload if isinstance(psi, Element) else psi
-    out = rep.eps_T @ m
+    out = rep.eps.transpose() @ m
     return Element.column(rep, out) if isinstance(psi, Element) else out
 
 

@@ -43,12 +43,21 @@ def parse_chain(rep, text):
 def _gamma_token(rep, spec):
     spec = spec.strip()
     if spec.startswith("+"):
-        return rep.gamma_plus(int(spec[1:]))
+        return rep.gamma_plus(_plane(spec[1:], spec))
     if spec.startswith("-"):
-        return rep.gamma_minus(int(spec[1:]))
+        return rep.gamma_minus(_plane(spec[1:], spec))
     if spec.endswith("bar"):
-        return rep.gamma_chiral(int(spec[:-3]), barred=True)
-    return rep.gamma_chiral(int(spec))
+        return rep.gamma_chiral(_plane(spec[:-3], spec), barred=True)
+    return rep.gamma_chiral(_plane(spec, spec))
+
+
+def _plane(text, spec):
+    """The plane number `text` of the token g[spec]; a ValueError naming the token if it is not a number."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"g[{spec}]: expected a plane number, optionally after + or - "
+                         f"or before 'bar', got {text!r}") from None
 
 
 def evaluate_chain(rep, text, forbidden_as_zero=False):

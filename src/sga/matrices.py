@@ -20,7 +20,7 @@ only when someone reads them:
   Under Jordan-Wigner each is a masked Pauli string i**p * sqrt2**e *
   X**x Z**z P(m, v): two bitcodes, a projector onto the indices whose
   bits in m read v, and a phase.  A ``Monomial`` is that Matrix, stored
-  as those words.  Its negation, transpose, conjugate, dagger, scaling
+  as those words.  Its negation, transpose, conjugate, scaling
   by a unit, comparison and product with another Monomial are a few
   integer operations whatever the dimension, and its nonzero entries
   are listed from the words.  Its rows are built on each read and never
@@ -59,6 +59,7 @@ outside the quarter turns, runs on numpy arrays.  ``to_numpy`` gives a
 Matrix's array, and a Monomial multiplies an array on either side by
 index (``Monomial @ array``, ``array @ Monomial``), moving its rows or
 columns and scaling them by the units, with no dense copy of its own.
+Any other Matrix times an array, on either side, is a TypeError.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def _canonical(acc):
 
 class Matrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
+    # numpy defers every operator to this class, so array @ Matrix calls __rmatmul__, which
+    # only a Monomial has: it acts on the array by index, and any other Matrix is a TypeError
+    __array_ufunc__ = None
 
     def __init__(self, rows, nrows=None, ncols=None):
         """A matrix from dense rows of Scalars, or Matrix(rows, nrows, ncols) from sparse rows.
@@ -687,11 +691,10 @@ class Monomial(Matrix):
     A product with a numpy array of one or two axes, on either side, is
     the complex array of the same product with ``to_numpy()``, made by
     moving the array's rows or columns by the word and scaling each by
-    its unit; numpy defers to the operator for array @ Monomial.
+    its unit.
     """
 
     __slots__ = ("n", "x", "z", "m", "v", "p", "e")
-    __array_ufunc__ = None  # an ndarray operand defers to this class: array @ Monomial calls __rmatmul__
 
     def __init__(self, n, x=0, z=0, m=0, v=0, p=0, e=0):
         if n < 0 or (x | z | m | v) >> n or v & ~m:
@@ -832,15 +835,15 @@ class Monomial(Matrix):
         """The entrywise complex conjugate: the phase negated."""
         return self.times_unit(-2 * self.p)
 
-    def dagger(self):
-        """The conjugate transpose."""
-        return self.transpose().conj()
-
     def sign_against(self, other):
         """1 if this operator equals `other`, -1 if it equals -other, else 0."""
         if self == other:
             return 1
         return -1 if self == -other else 0
+
+    def square_sign(self):
+        """1 if this operator squares to the identity, -1 if to minus the identity, else 0."""
+        return (self @ self).sign_against(Monomial(self.n))
 
     def _words(self):
         return self.n, self.x, self.z, self.m, self.v, self.p, self.e

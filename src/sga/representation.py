@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bitcodes import Bitcode
 from .matrices import Matrix, Monomial
 from .scalars import i_power
 
@@ -64,7 +63,7 @@ class Signature:
         if self.total < 1:
             raise ValueError("need at least one dimension")
         if self.timelike_axes is None:
-            axes = tuple(range(self.total - self.timelike + 1, self.total + 1))
+            axes = tuple(range(self.spacelike + 1, self.total + 1))
             object.__setattr__(self, "timelike_axes", axes)
         else:
             axes = tuple(sorted(self.timelike_axes))
@@ -77,10 +76,6 @@ class Signature:
     @property
     def total(self):
         return self.spacelike + self.timelike
-
-    @property
-    def bit_count(self):
-        return self.total // 2
 
     def is_timelike(self, axis):
         return axis in self.timelike_axes
@@ -143,15 +138,18 @@ def _even_core(pairs):
 class Representation:
     """All constructed operators for one (signature, metric, odd-mode) choice.
 
-    Every operator is a ``Monomial``: the attributes kappa_diag, kappa,
-    eps_std, eps_alt, eps, scalar_axis_matrix (None unless an embed odd
-    mode) and Gamma are built with the representation, and eps_T,
-    pseudoscalar and C on first read, since the tables never read them.
-    The spinor bitcodes and the blades are cached on first use.  The blade
-    dictionary reads the metric's map of bitcodes and the raised blades off
-    words, so it caches nothing else here.  Nothing else changes after
-    construction, and a first use yields equal results in any thread, so
-    concurrent first use is harmless.
+    It has two index spaces: the algebra's axes a = 1..N (``gamma``)
+    and its rotation planes k = 1..n_bits, one bit of the spinor index
+    each (``plane_vectors``, ``gamma_plus``, ``gamma_minus``,
+    ``gamma_chiral``).  Every operator is a ``Monomial``: the attributes
+    kappa_diag, kappa, eps_std, eps_alt, eps, scalar_axis_matrix (None
+    unless an embed odd mode) and Gamma are built with the representation,
+    and pseudoscalar and C on first read, since the tables never read
+    them.  The blades are cached on first use.  The blade dictionary reads
+    the metric's map of bitcodes and the raised blades off words, so it
+    caches nothing else here.  Nothing else changes after construction,
+    and a first use yields equal results in any thread, so concurrent
+    first use is harmless.
     """
 
     def __init__(self, config):
@@ -175,15 +173,18 @@ class Representation:
         self.kappa_diag = kappa_diag = core["kappa"]
         full = [m for pair in self._orth for m in pair]
 
-        # map the algebra's N orthonormal axes onto built operators (spacelike forms)
+        # map the algebra's N orthonormal axes onto built operators (spacelike forms);
+        # slots[a - 1] is axis a's place 2(k - 1) + j among the planes' vectors `full`
         scalar_axis = None
         if not self.is_odd:
             spacelike = full
+            slots = range(n_total)
             self.kappa = kappa_diag
             self.eps_std = core["eps_std"]
             self.eps_alt = core["eps_alt"]
         elif config.odd_mode == "project":
             spacelike = full + [kappa_diag]  # the final vector
+            slots = range(n_total - 1)  # the final vector is no plane's
             self.kappa = Monomial.identity(self.n_bits)
             self.eps_std = self.eps_alt = core["eps_alt"]
         else:
@@ -194,31 +195,26 @@ class Representation:
                 active = list(range(n_total))
                 scalar_axis = full[n_total]
             spacelike = [full[a] for a in active]
-            self._active_built_axes = tuple(a + 1 for a in active)
+            slots = active
             self.kappa = kappa_diag
             self.eps_std = core["eps_std"]
             self.eps_alt = self._partial_alt_metric((n_total - 1) // 2)
 
         self._spacelike = spacelike
+        self._slots = slots
         self.scalar_axis_matrix = scalar_axis
         self.eps = self._select_metric(core, scalar_axis)
-        self.metric_square_sign = self._square_sign(self.eps, "spinor metric")
-        self._gammas = [
-            g.times_unit(1) if sig.is_timelike(a + 1) else g  # timelike: times i
-            for a, g in enumerate(spacelike)
-        ]
+        self.metric_square_sign = self.eps.square_sign()
+        if not self.metric_square_sign:
+            raise AssertionError("spinor metric square is not +-1")
+        timelike = sig.timelike_axes
+        self._gammas = [g.times_unit(1) if a in timelike else g  # timelike: times i
+                        for a, g in enumerate(spacelike, 1)]
         self.Gamma, self.gamma_phase = self._build_time_product()
 
         self._blade_cache = {}
-        self._codes = None
 
     # -- helpers used during construction --------------------------------
-
-    def _square_sign(self, m, what):
-        sign = (m @ m).sign_against(Monomial.identity(self.n_bits))
-        if not sign:
-            raise AssertionError(f"{what} square is not +-1")
-        return sign
 
     def _partial_alt_metric(self, pairs):
         m = Monomial.identity(self.n_bits)
@@ -244,15 +240,14 @@ class Representation:
         for axis in self.signature.timelike_axes:
             raw = raw @ self._gammas[axis - 1]
         phase = 0 if self.config.gamma_phase_sign == 1 else 2  # as a power of i
-        if self._square_sign(raw, "time product") == -1:
+        square = raw.square_sign()
+        if not square:
+            raise AssertionError("time product square is not +-1")
+        if square == -1:
             phase += 3 if self.signature.timelike == 1 else 1
         return raw.times_unit(phase), i_power(phase)
 
     # -- operators built on first read ----------------------------------------
-
-    @cached_property
-    def eps_T(self):
-        return self.eps.transpose()
 
     @cached_property
     def pseudoscalar(self):
@@ -286,22 +281,12 @@ class Representation:
         """Unit column for the basis spinor labelled by bitcode b."""
         return Matrix.unit_column(self.dim, self.spinor_index(b))
 
-    def bitcodes(self):
-        """Every bitcode of the representation, in index order; listed once, on first use."""
-        if self._codes is None:
-            self._codes = tuple(Bitcode.from_index(i, self.n_bits) for i in range(self.dim))
-        return self._codes
-
     # -- operator accessors --------------------------------------------------
 
     def gamma(self, axis):
         """Orthonormal basis vector for axis in 1..N (timelike carry a factor i)."""
         self._check_axis(axis)
         return self._gammas[axis - 1]
-
-    def gamma_spacelike_form(self, axis):
-        self._check_axis(axis)
-        return self._spacelike[axis - 1]
 
     def gamma_plus(self, k):
         self._check_pair(k)
@@ -323,40 +308,24 @@ class Representation:
         if not 1 <= k <= self.n_bits:
             raise ValueError(f"plane index {k} out of range 1..{self.n_bits}")
 
-    @property
-    def pair_count(self):
-        return self.n_bits
+    def plane_vectors(self, k):
+        """Plane k's two vectors as built, (gamma_plus(k), gamma_minus(k)) with a timelike one times i.
 
-    def metric(self):
-        return self.eps
+        The scalar dimension of an embed odd mode is one of them, as
+        ``scalar_axis_matrix``.
+        """
+        self._check_pair(k)
+        return tuple(m.times_unit(1) if self._is_timelike_slot(2 * k - 2 + j) else m
+                     for j, m in enumerate(self._orth[k - 1]))
 
     def plane_is_boost(self, k):
-        """True when exactly one axis of plane k is timelike."""
-        a1, a2 = self.plane_built_axes(k)
-        return self.built_axis_is_timelike(a1) != self.built_axis_is_timelike(a2)
-
-    def plane_built_axes(self, k):
+        """True when exactly one vector of plane k is timelike."""
         self._check_pair(k)
-        return 2 * k - 1, 2 * k
+        return self._is_timelike_slot(2 * k - 2) != self._is_timelike_slot(2 * k - 1)
 
-    def built_axis_is_timelike(self, built_axis):
-        if not self.is_odd or self.odd_mode == "project":
-            return (
-                built_axis <= self.N and self.signature.is_timelike(built_axis)
-            )
-        try:
-            pos = self._active_built_axes.index(built_axis)
-        except ValueError:
-            return False  # the scalar dimension is never timelike
-        return self.signature.is_timelike(pos + 1)
-
-    def built_axis_matrix(self, built_axis):
-        """Built orthonormal vector (timelike-adjusted) for a built axis index."""
-        k, rem = divmod(built_axis - 1, 2)
-        m = self._orth[k][rem]
-        if self.built_axis_is_timelike(built_axis):
-            m = m.times_unit(1)  # times i
-        return m
+    def _is_timelike_slot(self, slot):
+        """True when the plane vector at `slot` builds a timelike axis; the scalar dimension never does."""
+        return slot in self._slots and self.signature.is_timelike(self._slots.index(slot) + 1)
 
     # -- serialization ----------------------------------------------------
 
@@ -395,6 +364,6 @@ def build_representation(config=None, **kwargs):
     Keyword form: build_representation(spacelike=3, timelike=1, metric=...).
     """
     if config is None:
-        sig_keys = {k: kwargs.pop(k) for k in ("spacelike", "timelike", "timelike_axes") if k in kwargs}
-        config = RepConfig(signature=Signature(**sig_keys), **kwargs)
+        signature = Signature(kwargs.pop("spacelike"), kwargs.pop("timelike", 0), kwargs.pop("timelike_axes", None))
+        config = RepConfig(signature, **kwargs)
     return Representation(config)

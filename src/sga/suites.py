@@ -28,7 +28,7 @@ from .elements import (
     symmetrized_outer,
 )
 from .matrices import Matrix, anticommutator
-from .representation import RepConfig, Signature, build_representation
+from .representation import build_representation
 from .scalars import HALF, I, INV_SQRT2, ONE, SQRT2, Scalar, ZERO
 from .symmetry import (
     conjugate,
@@ -55,12 +55,6 @@ class Check:
 
 def _check(name, ok, detail=""):
     return Check(name, bool(ok), detail)
-
-
-def _rep(spacelike, timelike=0, **kwargs):
-    return build_representation(
-        RepConfig(Signature(spacelike=spacelike, timelike=timelike), **kwargs)
-    )
 
 
 def _mat(rows):
@@ -147,7 +141,7 @@ def random_multivector(rep, rng, density=0.4):
 
 def pauli_suite(seed=DEFAULT_SEED):
     """Two-component spinors and the three-dimensional algebra, projected."""
-    rep = _rep(3)
+    rep = build_representation(spacelike=3)
     checks = []
 
     sigma1 = _mat([[0, 1], [1, 0]])
@@ -196,7 +190,7 @@ def dirac_suite(seed=DEFAULT_SEED):
     Bitcodes list the boost bit first (plane 1 is the boost plane, plane 2
     the spin plane); right-handed spinors have aligned bits.
     """
-    rep = _rep(3, 1)
+    rep = build_representation(spacelike=3, timelike=1)
     checks = []
 
     spinor = {
@@ -262,7 +256,7 @@ def brauer_weyl_suite(seed=DEFAULT_SEED, dimensions=(2, 4, 6, 8, 10, 12)):
     checks = []
     for n in dimensions:
         for metric in ("standard", "alternative"):
-            rep = _rep(n, metric=metric)
+            rep = build_representation(spacelike=n, metric=metric)
             report = verify_isomorphism(rep)
             checks.append(
                 _check(
@@ -298,7 +292,7 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
     """Per-bitcode metric sign formulas and the symmetry classification."""
     checks = []
     for n in range(2, n_max + 1, 2):
-        rep = _rep(n)
+        rep = build_representation(spacelike=n)
         ok_std = ok_alt = True
         for code in all_bitcodes(rep.n_bits):
             col = rep.basis_spinor(code)
@@ -310,7 +304,7 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
         checks.append(_check(f"sign law: standard metric N={n}, all bitcodes", ok_std))
         checks.append(_check(f"sign law: alternative metric N={n}, all bitcodes", ok_alt))
     for n in range(3, n_max + 1, 2):
-        rep = _rep(n)
+        rep = build_representation(spacelike=n)
         ok = all(
             rep.eps @ rep.basis_spinor(code)
             == rep.basis_spinor(code.flip()).scale(Scalar(_alternative_sign(code)))
@@ -328,7 +322,7 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
     by_n = {r.N: r for r in rows}
     consistent = True
     for n, row in by_n.items():
-        rep = _rep(n)
+        rep = build_representation(spacelike=n)
         sq_std = (rep.eps_std @ rep.eps_std).scalar_multiple_of_identity()
         sq_alt = (rep.eps_alt @ rep.eps_alt).scalar_multiple_of_identity()
         if (1 if sq_std == ONE else -1) != row.sq_standard:
@@ -408,9 +402,9 @@ def rotor_suite(seed=DEFAULT_SEED, float_angles=20):
     rng = Random(seed)
     checks = []
     for spacelike, timelike in ROTOR_SIGNATURES:
-        rep = _rep(spacelike, timelike)
+        rep = build_representation(spacelike=spacelike, timelike=timelike)
         label = f"({spacelike},{timelike})"
-        for k in range(1, rep.pair_count + 1):
+        for k in range(1, rep.n_bits + 1):
             if rep.plane_is_boost(k):
                 continue
             rot = plane_rotor(rep, k, quarters=1)
@@ -430,7 +424,7 @@ def rotor_suite(seed=DEFAULT_SEED, float_angles=20):
                 ok = ok and rot.matrix @ col == want
             checks.append(_check(f"rotor: exact quarter turn {label} plane {k}", ok))
 
-        for k in range(1, rep.pair_count + 1):
+        for k in range(1, rep.n_bits + 1):
             if rep.plane_is_boost(k):
                 continue
             ok = True
@@ -446,8 +440,8 @@ def rotor_suite(seed=DEFAULT_SEED, float_angles=20):
                 _check(f"rotor: {float_angles} random angles {label} plane {k}", ok)
             )
 
-    rep = _rep(3, 1)
-    boost_plane = next(k for k in range(1, rep.pair_count + 1) if rep.plane_is_boost(k))
+    rep = build_representation(spacelike=3, timelike=1)
+    boost_plane = next(k for k in range(1, rep.n_bits + 1) if rep.plane_is_boost(k))
     ok = True
     g, gb = rep.gamma_chiral(boost_plane), rep.gamma_chiral(boost_plane, barred=True)
     g_values, gb_values = g.to_numpy(), gb.to_numpy()
@@ -475,11 +469,11 @@ def conjugation_suite(seed=DEFAULT_SEED, positivity_samples=100):
     rng = Random(seed)
     checks = []
     for spacelike, timelike in CONJUGATION_SIGNATURES:
-        rep = _rep(spacelike, timelike)
+        rep = build_representation(spacelike=spacelike, timelike=timelike)
         label = f"({spacelike},{timelike})"
 
         ok = True
-        for k in range(1, rep.pair_count + 1):
+        for k in range(1, rep.n_bits + 1):
             if rep.plane_is_boost(k):
                 theta = rng.uniform(-1.5, 1.5)
                 rot = plane_rotor(rep, k, theta, exact=False)
@@ -525,7 +519,7 @@ def conjugation_suite(seed=DEFAULT_SEED, positivity_samples=100):
             )
         )
 
-    rep = _rep(3, 1)
+    rep = build_representation(spacelike=3, timelike=1)
     row = next(r for r in conjugation_symmetry_table(2, 2, samples_per_row=2))
     checks.append(
         _check(
@@ -556,7 +550,7 @@ def exclusion_suite(seed=DEFAULT_SEED, pairs=100):
     rng = Random(seed)
     checks = []
     for n in (2, 3, 4):
-        rep = _rep(n)
+        rep = build_representation(spacelike=n)
         raised = 0
         zeroed = 0
         for _ in range(pairs):
@@ -595,7 +589,7 @@ def exclusion_suite(seed=DEFAULT_SEED, pairs=100):
 
 def odd_dimension_suite(seed=DEFAULT_SEED):
     checks = []
-    rep = _rep(3)
+    rep = build_representation(spacelike=3)
     checks.append(
         _check(
             "odd: projected final vector is diag(1,-1)",
@@ -623,7 +617,7 @@ def odd_dimension_suite(seed=DEFAULT_SEED):
     checks.append(_check("odd: projected mode Clifford relations", clifford_ok(rep)))
 
     for mode in ("embed_scalar_n", "embed_scalar_n_plus_1"):
-        emb = _rep(3, odd_mode=mode)
+        emb = build_representation(spacelike=3, odd_mode=mode)
         checks.append(
             _check(
                 f"odd: {mode} Clifford relations",
@@ -679,7 +673,7 @@ def trace_chain_suite(seed=DEFAULT_SEED, samples=100):
     rng = Random(seed)
     checks = []
 
-    rep = _rep(6)
+    rep = build_representation(spacelike=6)
     ok_trace = True
     for _ in range(samples):
         psi = random_spinor(rep, rng)
@@ -690,7 +684,7 @@ def trace_chain_suite(seed=DEFAULT_SEED, samples=100):
         _check(f"trace: Tr(chi psi.) = psi.chi on {samples} random pairs", ok_trace)
     )
 
-    rep = _rep(8)  # dimension 16
+    rep = build_representation(spacelike=8)  # dimension 16
     ok_chain = True
     for _ in range(samples):
         species = [rng.choice(("scalar", "column", "row", "multivector"))]

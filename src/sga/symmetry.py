@@ -50,7 +50,7 @@ def _rotor_from_generator(n_bits, generator, c, s):
 
 
 def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
-    """Rotor (or boost) in constructed plane k.
+    """Rotor (or boost) in constructed plane k, generated by the product of the plane's two vectors.
 
     `quarters` counts exact quarter turns (theta = quarters * pi/2);
     `theta` is a float angle.  Exact mode refuses angles that are not
@@ -59,9 +59,7 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
     of an embed odd mode is not a rotation plane of the algebra, and
     raises ValueError.
     """
-    a1, a2 = rep.plane_built_axes(k)
-    v1 = rep.built_axis_matrix(a1)
-    v2 = rep.built_axis_matrix(a2)
+    v1, v2 = rep.plane_vectors(k)
     if rep.scalar_axis_matrix in (v1, v2):
         raise ValueError(f"plane {k} holds the scalar dimension of the {rep.odd_mode} odd mode, "
                          "so it is not a rotation plane of the algebra")
@@ -246,7 +244,7 @@ def axis_reflection_classify(rep, generators):
             x = x @ rep.gamma(a)
         member_axes = set(axes)
 
-    sq = (x @ x).sign_against(Monomial.identity(rep.n_bits))
+    sq = x.square_sign()
     if not sq:
         raise ValueError("reflection operator does not square to +-1")
     x_inv = x if sq == 1 else -x

@@ -10,7 +10,7 @@ Three tables are generated from first principles and never hard-coded:
     signature, which depends only on K - M mod 8.
 
 Every sign is computed on the representation's operators (eps, the
-spacelike generators and C), which are ``Monomial`` words: products,
+generators and C), which are ``Monomial`` words: products,
 transposes and equality of Pauli strings, with -1 tested as the phase
 i**2.  No row is built.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .matrices import Monomial
-from .representation import RepConfig, Signature, build_representation
+from .representation import build_representation
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ def _sign(a, b, failure):
     return sign
 
 
-def _square_sign(m):
-    return _sign(m @ m, Monomial.identity(m.n), "matrix square is not +-identity")
-
-
 def _symmetry_sign(m):
     return _sign(m.transpose(), m, "matrix is neither symmetric nor antisymmetric")
 
@@ -83,18 +79,14 @@ def _keys(lo, hi, name):
     return range(lo, hi + 1)
 
 
-def _rep_for(n):
-    return build_representation(RepConfig(Signature(spacelike=n)))
-
-
 def metric_symmetry_table(n_max, n_min=1):
     """Sign of eps^2 per dimension; equals the symmetry sign of eps."""
     rows = []
     for n in _keys(n_min, n_max, "N"):
-        rep = _rep_for(n)
+        rep = build_representation(spacelike=n)
         eps_std, eps_alt = rep.eps_std, rep.eps_alt
-        sq_std = _square_sign(eps_std)
-        sq_alt = _square_sign(eps_alt)
+        sq_std = eps_std.square_sign()  # 0 if not +-identity, which no symmetry sign equals
+        sq_alt = eps_alt.square_sign()
         if _symmetry_sign(eps_std) != sq_std or _symmetry_sign(eps_alt) != sq_alt:
             raise AssertionError("metric symmetry disagrees with its square")
         rows.append(MetricRow(n, sq_std, sq_alt))
@@ -105,13 +97,16 @@ def commutation_sign(rep, eps):
     """The global sign s with gamma^T eps = s eps gamma for every vector.
 
     `eps` is a metric operator, a ``Monomial`` such as ``rep.eps``; a
-    Matrix of any other type is a ValueError.
+    Matrix of any other type is a ValueError.  The vectors are the
+    representation's own, ``rep.gamma(a)``: a timelike one carries a
+    factor i on both sides of the law, so it has the sign of its
+    spacelike form.
     """
     if not isinstance(eps, Monomial):
         raise ValueError("commutation_sign needs a metric operator (a Monomial), not a dense Matrix")
     sign = None
     for a in range(1, rep.N + 1):
-        g = rep.gamma_spacelike_form(a)
+        g = rep.gamma(a)
         s = _sign(g.transpose() @ eps, eps @ g, "vector transpose law has no uniform sign")
         if sign is None:
             sign = s
@@ -123,7 +118,7 @@ def commutation_sign(rep, eps):
 def gamma_commutation_table(n_max, n_min=1):
     rows = []
     for n in _keys(n_min, n_max, "N"):
-        rep = _rep_for(n)
+        rep = build_representation(spacelike=n)
         rows.append(
             CommutationRow(
                 n,
@@ -135,9 +130,7 @@ def gamma_commutation_table(n_max, n_min=1):
 
 
 def _conjugation_symmetry(spacelike, timelike, metric):
-    rep = build_representation(
-        RepConfig(Signature(spacelike=spacelike, timelike=timelike), metric=metric)
-    )
+    rep = build_representation(spacelike=spacelike, timelike=timelike, metric=metric)
     return _symmetry_sign(rep.C)
 
 

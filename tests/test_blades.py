@@ -37,7 +37,7 @@ def rep_for(k, m=0, **kw):
 def metric_column_map(rep):
     """For each bitcode b, the (column, sign) of the single nonzero of e_b. , from the metric read-off the blades use."""
     out = {}
-    for b in rep.bitcodes():
+    for b in all_bitcodes(rep.n_bits):
         [(_, col, sign)] = blades._outer_keys(rep, [(0, b.index(), ONE)], False)
         out[b] = col, sign
     return out
@@ -389,6 +389,9 @@ def test_verify_isomorphism_builds_each_spinor_once(monkeypatch):
 def test_outer_round_trip_at_large_n(monkeypatch, n):
     """A three-entry matrix goes to outer coefficients and back without listing a dim-sized map or the bitcodes."""
     monkeypatch.delenv("SGA_MAX_DIM", raising=False)
+    made = []
+    from_index = Bitcode.from_index
+    monkeypatch.setattr(Bitcode, "from_index", staticmethod(lambda i, bits: made.append(i) or from_index(i, bits)))
     for metric in ("standard", "alternative"):
         rep = rep_for(n - 1, 1, metric=metric)
         top = rep.dim - 1
@@ -396,7 +399,7 @@ def test_outer_round_trip_at_large_n(monkeypatch, n):
         coeffs = spinor_outer_decompose(rep, m)
         assert len(coeffs) == 3 and all(len(a) == len(b) == rep.n_bits for a, b in coeffs)
         assert reconstruct_from_outer(rep, coeffs) == m
-        assert rep._codes is None
+    assert len(made) <= 2 * 2 * 3  # the row and column codes of three entries, per metric
 
 
 def test_outer_dictionary_rejects_wrong_lengths():
@@ -424,7 +427,7 @@ def per_element_verify(rep):
             failures.append(f"blade {blade.label()} failed the outer round trip")
         if decompose_multivector(rep, m) != {blade: ONE}:
             failures.append(f"blade {blade.label()} does not decompose to itself")
-    codes = rep.bitcodes()
+    codes = all_bitcodes(rep.n_bits)
     for a in codes:
         for b in codes:
             m = outer_basis_matrix(rep, a, b)

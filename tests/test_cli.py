@@ -116,6 +116,21 @@ def test_eval_wrong_bitcode_length_exit_two(capsys, code_text, length):
     assert f"bitcode length {length}" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("eval", "-K", "4", "g[abc]"), ("g[abc]", "plane number", "'abc'")),
+    (("eval", "-K", "4", "g[+x]"), ("g[+x]", "plane number", "'x'")),
+    (("classify-reflection", "-K", "3", "--generators", "1,,2"), ("--generators", "axis numbers", "'' in '1,,2'")),
+    (("classify-reflection", "-K", "3", "--generators", ""), ("--generators", "axis numbers", "'' in ''")),
+    (("build", "-K", "2", "--timelike-axes", "a"), ("--timelike-axes", "axis numbers", "'a'")),
+])
+def test_a_token_that_is_not_a_number_exit_two(capsys, argv, named):
+    """The message names the token and what was expected, not Python's int() parse."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "invalid literal" not in err
+    assert all(text in err for text in named), err
+
+
 def test_decompose_round_trip(tmp_path, capsys):
     rep = build_representation(RepConfig(Signature(spacelike=4)))
     m = rep.gamma_chiral(1)

@@ -729,13 +729,26 @@ def algebra_axes(rep):
     return [(rep.gamma(a), -1 if rep.signature.is_timelike(a) else 1) for a in range(1, rep.N + 1)]
 
 
-def built_axes(rep):
-    """(operator, square) of the plus and minus vector of each built plane, times i on a timelike axis."""
-    out = []
-    for b in range(1, 2 * rep.n_bits + 1):
-        k = (b + 1) // 2
-        g = rep.gamma_minus(k) if b % 2 == 0 else rep.gamma_plus(k)
-        out.append((g.times_unit(1), -1) if rep.built_axis_is_timelike(b) else (g, 1))
+def plane_axes(rep):
+    """(operator, square) of the two vectors of each plane, as ``plane_vectors`` gives them.
+
+    Each is gamma_plus(k) or gamma_minus(k), times i or not, and is the
+    vector of an algebra axis, whose square it takes, or else the scalar
+    dimension of an embed odd mode, which squares to 1.  Every axis but
+    the projected mode's final vector (the chiral operator) is met once.
+    """
+    axes = algebra_axes(rep)
+    out, met = [], 0
+    for k in range(1, rep.n_bits + 1):
+        for g, v in zip((rep.gamma_plus(k), rep.gamma_minus(k)), rep.plane_vectors(k)):
+            assert v in (g, g.times_unit(1)), k
+            squares = [square for a, square in axes if a == v]
+            if squares:
+                met += 1
+            else:
+                assert v == rep.scalar_axis_matrix, k
+            out.append((v, squares[0] if squares else 1))
+    assert met == rep.N - (rep.odd_mode == "project")
     return out
 
 
@@ -745,7 +758,7 @@ def test_the_axis_words_satisfy_the_clifford_relations(config):
     """g_a g_b + g_b g_a = 2 eta_ab: each vector squares to its eta, and distinct vectors anticommute."""
     rep = build_representation(config)
     one = Monomial.identity(rep.n_bits)
-    for axes in (algebra_axes(rep), built_axes(rep)):
+    for axes in (algebra_axes(rep), plane_axes(rep)):
         for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(axes), 2):
             if a == b:
                 assert ga @ ga == (one if square == 1 else -one), a
@@ -758,12 +771,10 @@ def test_the_axis_words_satisfy_the_clifford_relations(config):
 def test_the_axis_matrices_satisfy_the_clifford_relations(config):
     rep = build_representation(config)
     ident = Matrix.identity(rep.dim)
-    for axes in (algebra_axes(rep), built_axes(rep)):
+    for axes in (algebra_axes(rep), plane_axes(rep)):
         dense = [(plain(op), square) for op, square in axes]  # products on the general kernel
         for (a, (ga, square)), (b, (gb, _)) in combinations_with_replacement(enumerate(dense), 2):
             assert ga @ gb + gb @ ga == ident.scale(2 * square if a == b else 0), (a, b)
-    for b in range(1, 2 * rep.n_bits + 1):
-        assert rep.built_axis_matrix(b) == built_axes(rep)[b - 1][0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -780,7 +791,7 @@ def test_quarter_turn_rotors_preserve_the_metric_on_dense_matrices(config):
     for k in range(1, rep.n_bits + 1):
         if rep.plane_is_boost(k):
             continue
-        if scalar is not None and any(rep.built_axis_matrix(a) == scalar for a in rep.plane_built_axes(k)):
+        if scalar in rep.plane_vectors(k):
             continue
         for quarters in range(4):
             rotor = plane_rotor(rep, k, quarters=quarters)

@@ -676,3 +676,27 @@ def test_an_array_of_the_wrong_shape_is_a_value_error():
     for bad in (np.ones((4, 3)), np.ones(5), np.ones((4, 4, 4))):
         with pytest.raises(ValueError):
             bad @ m
+
+
+def test_a_matrix_that_is_not_an_operator_times_an_array_is_a_type_error():
+    """Only a Monomial acts on a numpy array; numpy defers to every Matrix instead of wrapping it in an object array."""
+    outer = Matrix.column([ONE, I, ZERO, SQRT2]) @ Matrix.row_vector([HALF, ZERO, -ONE, I])
+    assert type(outer) is OuterProduct
+    sparse = rand_sparse_matrix(Random(7), 4, 4, density=0.4)
+    assert not sparse.is_zero()
+    array = np.eye(4)
+    for m in (Matrix.identity(4), outer, sparse):
+        with pytest.raises(TypeError):
+            m @ array
+        with pytest.raises(TypeError):
+            array @ m
+    assert isinstance(Monomial.identity(2) @ array, np.ndarray)
+    assert isinstance(array @ Monomial.identity(2), np.ndarray)
+
+
+def test_the_conjugate_transpose_of_an_operator_is_an_operator():
+    c = MIXED.C
+    dagger = c.dagger()
+    assert type(dagger) is Monomial
+    np.testing.assert_array_equal(dagger.to_numpy(), c.to_numpy().conj().T)
+    assert dagger == Matrix(c.rows).dagger()

@@ -23,14 +23,14 @@ def rep_for(k, m=0, **kw):
 def product_metric_standard(rep):
     """Independent oracle: the metric as the explicit product of real vectors."""
     out = Matrix.identity(rep.dim)
-    for k in range(1, rep.pair_count + 1):
+    for k in range(1, rep.n_bits + 1):
         out = out @ rep.gamma_plus(k)
     return out
 
 
 def product_metric_alternative(rep, pairs=None):
     out = Matrix.identity(rep.dim)
-    for k in range(1, (pairs or rep.pair_count) + 1):
+    for k in range(1, (pairs or rep.n_bits) + 1):
         out = out @ rep.gamma_minus(k).scale(I)
     return out
 
@@ -116,7 +116,7 @@ def test_clifford_relations(k, m):
 def test_chiral_vectors_are_the_normalized_combinations(k, m):
     rep = rep_for(k, m)
     inv_rt2 = SQRT2.inverse()
-    for kk in range(1, rep.pair_count + 1):
+    for kk in range(1, rep.n_bits + 1):
         plus, minus = rep.gamma_plus(kk), rep.gamma_minus(kk)
         assert rep.gamma_chiral(kk) == (plus + minus.scale(I)).scale(inv_rt2)
         assert rep.gamma_chiral(kk, barred=True) == (plus - minus.scale(I)).scale(inv_rt2)
@@ -199,7 +199,7 @@ def test_vector_transpose_sign(n, metric, want):
     eps = rep.eps_std if metric == "standard" else rep.eps_alt
     want_s = Scalar(want)
     for a in range(1, rep.N + 1):
-        g = rep.gamma_spacelike_form(a)
+        g = rep.gamma(a)
         assert g.transpose() @ eps == (eps @ g).scale(want_s)
 
 
@@ -275,7 +275,7 @@ def test_prime_metric_preconditions():
 def test_timelike_vectors_carry_the_imaginary_factor():
     rep = rep_for(3, 1)
     assert rep.signature.timelike_axes == (4,)
-    assert rep.gamma(4) == rep.gamma_spacelike_form(4).scale(I)
+    assert rep.gamma(4) == rep_for(4).gamma(4).scale(I)
     # metrics do not depend on the signature
     assert rep.eps == rep_for(4).eps
 
@@ -283,12 +283,34 @@ def test_timelike_vectors_carry_the_imaginary_factor():
 def test_explicit_timelike_axes():
     sig = Signature(spacelike=3, timelike=1, timelike_axes=(2,))
     rep = build_representation(RepConfig(sig))
-    assert rep.gamma(2) == rep.gamma_spacelike_form(2).scale(I)
+    assert rep.gamma(2) == rep_for(4).gamma(2).scale(I)
     assert rep.plane_is_boost(1) and not rep.plane_is_boost(2)
+    assert rep.plane_vectors(1) == (rep.gamma_plus(1), rep.gamma_minus(1).scale(I)) == (rep.gamma(1), rep.gamma(2))
     with pytest.raises(ValueError):
         Signature(spacelike=3, timelike=1, timelike_axes=(2, 3))
     with pytest.raises(ValueError):
         Signature(spacelike=3, timelike=1, timelike_axes=(9,))
+
+
+@pytest.mark.parametrize("k, m, kw", [
+    (4, 0, {}), (3, 1, {}), (4, 1, {}),
+    (5, 0, {"odd_mode": "embed_scalar_n"}), (4, 1, {"odd_mode": "embed_scalar_n_plus_1"}),
+])
+def test_a_plane_out_of_range_is_refused(k, m, kw):
+    rep = rep_for(k, m, **kw)
+    for plane in (0, -1, rep.n_bits + 1):
+        for accessor in (rep.plane_vectors, rep.plane_is_boost):
+            with pytest.raises(ValueError, match=f"plane index {plane} out of range 1..{rep.n_bits}"):
+                accessor(plane)
+
+
+def test_plane_vectors_are_the_axes_vectors_and_the_scalar_dimension():
+    """Plane k holds gamma_plus(k) and gamma_minus(k), times i where the axis they build is timelike."""
+    rep = rep_for(4, 1, odd_mode="embed_scalar_n")  # axes 1..4 and 6 are built; 5 is the scalar dimension
+    assert rep.plane_vectors(1) == (rep.gamma(1), rep.gamma(2))
+    assert rep.plane_vectors(2) == (rep.gamma(3), rep.gamma(4))
+    assert rep.plane_vectors(3) == (rep.scalar_axis_matrix, rep.gamma(5)) == (rep.gamma_plus(3), rep.gamma_minus(3).scale(I))
+    assert [rep.plane_is_boost(k) for k in (1, 2, 3)] == [False, False, True]
 
 
 def test_pseudoscalar_timelike_phase_flag():
@@ -378,17 +400,17 @@ def test_odd_rep_dumps_final_vector():
 
 def test_operator_attributes_are_monomials_read_as_themselves():
     rep = rep_for(4, 1)
-    for name in ("kappa_diag", "kappa", "eps_std", "eps_alt", "eps", "eps_T",
+    for name in ("kappa_diag", "kappa", "eps_std", "eps_alt", "eps",
                  "pseudoscalar", "Gamma", "C"):
         m = getattr(rep, name)
         assert type(m) is Monomial and getattr(rep, name) is m
     assert type(rep.gamma(1)) is Monomial and isinstance(rep.C, Matrix)
     assert rep.scalar_axis_matrix is None
-    assert rep.eps_T == rep.eps.transpose() == Matrix(rep.eps.sparse_rows, rep.dim, rep.dim).transpose()
+    assert rep.eps.transpose() == Matrix(rep.eps.sparse_rows, rep.dim, rep.dim).transpose()
 
 
 def test_a_used_representation_is_freed_without_the_cycle_collector():
-    # its caches (blades, bitcodes) can hold megabytes, so no
+    # its blade cache can hold megabytes, so no
     # reference cycle may keep it alive until the collector runs
     from sga.blades import verify_isomorphism
 
@@ -396,9 +418,8 @@ def test_a_used_representation_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         rep = rep_for(5, 1)
-        for name in ("eps_T", "pseudoscalar", "C", "kappa"):
+        for name in ("pseudoscalar", "C", "kappa"):
             getattr(rep, name)
-        rep.bitcodes()
         verify_isomorphism(rep)
         ref = weakref.ref(rep)
         del rep

@@ -102,23 +102,51 @@ def referenced_names(trees):
     return out
 
 
+def member_uses(trees):
+    """(called, read): the attribute names the sources call as x.name(...), and those they read without a call."""
+    called, read = set(), set()
+    for tree in trees:
+        funcs = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                (called if id(node) in funcs else read).add(node.attr)
+    return called, read
+
+
+def imported_names(trees):
+    return {alias.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def is_property(node):
+    return any(ast.unparse(d) in ("property", "cached_property") for d in node.decorator_list)
+
+
 def unused_names(sources, selected, readers=()):
-    """(module, line, name) of each module-level function or class, or method, of `sources` that no source refers to.
+    """(module, line, name) of each module-level function or class, or method, of `sources` that no source uses.
 
     `sources` maps module names to their source text, and only the names
-    that `selected` accepts are reported; a reference is any name or
-    attribute read, or name imported, with that name, in any of the
-    sources or of the `readers` texts.
+    that `selected` accepts are reported.  A module-level name is used
+    if any of the sources or of the `readers` texts reads or imports it.
+    A method is used if one of them calls it as x.name(...) or imports
+    it, and a property if one of them reads it without calling it.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    referenced = referenced_names([*trees.values(), *map(ast.parse, readers)])
+    every = [*trees.values(), *map(ast.parse, readers)]
+    referenced, imported = referenced_names(every), imported_names(every)
+    called, read = member_uses(every)
+    called |= imported
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     out = []
     for module, tree in trees.items():
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for item in [node, *members]:
-                if isinstance(item, defs) and selected(item.name) and item.name not in referenced:
+            if isinstance(node, defs) and selected(node.name) and node.name not in referenced:
+                out.append((module, node.lineno, node.name))
+            for item in node.body if isinstance(node, ast.ClassDef) else []:
+                if not isinstance(item, defs) or not selected(item.name):
+                    continue
+                used = item.name in (read if is_property(item) else called)
+                if not used:
                     out.append((module, item.lineno, item.name))
     return sorted(out)
 
@@ -169,6 +197,36 @@ def test_scanner_finds_unused_public_names():
     readers = ["from a import used, Kept\n"]
     assert unused_public_names(sources, readers) == [("a", 3, "unused"), ("a", 5, "Gone"), ("a", 12, "stale")]
     assert ("a", 1, "used") in unused_public_names(sources, [])  # read only outside the package
+
+
+def test_scanner_counts_a_method_used_only_when_called_and_a_property_only_when_read():
+    sources = {
+        "a": (
+            "class Kept:\n"
+            "    def called(self):\n        pass\n"
+            "    def imported(self):\n        pass\n"
+            "    def named_only(self):\n        pass\n"
+            "    def tally(self):\n        pass\n"
+            "    @property\n"
+            "    def read(self):\n        pass\n"
+            "    @property\n"
+            "    def measure(self):\n        pass\n"
+            "    @cached_property\n"
+            "    def cached(self):\n        pass\n"
+        ),
+    }
+    readers = [
+        "from a import Kept, imported\n"
+        "k = Kept()\n"
+        "k.called()\n"
+        "f = k.named_only\n"  # a bound method passed around is no call
+        "k.x.tally\n"  # a read of the name, not a call
+        "n = k.read + k.cached\n"
+        "k.measure()\n"  # a call of the name is no read of a property
+    ]
+    assert unused_public_names(sources, readers) == [
+        ("a", 6, "named_only"), ("a", 8, "tally"), ("a", 14, "measure"),
+    ]
 
 
 def test_no_unused_public_names():

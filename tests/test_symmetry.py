@@ -66,7 +66,7 @@ def test_zero_angle_is_identity():
 def test_metric_invariance_quarter_turns():
     for k, m in ((2, 0), (4, 0), (5, 0), (3, 1)):
         rep = rep_for(k, m)
-        for plane in range(1, rep.pair_count + 1):
+        for plane in range(1, rep.n_bits + 1):
             if rep.plane_is_boost(plane):
                 continue
             for q in (1, 2, 3):
@@ -81,12 +81,12 @@ def test_metric_invariance_quarter_turns():
 def test_the_plane_of_the_embedded_scalar_is_refused(n, metric, odd_mode):
     """The plane that holds an embed mode's scalar dimension has no rotor; every other plane keeps the metric."""
     rep = rep_for(n, metric=metric, odd_mode=odd_mode)
-    scalar_plane = next(k for k in range(1, rep.pair_count + 1)
-                        if rep.scalar_axis_matrix in map(rep.built_axis_matrix, rep.plane_built_axes(k)))
+    scalar_plane = next(k for k in range(1, rep.n_bits + 1)
+                        if rep.scalar_axis_matrix in rep.plane_vectors(k))
     for theta in (None, 0.7):
         with pytest.raises(ValueError, match=f"plane {scalar_plane} holds the scalar dimension of the {odd_mode}"):
             plane_rotor(rep, scalar_plane, theta, quarters=1 if theta is None else None)
-    for k in range(1, rep.pair_count + 1):
+    for k in range(1, rep.n_bits + 1):
         if k != scalar_plane:
             assert metric_preserved(rep, plane_rotor(rep, k, quarters=1))
 

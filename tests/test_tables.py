@@ -1,10 +1,12 @@
 """Classification tables: anchors, hand-derived signs, periodicity."""
 
 import pytest
+from hypothesis import given, settings
+from strategies import rep_configs
 from test_kernel import plain
 
 from sga.representation import RepConfig, Signature, build_representation
-from sga.scalars import ONE
+from sga.scalars import I, ONE
 from sga.tables import (
     COMMUTATION_FIELDS,
     METRIC_FIELDS,
@@ -146,14 +148,20 @@ def matrix_square_sign(m):
     return 1 if s == ONE else -1 if s == -ONE else 0
 
 
-def matrix_commutation_sign(rep, eps):
+def matrix_commutation_signs(rep, eps):
+    """The signs s of gamma^T eps = s eps gamma over every axis, on plain copies of the spacelike forms.
+
+    A timelike axis's spacelike form is its gamma times -i.
+    """
     eps = plain(eps)
-    signs = {
-        matrix_sign(g.transpose() @ eps, eps @ g)
-        for g in (plain(rep.gamma_spacelike_form(a)) for a in range(1, rep.N + 1))
-    }
-    assert len(signs) == 1
-    return signs.pop()
+    forms = (rep.gamma(a).scale(-I) if rep.signature.is_timelike(a) else rep.gamma(a)
+             for a in range(1, rep.N + 1))
+    return {matrix_sign(g.transpose() @ eps, eps @ g) for g in map(plain, forms)}
+
+
+def matrix_commutation_sign(rep, eps):
+    [sign] = matrix_commutation_signs(rep, eps)
+    return sign
 
 
 def test_tables_match_matrix_oracle():
@@ -189,6 +197,20 @@ def test_commutation_sign_takes_the_matrix_or_the_monomial():
         assert commutation_sign(rep, -eps) == sign  # a negated operator is still an operator
     with pytest.raises(ValueError):
         commutation_sign(rep, plain(rep.eps_std))  # a dense Matrix has no words
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_configs(max_n=10))
+def test_commutation_sign_matches_the_oracle_in_every_signature_and_mode(config):
+    """Timelike axes and the odd modes: the sign is the oracle's, or, where the oracle finds none, an AssertionError."""
+    rep = build_representation(config)
+    for eps in (rep.eps, rep.eps_std, rep.eps_alt):
+        signs = matrix_commutation_signs(rep, eps)
+        if signs in ({1}, {-1}):
+            assert commutation_sign(rep, eps) == signs.pop()
+        else:
+            with pytest.raises(AssertionError):
+                commutation_sign(rep, eps)
 
 
 @pytest.mark.parametrize("call", [
