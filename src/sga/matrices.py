@@ -350,7 +350,12 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple((i, tuple(r.items())) for i, r in self.sparse_rows.items())))
+        """The hash of (nrows, ncols, nnz, first nonzero (i, j, value) or None), which equal matrices share."""
+        rows, first = self.sparse_rows, None
+        if rows:
+            i, row = next(iter(rows.items()))
+            first = (i, *next(iter(row.items())))
+        return hash((self.nrows, self.ncols, sum(map(len, rows.values())), first))
 
     def is_identity(self):
         rows = self.sparse_rows
@@ -684,14 +689,21 @@ class Monomial(Matrix):
     operators have equal words.  The zero operator, which a product of
     nilpotent generators reaches, has v = -1 and every other word 0.
 
-    Its values, hash and JSON are those of its rows, which are derived
-    from the words on each read and not kept.  Listing its nonzero
-    entries and comparing it with any Matrix walk the words, and a
-    product with a Matrix that is not a Monomial is one ``sandwich`` pass.
+    Its values and JSON are those of its rows, which are derived from the
+    words on each read and not kept, and its hash, Matrix's rule, is read
+    off the words.  Listing its nonzero entries and comparing it with any
+    Matrix walk the words, and a product with a Matrix that is not a
+    Monomial is one ``sandwich`` pass.
     A product with a numpy array of one or two axes, on either side, is
     the complex array of the same product with ``to_numpy()``, made by
     moving the array's rows or columns by the word and scaling each by
     its unit.
+
+    The words are validated at the public constructor only.  A word
+    operation (product, transpose, scaling by a unit, conjugation,
+    negation) builds its result with ``_word``, which canonicalises z and
+    p but checks nothing, since valid words give valid words.  The words
+    are never assigned after construction, so operators can be shared.
     """
 
     __slots__ = ("n", "x", "z", "m", "v", "p", "e")
@@ -710,9 +722,7 @@ class Monomial(Matrix):
 
     @classmethod
     def zero(cls, n):
-        out = cls(n)
-        out.v = -1
-        return out
+        return _word(n, 0, 0, 0, -1, 0, 0)
 
     def row_items(self):
         """(i, j, q) of every nonempty row i, i increasing: its column j and the phase q of its unit.
@@ -772,8 +782,8 @@ class Monomial(Matrix):
         v1 = (self.v ^ x2) & m1  # self keeps the image of column j when j & m1 == v1
         if (v1 ^ other.v) & m1 & m2:
             return Monomial.zero(n)
-        return Monomial(n, self.x ^ x2, self.z ^ other.z, m1 | m2, v1 | other.v,
-                        self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
+        return _word(n, self.x ^ x2, self.z ^ other.z, m1 | m2, v1 | other.v,
+                     self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
 
     def __rmatmul__(self, other):
         if isinstance(other, Matrix):
@@ -812,7 +822,7 @@ class Monomial(Matrix):
         """This operator times the unit i**p * sqrt2**e."""
         if self.v < 0:
             return self
-        return Monomial(self.n, self.x, self.z, self.m, self.v, self.p + p, self.e + e)
+        return _word(self.n, self.x, self.z, self.m, self.v, self.p + p, self.e + e)
 
     def scale(self, s):
         """This operator times s; a unit i**p * sqrt2**e gives a Monomial."""
@@ -828,22 +838,37 @@ class Monomial(Matrix):
         if self.v < 0:
             return self
         x = self.x
-        return Monomial(self.n, x, self.z, self.m, self.v ^ (x & self.m),
-                        self.p + 2 * (x & self.z).bit_count(), self.e)
+        return _word(self.n, x, self.z, self.m, self.v ^ (x & self.m),
+                     self.p + 2 * (x & self.z).bit_count(), self.e)
 
     def conj(self):
         """The entrywise complex conjugate: the phase negated."""
         return self.times_unit(-2 * self.p)
 
     def sign_against(self, other):
-        """1 if this operator equals `other`, -1 if it equals -other, else 0."""
-        if self == other:
-            return 1
-        return -1 if self == -other else 0
+        """1 if this operator equals `other`, -1 if it equals -other, else 0.
+
+        Against a Monomial this reads the words: every word but the phase
+        must agree, and the phases then differ by 0 or 2.
+        """
+        if type(other) is not Monomial:
+            if self == other:
+                return 1
+            return -1 if self == -other else 0
+        if (self.n, self.x, self.z, self.m, self.v, self.e) != (other.n, other.x, other.z, other.m, other.v, other.e):
+            return 0
+        return (1, 0, -1, 0)[(self.p - other.p) & 3]
 
     def square_sign(self):
-        """1 if this operator squares to the identity, -1 if to minus the identity, else 0."""
-        return (self @ self).sign_against(Monomial(self.n))
+        """1 if this operator squares to the identity, -1 if to minus the identity, else 0.
+
+        The square has the words x = z = 0, the mask m, or none when
+        x & m != 0, and e doubled, so it is +-1 only for m == e == 0; its
+        phase is then i**(2p + 2|x & z|).
+        """
+        if self.v < 0 or self.m or self.e:
+            return 0
+        return -1 if (self.p + (self.x & self.z).bit_count()) & 1 else 1
 
     def _words(self):
         return self.n, self.x, self.z, self.m, self.v, self.p, self.e
@@ -872,7 +897,14 @@ class Monomial(Matrix):
                 return False
         return True
 
-    __hash__ = Matrix.__hash__
+    def __hash__(self):
+        """Matrix's hash read off the words: 2**(n - |m|) nonzeros, the first in row v ^ (x & m); no row is listed."""
+        if self.v < 0:
+            return hash((self.nrows, self.ncols, 0, None))
+        i = self.v ^ (self.x & self.m)
+        j = i ^ self.x
+        first = (i, j, unit(self.p ^ 2 * ((j & self.z).bit_count() & 1), self.e))
+        return hash((self.nrows, self.ncols, 1 << (self.n - self.m.bit_count()), first))
 
     def __reduce__(self):  # copy and pickle the words: the rows are derived, not stored
         if self.v < 0:
@@ -881,6 +913,20 @@ class Monomial(Matrix):
 
     def __repr__(self):
         return "Monomial(n={}, x={}, z={}, m={}, v={}, p={}, e={})".format(*self._words())
+
+
+def _word(n, x, z, m, v, p, e):
+    """The Monomial of these words, z and p canonicalised as the constructor does, with no validation.
+
+    For the results of word operations, whose words are valid because
+    their operands' were; words from a caller go through ``Monomial``.
+    """
+    out = object.__new__(Monomial)
+    out.n, out.x, out.z, out.m, out.v = n, x, z & ~m, m, v
+    out.p = (p + 2 * (z & v).bit_count()) & 3
+    out.e = e
+    out.nrows = out.ncols = 1 << n
+    return out
 
 
 def commutator(a, b):

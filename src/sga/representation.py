@@ -34,15 +34,19 @@ Matrix kept as a masked Pauli string of a few words, with no per-row
 list.  The attributes and accessors return those operators themselves,
 so a product of two is a word product, and a product with any other
 Matrix gathers or relabels that factor's entries instead of multiplying
-Scalars.  Building a representation allocates nothing of size dim, so
-it is not capped: ``SGA_MAX_DIM`` bounds only the listing of an
-operator's dim-many entries (its rows, JSON or hash).
+Scalars.  The plane words (the generators, both even metrics and
+kappa) depend on the plane count alone, so they are built once per
+count and shared by every representation with that many planes; no
+word is ever assigned after construction.  Building a representation
+allocates nothing of size dim, so it is not capped: ``SGA_MAX_DIM``
+bounds only the listing of an operator's dim-many entries (its rows or
+JSON).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .matrices import Matrix, Monomial
 from .scalars import i_power
@@ -109,11 +113,17 @@ class RepConfig:
                 raise ValueError("prime_alternative requires the extra vector as scalar")
 
 
+@cache
 def _even_core(pairs):
-    """The operators of the even algebra on `pairs` planes, in the closed forms above."""
+    """The operators of the even algebra on `pairs` planes, in the closed forms above.
+
+    (chiral, orth, eps_std, eps_alt, kappa): chiral holds (g_k, gbar_k)
+    and orth (plus_k, minus_k) per plane, both tuples.  They depend on
+    the plane count only, so they are built once per count and shared by
+    every representation with that many planes.
+    """
     top = (1 << pairs) - 1
-    chiral = []  # (gamma_k, gamma_k_bar)
-    orth = []  # (plus_k, minus_k)
+    chiral, orth = [], []
     for k in range(1, pairs + 1):
         bit = 1 << (k - 1)
         above = top ^ (2 * bit - 1)
@@ -125,14 +135,8 @@ def _even_core(pairs):
         mask = sum(1 << (k - 1) for k in planes)
         return Monomial(pairs, top, mask, p=2 * (mask.bit_count() & 1))
 
-    return {
-        "dim": 1 << pairs,
-        "chiral": chiral,
-        "orth": orth,
-        "eps_std": metric(range(2, pairs + 1, 2)),
-        "eps_alt": metric(range(1, pairs + 1, 2)),
-        "kappa": Monomial(pairs, z=top),
-    }
+    return (tuple(chiral), tuple(orth), metric(range(2, pairs + 1, 2)), metric(range(1, pairs + 1, 2)),
+            Monomial(pairs, z=top))
 
 
 class Representation:
@@ -145,11 +149,14 @@ class Representation:
     kappa_diag, kappa, eps_std, eps_alt, eps, scalar_axis_matrix (None
     unless an embed odd mode) and Gamma are built with the representation,
     and pseudoscalar and C on first read, since the tables never read
-    them.  The blades are cached on first use.  The blade dictionary reads
-    the metric's map of bitcodes and the raised blades off words, so it
-    caches nothing else here.  Nothing else changes after construction,
-    and a first use yields equal results in any thread, so concurrent
-    first use is harmless.
+    them.  The plane words come from ``_even_core``, which builds them
+    once per plane count, so representations with equal ``n_bits`` share
+    the same generator, metric and kappa objects.  The blades are cached
+    on first use.  The blade dictionary reads the metric's map of
+    bitcodes and the raised blades off words, so it caches nothing else
+    here.  Nothing else changes after construction, and a first use
+    yields equal results in any thread, so concurrent first use is
+    harmless.
     """
 
     def __init__(self, config):
@@ -165,12 +172,10 @@ class Representation:
             built_pairs = (n_total + 1) // 2
         else:
             built_pairs = n_total // 2
-        core = _even_core(built_pairs)
+        self._chiral, self._orth, core_std, core_alt, kappa_diag = _even_core(built_pairs)
         self.n_bits = built_pairs
-        self.dim = core["dim"]
-        self._chiral = core["chiral"]
-        self._orth = core["orth"]
-        self.kappa_diag = kappa_diag = core["kappa"]
+        self.dim = 1 << built_pairs
+        self.kappa_diag = kappa_diag
         full = [m for pair in self._orth for m in pair]
 
         # map the algebra's N orthonormal axes onto built operators (spacelike forms);
@@ -180,13 +185,13 @@ class Representation:
             spacelike = full
             slots = range(n_total)
             self.kappa = kappa_diag
-            self.eps_std = core["eps_std"]
-            self.eps_alt = core["eps_alt"]
+            self.eps_std = core_std
+            self.eps_alt = core_alt
         elif config.odd_mode == "project":
             spacelike = full + [kappa_diag]  # the final vector
             slots = range(n_total - 1)  # the final vector is no plane's
             self.kappa = Monomial.identity(self.n_bits)
-            self.eps_std = self.eps_alt = core["eps_alt"]
+            self.eps_std = self.eps_alt = core_alt
         else:
             if config.odd_mode == "embed_scalar_n":
                 active = list(range(n_total - 1)) + [n_total]
@@ -197,13 +202,13 @@ class Representation:
             spacelike = [full[a] for a in active]
             slots = active
             self.kappa = kappa_diag
-            self.eps_std = core["eps_std"]
+            self.eps_std = core_std
             self.eps_alt = self._partial_alt_metric((n_total - 1) // 2)
 
         self._spacelike = spacelike
         self._slots = slots
         self.scalar_axis_matrix = scalar_axis
-        self.eps = self._select_metric(core, scalar_axis)
+        self.eps = self._select_metric(core_alt, scalar_axis)
         self.metric_square_sign = self.eps.square_sign()
         if not self.metric_square_sign:
             raise AssertionError("spinor metric square is not +-1")
@@ -222,7 +227,8 @@ class Representation:
             m = m @ self._orth[k][1].times_unit(1)  # i minus_k
         return m
 
-    def _select_metric(self, core, scalar_axis):
+    def _select_metric(self, core_alt, scalar_axis):
+        """The metric the config chooses; `core_alt` is the even core's alternative metric."""
         choice = self.config.metric
         if not self.is_odd or self.odd_mode == "project":
             return self.eps_std if choice in ("standard", "prime_standard") else self.eps_alt
@@ -231,8 +237,8 @@ class Representation:
         if choice == "alternative":
             return self.eps_alt
         if choice == "prime_standard":
-            return core["eps_std"] @ scalar_axis
-        return core["eps_alt"]  # prime_alternative
+            return self.eps_std @ scalar_axis
+        return core_alt  # prime_alternative
 
     def _build_time_product(self):
         """Gamma, the phased product of the timelike vectors, and its phase."""

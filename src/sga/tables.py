@@ -20,7 +20,7 @@ range of at least nine consecutive values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .matrices import Monomial
 from .representation import build_representation
@@ -100,32 +100,28 @@ def commutation_sign(rep, eps):
     Matrix of any other type is a ValueError.  The vectors are the
     representation's own, ``rep.gamma(a)``: a timelike one carries a
     factor i on both sides of the law, so it has the sign of its
-    spacelike form.
+    spacelike form.  Where no one sign holds for every vector, as for
+    ``eps_alt`` of an ``embed_scalar_n`` representation at odd N, the
+    result is a ValueError that says so.
     """
     if not isinstance(eps, Monomial):
         raise ValueError("commutation_sign needs a metric operator (a Monomial), not a dense Matrix")
-    sign = None
-    for a in range(1, rep.N + 1):
-        g = rep.gamma(a)
-        s = _sign(g.transpose() @ eps, eps @ g, "vector transpose law has no uniform sign")
-        if sign is None:
-            sign = s
-        elif sign != s:
-            raise AssertionError("transpose sign differs between basis vectors")
-    return sign
+    signs = {(g.transpose() @ eps).sign_against(eps @ g) for g in map(rep.gamma, range(1, rep.N + 1))}
+    if len(signs) != 1 or 0 in signs:
+        raise ValueError(f"the vector transpose law has no uniform sign for this metric at N={rep.N}")
+    return signs.pop()
 
 
 def gamma_commutation_table(n_max, n_min=1):
     rows = []
     for n in _keys(n_min, n_max, "N"):
         rep = build_representation(spacelike=n)
-        rows.append(
-            CommutationRow(
-                n,
-                commutation_sign(rep, rep.eps_std),
-                commutation_sign(rep, rep.eps_alt),
-            )
-        )
+        try:
+            row = CommutationRow(n, commutation_sign(rep, rep.eps_std), commutation_sign(rep, rep.eps_alt))
+        except ValueError as exc:
+            # both metrics of a spacelike representation have a uniform sign
+            raise AssertionError(f"internal fault: {exc}") from exc
+        rows.append(row)
     return rows
 
 
@@ -174,15 +170,12 @@ def period8_check(rows):
             continue
         compared += 1
         a, b = by_key[k], by_key[k + 8]
-        da, db = asdict(a), asdict(b)
-        for fieldname in da:
-            if fieldname in ("N", "difference", "signatures"):
+        for f in fields(a):
+            if f.name in ("N", "difference", "signatures"):
                 continue
-            if da[fieldname] != db[fieldname]:
-                violations.append(
-                    f"{fieldname} differs between keys {k} and {k + 8}: "
-                    f"{da[fieldname]} vs {db[fieldname]}"
-                )
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if va != vb:
+                violations.append(f"{f.name} differs between keys {k} and {k + 8}: {va} vs {vb}")
     return {"pairs_compared": compared, "violations": violations, "ok": not violations}
 
 

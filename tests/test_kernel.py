@@ -405,8 +405,8 @@ def word_gammas(n, timelike):
     come first, an odd n takes kappa as its final vector, and a timelike
     vector is i times its spacelike form.
     """
-    core = _even_core(n // 2)
-    gammas = [g for pair in core["orth"] for g in pair] + [core["kappa"]] * (n % 2)
+    _, orth, _, _, kappa = _even_core(n // 2)
+    gammas = [g for pair in orth for g in pair] + [kappa] * (n % 2)
     return [g.times_unit(1) if timelike >> a & 1 else g for a, g in enumerate(gammas)]
 
 
@@ -570,6 +570,44 @@ def test_monomial_sign_against_agrees_with_matrix(pair, p):
     for other in (b, a.times_unit(p)):
         m, n = plain(a), plain(other)
         assert a.sign_against(other) == (1 if m == n else -1 if m == -n else 0)
+
+
+@given(monomials())
+def test_monomial_square_sign_agrees_with_matrix(a):
+    """square_sign reads the words; the definition squares the plain rows and compares with +-1."""
+    square, one = plain(a) @ plain(a), Matrix.identity(a.nrows)
+    assert a.square_sign() == (1 if square == one else -1 if square == -one else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_configs(max_n=8), st.integers(0, 2**32))
+def test_equal_matrices_hash_equal_whatever_their_type(config, seed):
+    """A Monomial or an OuterProduct hashes like the plain Matrix of its rows."""
+    rep, rng = build_representation(config), Random(seed)
+    operators = [rep.gamma(a) for a in range(1, rep.N + 1)]
+    operators += [rep.eps, rep.eps_alt, rep.kappa, rep.Gamma, rep.C, rep.pseudoscalar, Monomial.zero(rep.n_bits)]
+    for k in range(1, rep.n_bits + 1):
+        g, gb = rep.gamma_chiral(k), rep.gamma_chiral(k, barred=True)
+        operators += [g, gb, g @ gb, -(gb @ g), g @ g]  # masked words and the zero word
+    u, v = random_exact(rng, rep.dim, 1, 0.7), random_exact(rng, 1, rep.dim, 0.7)
+    outers = [OuterProduct(u, v), rep.eps @ OuterProduct(u, v) @ rep.gamma(1), OuterProduct(u, v).transpose()]
+    for m in operators + outers:
+        assert m == plain(m) and hash(m) == hash(plain(m))
+    assert hash(OuterProduct(Matrix.zeros(rep.dim, 1), v)) == hash(Matrix.zeros(rep.dim))
+
+
+def test_hashing_an_operator_lists_no_row_at_any_n(monkeypatch):
+    rep = build_representation(spacelike=64)
+    g1, g2 = rep.gamma(1), rep.gamma(2)
+
+    def listed(self):
+        raise AssertionError("a row was listed")
+
+    monkeypatch.setattr(Monomial, "row_items", listed)
+    operators = {g1, g2, g1 @ g1 @ g1, g2 @ g1 @ g1}  # g1 squares to 1
+    assert len(operators) == 2 and operators == {g1, g2}
+    zero, g = Monomial.zero(rep.n_bits), rep.gamma_chiral(1)
+    assert {zero, g @ g} == {zero} and len({g, g @ rep.gamma_chiral(1, barred=True)}) == 2
 
 
 def test_monomial_equality_checks_the_shape():

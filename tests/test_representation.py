@@ -12,7 +12,7 @@ import pytest
 
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.matrices import Matrix, Monomial, anticommutator
-from sga.representation import RepConfig, Signature, build_representation
+from sga.representation import RepConfig, Signature, _even_core, build_representation
 from sga.scalars import I, ONE, SQRT2, ZERO, Scalar, i_power
 
 
@@ -427,3 +427,44 @@ def test_a_used_representation_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def operator_words(rep):
+    """The words of every operator the representation holds or gives, by name."""
+    out = {name: getattr(rep, name) for name in ("kappa_diag", "kappa", "eps_std", "eps_alt", "eps",
+                                                 "Gamma", "C", "pseudoscalar")}
+    for a in range(1, rep.N + 1):
+        out[f"gamma {a}"] = rep.gamma(a)
+    for k in range(1, rep.n_bits + 1):
+        out[f"plane {k}"] = rep.plane_vectors(k)
+        out[f"chiral {k}"] = rep.gamma_chiral(k), rep.gamma_chiral(k, barred=True)
+    return {name: repr(m) for name, m in out.items()}
+
+
+def test_the_plane_words_are_shared_per_plane_count_and_never_change():
+    """Every representation with three planes reads the same core objects, and no build or use alters them."""
+    from sga.blades import decompose_multivector, verify_isomorphism
+    from sga.symmetry import plane_rotor
+
+    spacelike = build_representation(spacelike=6)
+    before = operator_words(spacelike)
+    core = _even_core(3)
+    core_before = repr(core)
+    assert spacelike._orth is core[1] and spacelike.eps_std is core[2] and spacelike.eps_alt is core[3]
+    assert all(type(part) is tuple for part in core[:2])
+    others = [
+        RepConfig(Signature(4, 2), gamma_phase_sign=-1, timelike_pseudoscalar_phase=True),
+        RepConfig(Signature(3, 3, (1, 4, 6)), metric="alternative"),
+        RepConfig(Signature(4, 1), metric="prime_standard", odd_mode="embed_scalar_n"),
+        RepConfig(Signature(3, 2), metric="prime_alternative", odd_mode="embed_scalar_n_plus_1"),
+        RepConfig(Signature(5, 2)),
+    ]
+    for config in others:
+        rep = build_representation(config)
+        assert rep.n_bits == 3 and rep._chiral is core[0] and rep._orth is core[1] and rep.kappa_diag is core[4]
+        operator_words(rep)
+        verify_isomorphism(rep)
+        decompose_multivector(rep, rep.gamma(1) @ rep.C)
+        plane_rotor(rep, 1, 1)
+    assert _even_core(3) is core and repr(core) == core_before
+    assert operator_words(spacelike) == before

@@ -1,4 +1,5 @@
-"""Static checks of the package source: no imported name goes unread, and no private or public name goes unused."""
+"""Static checks of the package source: no imported name goes unread, no private or public name goes unused,
+and shared state (a Representation's attributes, a Monomial's words) is written only by its owner."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,69 @@ def test_scanner_finds_rep_attribute_stores():
 def test_only_the_representation_sets_its_attributes(module):
     """A Representation's state is its own: other modules may fill its caches but add or replace no attribute."""
     assert rep_attribute_stores((SRC / module).read_text()) == []
+
+
+MONOMIAL_WORDS = frozenset("nxzmvpe")
+
+# a Monomial's words are written where one is made, so representations can share operators
+WORD_WRITERS = {("Monomial.__init__", w) for w in MONOMIAL_WORDS} | {("_word", w) for w in MONOMIAL_WORDS}
+WORD_WRITERS.add(("OuterProduct.__init__", "v"))  # its own row factor
+
+
+def word_stores(source):
+    """(line, scope, name) of each store or delete of an attribute named like a Monomial word.
+
+    A store is an assignment, augmented assignment or del of x.name, or a
+    setattr, object.__setattr__ or delattr call naming it as a literal;
+    `scope` is the dotted path of the enclosing classes and functions.
+    """
+    setters = ("setattr", "object.__setattr__", "delattr")
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = None
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del)):
+                name = child.attr
+            elif (isinstance(child, ast.Call) and ast.unparse(child.func) in setters and len(child.args) > 1
+                  and isinstance(child.args[1], ast.Constant)):
+                name = child.args[1].value
+            if name in MONOMIAL_WORDS:
+                out.append((child.lineno, scope, name))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_scanner_finds_word_stores():
+    source = (
+        "class A:\n"
+        "    def f(self, o):\n"
+        "        o.x = 1\n"
+        "        o.p += 2\n"
+        "        (o.v, y) = 1, 2\n"
+        "        o.other = o.n\n"
+        "        o.x.y = 4\n"
+        "        o.items[0] = 5\n"
+        "def g(o):\n"
+        "    setattr(o, 'e', 1)\n"
+        "    object.__setattr__(o, 'z', 1)\n"
+        "    del o.m\n"
+        "    setattr(o, name, 1)\n"
+    )
+    assert word_stores(source) == [(3, "A.f", "x"), (4, "A.f", "p"), (5, "A.f", "v"),
+                                   (10, "g", "e"), (11, "g", "z"), (12, "g", "m")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_monomial_words_are_written_only_where_a_monomial_is_made(module):
+    """Operators are shared between representations, so no code may change a Monomial's words after it is made."""
+    stores = word_stores((SRC / module).read_text())
+    assert [(line, scope, name) for line, scope, name in stores if (scope, name) not in WORD_WRITERS] == []
 
 
 def is_private(name):

@@ -10,6 +10,8 @@ from sga.scalars import I, ONE
 from sga.tables import (
     COMMUTATION_FIELDS,
     METRIC_FIELDS,
+    ConjugationRow,
+    MetricRow,
     commutation_sign,
     conjugation_symmetry_table,
     gamma_commutation_table,
@@ -90,6 +92,22 @@ def test_period8_needs_range():
         period8_check(rows)
     with pytest.raises(ValueError):
         period8_check(rows[:1])
+
+
+def test_period8_names_each_differing_value_field():
+    """The keys and the sampled signatures are not compared; every other field is, with its values named."""
+    rows = [MetricRow(n, 1, -1) for n in range(1, 11)]
+    rows[8] = MetricRow(9, -1, 1)
+    assert period8_check(rows) == {
+        "pairs_compared": 2,
+        "violations": ["sq_standard differs between keys 1 and 9: 1 vs -1",
+                       "sq_alternative differs between keys 1 and 9: -1 vs 1"],
+        "ok": False,
+    }
+    rows = [ConjugationRow(d, ((d + 1, 1),), 1, 1) for d in range(-4, 5)]
+    assert period8_check(rows)["ok"]
+    rows[8] = ConjugationRow(4, ((6, 2),), 1, -1)
+    assert period8_check(rows)["violations"] == ["sym_alternative differs between keys -4 and 4: 1 vs -1"]
 
 
 def test_conjugation_rows_match_metric_at_the_difference(metric_rows):
@@ -202,15 +220,27 @@ def test_commutation_sign_takes_the_matrix_or_the_monomial():
 @settings(max_examples=40, deadline=None)
 @given(rep_configs(max_n=10))
 def test_commutation_sign_matches_the_oracle_in_every_signature_and_mode(config):
-    """Timelike axes and the odd modes: the sign is the oracle's, or, where the oracle finds none, an AssertionError."""
+    """Timelike axes and the odd modes: the sign is the oracle's, or, where the oracle finds none, a ValueError."""
     rep = build_representation(config)
     for eps in (rep.eps, rep.eps_std, rep.eps_alt):
         signs = matrix_commutation_signs(rep, eps)
         if signs in ({1}, {-1}):
             assert commutation_sign(rep, eps) == signs.pop()
         else:
-            with pytest.raises(AssertionError):
+            with pytest.raises(ValueError, match="no uniform sign"):
                 commutation_sign(rep, eps)
+
+
+def test_a_missing_sign_in_the_commutation_table_is_an_internal_fault(monkeypatch):
+    """A spacelike metric always has a uniform sign, so the table does not pass the ValueError on as a usage error."""
+    import sga.tables
+
+    def no_sign(rep, eps):
+        raise ValueError("no uniform sign")
+
+    monkeypatch.setattr(sga.tables, "commutation_sign", no_sign)
+    with pytest.raises(AssertionError, match="internal fault: no uniform sign"):
+        gamma_commutation_table(4)
 
 
 @pytest.mark.parametrize("call", [
