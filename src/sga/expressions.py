@@ -6,8 +6,8 @@ Tokens, separated by whitespace or juxtaposed:
     e[uud]'    the matching row spinor (metric-dressed)
     g[2]       chiral vector of plane 2
     g[2bar]    its barred partner
-    g[+2]      orthonormal plus vector of plane 2
-    g[-2]      orthonormal minus vector of plane 2
+    g[+2]      first orthonormal vector of plane 2, times i if timelike
+    g[-2]      second orthonormal vector of plane 2, times i if timelike
 
 A sequence of tokens denotes the product chain, reduced left to right.
 """
@@ -42,10 +42,8 @@ def parse_chain(rep, text):
 
 def _gamma_token(rep, spec):
     spec = spec.strip()
-    if spec.startswith("+"):
-        return rep.gamma_plus(_plane(spec[1:], spec))
-    if spec.startswith("-"):
-        return rep.gamma_minus(_plane(spec[1:], spec))
+    if spec[:1] in ("+", "-"):
+        return rep.plane_vectors(_plane(spec[1:], spec))["+-".index(spec[0])]
     if spec.endswith("bar"):
         return rep.gamma_chiral(_plane(spec[:-3], spec), barred=True)
     return rep.gamma_chiral(_plane(spec, spec))

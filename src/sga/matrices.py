@@ -5,9 +5,9 @@ as a {row: {column: Scalar}} dict of their nonzero entries, rows and
 columns in increasing order, with the number of rows beside it.  Sums,
 products, negation, transposition and comparison cost O(nnz) at any
 dimension and never scan a zero, and entries that cancel are dropped, so
-equal matrices have equal rows.  The dense ``rows`` view is built on
-demand for elimination and the tests.  JSON holds the nonzero entries
-only: {"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
+equal matrices have equal rows.  The dense ``rows`` view, built on
+demand, serves the tests.  JSON holds the nonzero entries only:
+{"shape": [nrows, ncols], "entries": [[i, j, value], ...]}.
 The dimension cap (``max_dimension``) bounds only what lists dim-many
 entries: a Monomial's rows and the shape of a JSON matrix.
 
@@ -194,12 +194,6 @@ class Matrix:
         return self.nrows == self.ncols
 
     @property
-    def dim(self):
-        if not self.is_square:
-            raise ValueError("dim of a non-square matrix")
-        return self.nrows
-
-    @property
     def rows(self):
         """Dense read-only view: a tuple of row tuples, zeros included."""
         rows, cols = self.sparse_rows, range(self.ncols)
@@ -296,45 +290,6 @@ class Matrix:
                 t = t + row[i]
         return t
 
-    def inverse(self):
-        """Exact inverse by Gaussian elimination over the scalar field."""
-        n = self.dim
-        aug = [list(row) + [ONE if j == i else ZERO for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = aug[col][col].inverse()
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix([row[n:] for row in aug])
-
-    def determinant(self):
-        """Exact determinant by Gaussian elimination with pivoting."""
-        n = self.dim
-        work = [list(r) for r in self.rows]
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            p = work[col][col]
-            det = det * p
-            inv_p = p.inverse()
-            for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    f = work[r][col] * inv_p
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return det
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
@@ -372,6 +327,11 @@ class Matrix:
             if len(row) != 1 or i not in row or row[i] != s:
                 return None
         return s
+
+    def square_sign(self):
+        """1 if this matrix squares to the identity, -1 if to minus the identity, else 0."""
+        s = (self @ self).scalar_multiple_of_identity()
+        return 1 if s == ONE else -1 if s == _MINUS_ONE else 0
 
     def nonzero_items(self):
         """(i, j, value) of every nonzero entry, row by row, columns increasing."""

@@ -1,17 +1,18 @@
 """Rotors, conjugation and axis reflections.
 
-A plane rotor is exp(-theta/2 * B) for the bivector B of one constructed
-plane.  When both plane axes are spacelike B squares to -1 and the rotor
-is cos(theta/2) - sin(theta/2) B, which is exact in the scalar ring for
-theta a multiple of pi/2.  When exactly one axis is timelike B squares to
-+1 and the rotor is hyperbolic.  The sign of the exponent is fixed so
-that the chiral vector of the plane picks up exp(-i*theta) and an up bit
-of the plane picks up exp(-i*theta/2).  A rotor at any other angle, a
-boost at nonzero rapidity and a general bivector rotor are float rotors:
-their matrices are numpy complex arrays, built from the generator's
-``to_numpy``, and rotating by one gives a numpy array.  Float checks
-multiply those arrays by the signed-monomial operators themselves
-(``Monomial @ array`` moves rows by index), not by their ``to_numpy()``.
+A rotor is exp(-theta/2 * B) for a bivector B, and one constructor
+builds them all.  A B squaring to -1 gives cos(theta/2) - sin(theta/2) B,
+exact in the scalar ring for theta a multiple of pi/2; a B squaring to
++1, such as a plane with exactly one timelike axis, gives the hyperbolic
+cosh - sinh B, exact only at zero rapidity.  The sign of the exponent is
+fixed so that the chiral vector of a plane picks up exp(-i*theta) and an
+up bit of the plane picks up exp(-i*theta/2).  Every other rotor is a
+float rotor whose matrices are numpy complex arrays: the same closed form
+on the generator's ``to_numpy``, or, for any other B (a sum of planes or
+a null B), a scaling-and-squaring exponential.  Rotating by a float
+rotor gives a numpy array.  Float checks multiply those arrays by the
+signed-monomial operators themselves (``Monomial @ array`` moves rows by
+index), not by their ``to_numpy()``.
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
@@ -43,10 +44,54 @@ class Rotor:
     description: str = ""
 
 
-def _rotor_from_generator(n_bits, generator, c, s):
-    cos_part = Monomial.identity(n_bits).scale(c)
-    sin_part = generator.scale(s)
-    return cos_part - sin_part, cos_part + sin_part
+def _rotor(rep, generator, theta, quarters, exact, label):
+    """exp(-theta/2 * B) for the generator B, a Rotor whose description starts with `label`.
+
+    `quarters` counts quarter turns and demands an exact rotor, as
+    `exact` True does; `exact` None takes one where theta allows it.
+    """
+    if quarters is None and theta is None:
+        raise ValueError("a rotor needs an angle theta or a number of quarter turns")
+    exact = quarters is not None or exact
+    square = generator.square_sign()
+    if exact and not square:
+        raise ValueError("exact mode needs a generator squaring to -1")
+    if quarters is None and (exact or exact is None):
+        ratio = theta / QUARTER
+        if abs(ratio - round(ratio)) <= 1e-9:
+            quarters = round(ratio)
+        elif exact:
+            raise ValueError("exact mode needs an angle that is a multiple of pi/2")
+    if quarters is not None and (square < 0 or quarters == 0):
+        cos_part = Monomial.identity(rep.n_bits).scale(cos_quarter_turns(quarters))
+        sin_part = generator.scale(sin_quarter_turns(quarters))
+        return Rotor(cos_part - sin_part, cos_part + sin_part, "exact", f"{label}, {quarters} quarter turns")
+    if exact:
+        raise ValueError("boost rotors are exact only at zero rapidity")
+
+    import numpy as np
+
+    g, half = generator.to_numpy(), theta / 2.0
+    if not square:
+        return Rotor(_expm(-half * g), _expm(half * g), "float", f"{label}, angle {theta}")
+    c, s = (math.cos(half), math.sin(half)) if square < 0 else (math.cosh(half), math.sinh(half))
+    cos_part, sin_part = c * np.eye(rep.dim), s * g
+    return Rotor(cos_part - sin_part, cos_part + sin_part, "float", f"{label}, angle {theta}")
+
+
+def _expm(a):
+    """exp(a) of a square numpy array: a Taylor series at a / 2**k, squared k times, for a / 2**k of norm below 1/2."""
+    import numpy as np
+
+    k = max(math.frexp(np.abs(a).sum(axis=1).max())[1] + 1, 0)
+    a = a / 2.0**k
+    out = term = np.eye(len(a), dtype=complex)
+    for n in range(1, 19):
+        term = term @ a / n
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out
 
 
 def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
@@ -54,7 +99,8 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
 
     `quarters` counts exact quarter turns (theta = quarters * pi/2);
     `theta` is a float angle.  Exact mode refuses angles that are not
-    multiples of pi/2 and refuses boosts at nonzero rapidity; a float
+    multiples of pi/2 and refuses boosts at nonzero rapidity, and with
+    `exact` None a boost at nonzero rapidity is a float rotor; a float
     rotor holds numpy arrays.  The plane that holds the scalar dimension
     of an embed odd mode is not a rotation plane of the algebra, and
     raises ValueError.
@@ -63,65 +109,19 @@ def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
     if rep.scalar_axis_matrix in (v1, v2):
         raise ValueError(f"plane {k} holds the scalar dimension of the {rep.odd_mode} odd mode, "
                          "so it is not a rotation plane of the algebra")
-    generator = v1 @ v2  # distinct orthogonal vectors: the wedge is the product
-    boost = rep.plane_is_boost(k)
-
-    if quarters is not None:
-        exact = True
-    elif exact is None:
-        ratio = theta / QUARTER
-        exact = abs(ratio - round(ratio)) < 1e-9
-        if exact:
-            quarters = round(ratio)
-    elif exact:
-        ratio = theta / QUARTER
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("exact mode needs an angle that is a multiple of pi/2")
-        quarters = round(ratio)
-
-    if exact:
-        if boost and quarters % 4 != 0:
-            raise ValueError("boost rotors are exact only at zero rapidity")
-        c = cos_quarter_turns(quarters)
-        s = sin_quarter_turns(quarters)
-        m, r = _rotor_from_generator(rep.n_bits, generator, c, s)
-        return Rotor(m, r, "exact", f"plane {k}, {quarters} quarter turns")
-
-    import numpy as np
-
-    half = theta / 2.0
-    if boost:
-        c, s = math.cosh(half), math.sinh(half)
-    else:
-        c, s = math.cos(half), math.sin(half)
-    cos_part, sin_part = c * np.eye(rep.dim), s * generator.to_numpy()
-    return Rotor(cos_part - sin_part, cos_part + sin_part, "float", f"plane {k}, angle {theta}")
+    return _rotor(rep, v1 @ v2, theta, quarters, exact, f"plane {k}")  # orthogonal: v1 @ v2 is the wedge
 
 
 def bivector_rotor(rep, generator, theta, exact=False):
-    """Rotor exp(-theta/2 * B) for a general bivector generator matrix.
+    """Rotor exp(-theta/2 * B) for a bivector generator matrix B.
 
-    Exact mode requires B*B = -1 and a quarter-turn angle; otherwise the
-    exponential of the generator's numpy array is evaluated in floats by
-    scaling and squaring, and the rotor holds the arrays.
+    B*B = -1 gives the closed form cos - sin B and B*B = +1 the
+    hyperbolic one; exact mode takes those at a quarter-turn angle, and
+    a boost only at zero rapidity.  Any other B is a float rotor, its
+    exponential evaluated by scaling and squaring; a float rotor holds
+    numpy arrays.
     """
-    if exact:
-        sq = (generator @ generator).scalar_multiple_of_identity()
-        if sq is None or sq != Scalar(-1):
-            raise ValueError("exact mode needs a generator squaring to -1")
-        ratio = theta / QUARTER
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("exact mode needs an angle that is a multiple of pi/2")
-        q = round(ratio)
-        m, r = _rotor_from_generator(
-            rep.n_bits, generator, cos_quarter_turns(q), sin_quarter_turns(q)
-        )
-        return Rotor(m, r, "exact", f"bivector, {q} quarter turns")
-
-    from scipy.linalg import expm
-
-    g = generator.to_numpy()
-    return Rotor(expm(-0.5 * theta * g), expm(0.5 * theta * g), "float", f"bivector, angle {theta}")
+    return _rotor(rep, generator, theta, None, bool(exact), "bivector")
 
 
 def rotate(rep, rotor, x):

@@ -322,6 +322,19 @@ def test_eval_multivector_value_decodes(capsys):
     assert Matrix.from_json(blob["value"]) == rep.gamma_chiral(1) @ rep.gamma_chiral(2, barred=True)
 
 
+def test_eval_orthonormal_tokens_follow_the_signature(capsys):
+    """Spacelike output is that of gamma_plus(k) and gamma_minus(k), byte for byte; a timelike g[-k] squares to -1."""
+    rep = build_representation(RepConfig(Signature(spacelike=4)))
+    plus, minus = rep.gamma_plus, rep.gamma_minus
+    for text, m in (("g[+1]", plus(1)), ("g[-2]", minus(2)), ("g[+2] g[-1] g[-2]", plus(2) @ minus(1) @ minus(2))):
+        code, out, _ = run(capsys, "eval", "-K", "4", text)
+        assert code == 0
+        assert out == _json_dumps({"species": "multivector", "value": m.to_json()}) + "\n"
+    code, out, _ = run(capsys, "eval", "-K", "3", "-M", "1", "g[-2] g[-2]")
+    assert code == 0
+    assert Matrix.from_json(json.loads(out)["value"]) == -Matrix.identity(4)
+
+
 def test_build_k17_is_compact(tmp_path, capsys):
     target = tmp_path / "k17.json"
     code, _, _ = run(capsys, "build", "-K", "17", "-o", str(target))

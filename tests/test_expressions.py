@@ -29,6 +29,16 @@ def test_parse_species(pauli):
     assert elems[5].payload == pauli.gamma_minus(1)
 
 
+def test_orthonormal_tokens_are_the_plane_vectors_as_built():
+    """g[+k] and g[-k] read plane k's vectors: in (3,1) g[-2] is the timelike gamma_4, which squares to -1."""
+    dirac = build_representation(RepConfig(Signature(spacelike=3, timelike=1)))
+    for k in (1, 2):
+        assert tuple(e.payload for e in parse_chain(dirac, f"g[+{k}] g[-{k}]")) == dirac.plane_vectors(k)
+    assert parse_chain(dirac, "g[-2]")[0].payload == dirac.gamma(4)
+    assert evaluate_chain(dirac, "g[-2] g[-2]").payload.scalar_multiple_of_identity() == -ONE
+    assert evaluate_chain(dirac, "g[+2] g[+2]").payload.scalar_multiple_of_identity() == ONE
+
+
 def test_eval_scalar_example(pauli):
     result = evaluate_chain(pauli, "e[d]' e[u]")
     assert result.species == "scalar" and result.payload == -ONE

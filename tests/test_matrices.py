@@ -85,28 +85,6 @@ def test_transpose_dagger_trace():
     assert a.trace() == sum((a[i, i] for i in range(4)), ZERO)
 
 
-def test_inverse_and_determinant():
-    rng = Random(11)
-    for _ in range(10):
-        a = rand_matrix(rng, 3)
-        det = a.determinant()
-        if det.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-            continue
-        assert a @ a.inverse() == Matrix.identity(3)
-        # determinant is multiplicative
-        b = rand_matrix(rng, 3)
-        assert (a @ b).determinant() == det * b.determinant()
-
-
-def test_determinant_frozen_cases():
-    assert Matrix.identity(4).determinant() == ONE
-    swap = Matrix([[ZERO, ONE], [ONE, ZERO]])
-    assert swap.determinant() == -ONE
-    assert Matrix.diagonal([SQRT2, SQRT2]).determinant() == Scalar(2)
-
-
 def test_scalar_multiple_of_identity():
     assert Matrix.identity(3).scale(I).scalar_multiple_of_identity() == I
     assert Matrix([[ONE, ONE], [ZERO, ONE]]).scalar_multiple_of_identity() is None

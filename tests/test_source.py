@@ -1,5 +1,6 @@
 """Static checks of the package source: no imported name goes unread, no private or public name goes unused,
-and shared state (a Representation's attributes, a Monomial's words) is written only by its owner."""
+scipy is never imported and numpy only inside functions, and shared state (a Representation's attributes,
+a Monomial's words) is written only by its owner."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,56 @@ def test_scanner_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def eager_imports(source):
+    """(line, module) of each import of scipy, and of each import of numpy outside a function body.
+
+    Exact work must start without either: numpy is imported inside the
+    functions that do float work, and scipy not at all.
+    """
+    out = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            for module in modules:
+                top = module.split(".")[0]
+                if top == "scipy" or top == "numpy" and not in_function:
+                    out.append((child.lineno, module))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
+    return sorted(out)
+
+
+def test_scanner_finds_eager_imports():
+    source = (
+        "import numpy as np\n"
+        "from .numpy_helpers import a\n"
+        "import os, numpy.linalg\n"
+        "class A:\n"
+        "    from numpy import eye\n"
+        "    def f(self):\n"
+        "        import numpy as np\n"
+        "        from scipy.linalg import expm\n"
+        "        return np, expm\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+    )
+    assert eager_imports(source) == [(1, "numpy"), (3, "numpy.linalg"), (5, "numpy"), (8, "scipy.linalg"), (11, "scipy")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_scipy_and_numpy_only_inside_functions(module):
+    assert eager_imports((SRC / module).read_text()) == []
 
 
 def rep_attribute_stores(source):

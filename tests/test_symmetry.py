@@ -7,6 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.blades import CHIRAL, BladeIndex, blade_matrix, decompose_multivector
@@ -39,22 +40,80 @@ def test_quarter_turn_rotor_values():
     rot = plane_rotor(rep, 1, quarters=1)
     phase_up = (ONE - I) * INV_SQRT2  # exp(-i pi/4)
     phase_down = (ONE + I) * INV_SQRT2
-    assert rot.matrix == Matrix.diagonal([phase_up, phase_down])
+    assert rot.matrix == Matrix.diagonal([phase_up, phase_down]) == plane_rotor(rep, 1, math.pi / 2).matrix
     # the chiral vector picks up exp(-i pi/2) = -i
     g = rep.gamma_chiral(1)
     assert rot.matrix @ g @ rot.reverse_matrix == g.scale(-I)
     assert (rot.matrix @ rot.reverse_matrix).is_identity()
 
 
-def test_rotor_angle_dispatch():
-    rep = rep_for(2)
-    exact = plane_rotor(rep, 1, math.pi / 2)
-    assert exact.mode == "exact"
-    assert exact.matrix == plane_rotor(rep, 1, quarters=1).matrix
-    loose = plane_rotor(rep, 1, 0.7)
-    assert loose.mode == "float"
-    with pytest.raises(ValueError):
-        plane_rotor(rep, 1, 0.7, exact=True)
+def plane_sum(rep, *pairs):
+    """The bivector sum of gamma(a) @ gamma(b) over the axis pairs (a, b)."""
+    out = rep.gamma(pairs[0][0]) @ rep.gamma(pairs[0][1])
+    for a, b in pairs[1:]:
+        out = out + rep.gamma(a) @ rep.gamma(b)
+    return out
+
+
+ANGLE_ERROR = "exact mode needs an angle that is a multiple of pi/2"
+BOOST_ERROR = "boost rotors are exact only at zero rapidity"
+GENERATOR_ERROR = "exact mode needs a generator squaring to -1"
+
+
+@pytest.mark.parametrize("build, mode, text", [
+    (lambda: plane_rotor(rep_for(2), 1, quarters=3), "exact", "plane 1, 3 quarter turns"),
+    (lambda: plane_rotor(rep_for(2), 1, math.pi), "exact", "plane 1, 2 quarter turns"),
+    (lambda: plane_rotor(rep_for(2), 1, math.pi, exact=True), "exact", "plane 1, 2 quarter turns"),
+    (lambda: plane_rotor(rep_for(2), 1, math.pi, exact=False), "float", "plane 1, angle 3.141592653589793"),
+    (lambda: plane_rotor(rep_for(2), 1, 0.7), "float", "plane 1, angle 0.7"),
+    (lambda: plane_rotor(rep_for(2), 1, 0.7, exact=True), None, ANGLE_ERROR),
+    (lambda: plane_rotor(rep_for(3, 1), 2, quarters=0), "exact", "plane 2, 0 quarter turns"),
+    (lambda: plane_rotor(rep_for(3, 1), 2, 0.0, exact=True), "exact", "plane 2, 0 quarter turns"),
+    (lambda: plane_rotor(rep_for(3, 1), 2, quarters=1), None, BOOST_ERROR),
+    (lambda: plane_rotor(rep_for(3, 1), 2, 0.3, exact=True), None, ANGLE_ERROR),
+    (lambda: plane_rotor(rep_for(3, 1), 2, math.pi / 2), "float", "plane 2, angle 1.5707963267948966"),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), math.pi / 2, exact=True),
+     "exact", "bivector, 1 quarter turns"),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), math.pi / 2), "float",
+     "bivector, angle 1.5707963267948966"),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), 0.3, exact=True), None, ANGLE_ERROR),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2), (2, 3)), math.pi / 2, exact=True),
+     None, GENERATOR_ERROR),
+    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), 0.0, exact=True),
+     "exact", "bivector, 0 quarter turns"),
+    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), math.pi, exact=True),
+     None, BOOST_ERROR),
+    (lambda: plane_rotor(rep_for(2), 1), None, "a rotor needs an angle theta or a number of quarter turns"),
+])
+def test_rotor_angle_dispatch(build, mode, text):
+    """Each way of asking for a rotor gives its mode and description, or its refusal, word for word."""
+    if mode is None:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == text
+    else:
+        rotor = build()
+        assert (rotor.mode, rotor.description) == (mode, text)
+
+
+def test_an_exact_boost_is_the_identity_at_zero_rapidity_only():
+    """A boost at a nonzero whole number of turns is no exact rotor: exact mode refuses it, auto mode gives floats."""
+    rep = rep_for(3, 1)
+    assert rep.plane_is_boost(2)
+    assert plane_rotor(rep, 2, quarters=0).matrix.is_identity()
+    for q in (4, 8, -4):
+        with pytest.raises(ValueError, match=BOOST_ERROR):
+            plane_rotor(rep, 2, quarters=q)
+    with pytest.raises(ValueError, match=BOOST_ERROR):
+        plane_rotor(rep, 2, 2 * math.pi, exact=True)
+    v1, v2 = rep.plane_vectors(2)
+    b = (v1 @ v2).to_numpy()
+    for theta in (2 * math.pi, 4 * math.pi):
+        rot = plane_rotor(rep, 2, theta)
+        assert rot.mode == "float"
+        want = math.cosh(theta / 2) * np.eye(rep.dim) - math.sinh(theta / 2) * b
+        assert relative_error(rot.matrix, want) <= 1e-12
+        assert relative_error(rot.matrix, expm(-theta / 2 * b)) <= 1e-12
 
 
 def test_zero_angle_is_identity():
@@ -194,6 +253,54 @@ def test_bivector_rotor_float_matches_exact():
             assert abs(got - want.to_numpy()).max() <= 1e-12
     with pytest.raises(ValueError):
         bivector_rotor(rep, gen, 0.3, exact=True)
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.9, -7.1, 40])
+@pytest.mark.parametrize("signature, pairs", [
+    ((4, 0), ((1, 2), (2, 3))),
+    ((5, 1), ((1, 2), (2, 6), (4, 5))),  # axis 6 is timelike: a rotation, a boost and a rotation, not commuting
+])
+def test_a_float_bivector_rotor_is_the_exponential(signature, pairs, theta):
+    """A sum of planes is exponentiated in floats, within 1e-12 of scipy's expm."""
+    rep = rep_for(*signature)
+    generator = plane_sum(rep, *pairs)
+    assert not generator.square_sign()
+    rot = bivector_rotor(rep, generator, theta)
+    assert rot.mode == "float" and rot.description == f"bivector, angle {theta}"
+    g = generator.to_numpy()
+    assert relative_error(rot.matrix, expm(-theta / 2 * g)) <= 1e-12
+    assert relative_error(rot.reverse_matrix, expm(theta / 2 * g)) <= 1e-12
+
+
+@pytest.mark.parametrize("signature", [(4, 0), (3, 1)])
+def test_a_commuting_sum_rotates_as_the_product_of_its_planes(signature):
+    """exp of the sum of two planes' generators is the product of the two plane rotors, a boost among them."""
+    rep = rep_for(*signature)
+    v1, v2, v3, v4 = (*rep.plane_vectors(1), *rep.plane_vectors(2))
+    for theta in (0.3, 2.9, -7.1, 40):
+        rot = bivector_rotor(rep, v1 @ v2 + v3 @ v4, theta)
+        first, second = (plane_rotor(rep, k, theta, exact=False) for k in (1, 2))
+        assert rot.mode == "float"
+        assert relative_error(rot.matrix, first.matrix @ second.matrix) <= 1e-12
+        assert relative_error(rot.reverse_matrix, first.reverse_matrix @ second.reverse_matrix) <= 1e-12
+
+
+def test_a_null_rotation_is_one_minus_half_theta_times_b():
+    """B = (gamma_1 + gamma_4) gamma_2 squares to zero in (3,1), so exp(-theta/2 B) = 1 - theta/2 B."""
+    rep = rep_for(3, 1)
+    b = (rep.gamma(1) + rep.gamma(4)) @ rep.gamma(2)
+    assert (b @ b).is_zero()
+    one, bn = np.eye(rep.dim), b.to_numpy()
+    for theta in (0.3, 2.9, -7.1, 40):
+        rot = bivector_rotor(rep, b, theta)
+        assert rot.mode == "float"
+        assert relative_error(rot.matrix, one - theta / 2 * bn) <= 1e-12
+        assert relative_error(rot.reverse_matrix, one + theta / 2 * bn) <= 1e-12
+        assert metric_preserved(rep, rot)
 
 
 def test_reverse_multivector_grades():
