@@ -1,14 +1,11 @@
 """The four element species and their multiplication grid.
 
 An element is a scalar, a column spinor, a row spinor, or a multivector,
-bound to one representation.  The grid:
-
-    row . column      -> scalar        (inner product)
-    column . row      -> multivector   (outer product, kept as its two factors)
-    mv . mv           -> multivector
-    mv . column       -> column
-    row . mv          -> row
-    scalar . anything -> same species
+bound to one representation.  ``GRID`` is the one statement of the grid:
+it maps each (left, right) species pair whose product is defined to the
+species of that product.  Row . column is the inner product, a scalar;
+column . row is the outer product, a multivector kept as its two factors;
+a scalar on either side keeps the other species.
 
 An exact outer product whose factors have two nonzeros or more each is a
 ``matrices.OuterProduct``: it conjugates, scales, multiplies and compares
@@ -31,10 +28,24 @@ SCALAR = "scalar"
 COLUMN = "column"
 ROW = "row"
 MULTIVECTOR = "multivector"
+SPECIES = (SCALAR, COLUMN, ROW, MULTIVECTOR)
+
+# (left, right) -> species of the product.  A pair not listed is excluded:
+# column . column and row . row by the exclusion principle, column . mv and
+# mv . row because their shapes do not chain.
+GRID = {
+    **{(SCALAR, s): s for s in SPECIES},
+    **{(s, SCALAR): s for s in SPECIES},
+    (ROW, COLUMN): SCALAR,
+    (COLUMN, ROW): MULTIVECTOR,
+    (MULTIVECTOR, MULTIVECTOR): MULTIVECTOR,
+    (MULTIVECTOR, COLUMN): COLUMN,
+    (ROW, MULTIVECTOR): ROW,
+}
 
 
 class ForbiddenProduct(Exception):
-    """Raised for the excluded products column*column and row*row."""
+    """Raised for a species pair outside GRID: column*column, row*row, column*mv, mv*row."""
 
 
 @dataclass(frozen=True)
@@ -131,16 +142,18 @@ class FormalSum:
     terms: tuple
 
     def collapse(self):
-        """Combine same-species terms; drop zeros."""
+        """Combine same-species terms, drop zeros, and order the rest by SPECIES."""
         by_species = {}
-        rep = None
+        rep = self.terms[0].rep if self.terms else None
         for t in self.terms:
-            rep = t.rep
+            if t.rep is not rep:
+                raise ValueError("elements bound to different representations")
             if t.species in by_species:
                 by_species[t.species] = by_species[t.species] + t
             else:
                 by_species[t.species] = t
-        kept = tuple(t for t in by_species.values() if not t.is_zero())
+        kept = tuple(by_species[s] for s in SPECIES
+                     if s in by_species and not by_species[s].is_zero())
         if len(kept) == 1:
             return kept[0]
         return FormalSum(kept)
@@ -148,7 +161,15 @@ class FormalSum:
     def __add__(self, other):
         if isinstance(other, Element):
             other = FormalSum((other,))
+        elif not isinstance(other, FormalSum):
+            return NotImplemented
         return FormalSum(self.terms + other.terms).collapse()
+
+    def __neg__(self):
+        return self.scale(Scalar(-1))
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def scale(self, s):
         return FormalSum(tuple(t.scale(s) for t in self.terms)).collapse()
@@ -167,25 +188,18 @@ def multiply(x, y, forbidden_as_zero=False):
         return _multiply_sums(x, y, forbidden_as_zero)
     if x.rep is not y.rep:
         raise ValueError("elements bound to different representations")
-    rep = x.rep
     a, b = x.species, y.species
+    species = GRID.get((a, b))
+    if species is None:
+        if a == b and forbidden_as_zero:
+            return FormalSum.zero()
+        raise ForbiddenProduct(f"product {a} * {b} is excluded")
     if a == SCALAR:
         return y.scale(x.payload)
     if b == SCALAR:
         return x.scale(y.payload)
-    if a == ROW and b == COLUMN:
-        return Element.scalar(rep, (x.payload @ y.payload)[0, 0])
-    if a == COLUMN and b == ROW:
-        return Element.multivector(rep, x.payload @ y.payload)
-    if a == MULTIVECTOR and b == MULTIVECTOR:
-        return Element.multivector(rep, x.payload @ y.payload)
-    if a == MULTIVECTOR and b == COLUMN:
-        return Element.column(rep, x.payload @ y.payload)
-    if a == ROW and b == MULTIVECTOR:
-        return Element.row(rep, x.payload @ y.payload)
-    if (a, b) in ((COLUMN, COLUMN), (ROW, ROW)) and forbidden_as_zero:
-        return FormalSum.zero()
-    raise ForbiddenProduct(f"product {a} * {b} is excluded")
+    product = x.payload @ y.payload
+    return Element(species, product[0, 0] if species == SCALAR else product, x.rep)
 
 
 def _multiply_sums(x, y, forbidden_as_zero):

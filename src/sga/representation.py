@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .matrices import Matrix, Monomial
-from .scalars import i_power
 
 METRIC_CHOICES = ("standard", "alternative", "prime_standard", "prime_alternative")
 ODD_MODES = ("project", "embed_scalar_n", "embed_scalar_n_plus_1")
@@ -215,7 +214,7 @@ class Representation:
         timelike = sig.timelike_axes
         self._gammas = [g.times_unit(1) if a in timelike else g  # timelike: times i
                         for a, g in enumerate(spacelike, 1)]
-        self.Gamma, self.gamma_phase = self._build_time_product()
+        self.Gamma = self._build_time_product()
 
         self._blade_cache = {}
 
@@ -241,7 +240,7 @@ class Representation:
         return core_alt  # prime_alternative
 
     def _build_time_product(self):
-        """Gamma, the phased product of the timelike vectors, and its phase."""
+        """Gamma, the phased product of the timelike vectors."""
         raw = Monomial.identity(self.n_bits)
         for axis in self.signature.timelike_axes:
             raw = raw @ self._gammas[axis - 1]
@@ -251,7 +250,7 @@ class Representation:
             raise AssertionError("time product square is not +-1")
         if square == -1:
             phase += 3 if self.signature.timelike == 1 else 1
-        return raw.times_unit(phase), i_power(phase)
+        return raw.times_unit(phase)
 
     # -- operators built on first read ----------------------------------------
 

@@ -16,6 +16,8 @@ from random import Random
 from .bitcodes import Bitcode, all_bitcodes
 from .blades import verify_isomorphism
 from .elements import (
+    GRID,
+    SPECIES,
     Element,
     ForbiddenProduct,
     FormalSum,
@@ -636,14 +638,6 @@ def odd_dimension_suite(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------- traces and chains
 
 
-_LEGAL_NEXT = {
-    "scalar": ("scalar", "column", "row", "multivector"),
-    "column": ("scalar", "row"),
-    "row": ("scalar", "column", "multivector"),
-    "multivector": ("scalar", "column", "multivector"),
-}
-
-
 def _random_element(rep, rng, species):
     if species == "scalar":
         return Element.scalar(rep, random_scalar(rng))
@@ -652,21 +646,6 @@ def _random_element(rep, rng, species):
     if species == "row":
         return row_of(rep, random_spinor(rep, rng))
     return Element.multivector(rep, random_multivector(rep, rng))
-
-
-def _reduced_species(current, nxt):
-    if current == "scalar":
-        return nxt
-    if nxt == "scalar":
-        return current
-    table = {
-        ("row", "column"): "scalar",
-        ("column", "row"): "multivector",
-        ("multivector", "multivector"): "multivector",
-        ("multivector", "column"): "column",
-        ("row", "multivector"): "row",
-    }
-    return table[(current, nxt)]
 
 
 def trace_chain_suite(seed=DEFAULT_SEED, samples=100):
@@ -687,9 +666,12 @@ def trace_chain_suite(seed=DEFAULT_SEED, samples=100):
     rep = build_representation(spacelike=8)  # dimension 16
     ok_chain = True
     for _ in range(samples):
-        species = [rng.choice(("scalar", "column", "row", "multivector"))]
+        current = rng.choice(SPECIES)
+        species = [current]
         while len(species) < 4:
-            species.append(rng.choice(_LEGAL_NEXT[_reduce_all(species)]))
+            nxt = rng.choice([s for s in SPECIES if (current, s) in GRID])
+            species.append(nxt)
+            current = GRID[current, nxt]
         elements = [_random_element(rep, rng, s) for s in species]
         result = simplify_chain(elements)
         ok_chain = ok_chain and _direct_product_matches(rep, elements, result)
@@ -697,13 +679,6 @@ def trace_chain_suite(seed=DEFAULT_SEED, samples=100):
         _check(f"chains: {samples} random 4-element chains match matrix products", ok_chain)
     )
     return checks
-
-
-def _reduce_all(species):
-    current = species[0]
-    for s in species[1:]:
-        current = _reduced_species(current, s)
-    return current
 
 
 def _direct_product_matches(rep, elements, result):

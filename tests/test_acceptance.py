@@ -8,8 +8,6 @@ and prints a single PASS line on success.
 
 import time
 
-import pytest
-
 from sga.suites import (
     brauer_weyl_suite,
     conjugation_suite,

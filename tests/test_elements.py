@@ -7,6 +7,8 @@ import pytest
 
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.elements import (
+    GRID,
+    SPECIES,
     Element,
     ForbiddenProduct,
     FormalSum,
@@ -89,6 +91,59 @@ def test_illegal_shapes_are_forbidden(pauli):
         multiply(up, mv, forbidden_as_zero=True)
 
 
+# The paper's grid, written out: PAPER_TABLE[left][right] is the species of
+# left . right, None where the product is excluded.
+PAPER_TABLE = {
+    "scalar": {"scalar": "scalar", "column": "column", "row": "row", "multivector": "multivector"},
+    "column": {"scalar": "column", "column": None, "row": "multivector", "multivector": None},
+    "row": {"scalar": "row", "column": "scalar", "row": None, "multivector": "row"},
+    "multivector": {"scalar": "multivector", "column": "column", "row": None, "multivector": "multivector"},
+}
+
+
+def one_of_each(rep):
+    return {
+        "scalar": Element.scalar(rep, SQRT2),
+        "column": Element.basis_spinor(rep, "u"),
+        "row": row_of(rep, Element.basis_spinor(rep, "d")),
+        "multivector": Element.multivector(rep, rep.gamma(1)),
+    }
+
+
+def test_grid_is_the_paper_table():
+    assert SPECIES == tuple(PAPER_TABLE)
+    assert GRID == {
+        (a, b): c for a, row in PAPER_TABLE.items() for b, c in row.items() if c is not None
+    }
+
+
+@pytest.mark.parametrize("left", tuple(PAPER_TABLE))
+@pytest.mark.parametrize("right", tuple(PAPER_TABLE))
+def test_multiply_follows_the_paper_table(pauli, left, right):
+    elements = one_of_each(pauli)
+    x, y = elements[left], elements[right]
+    want = PAPER_TABLE[left][right]
+    if want is None:
+        with pytest.raises(ForbiddenProduct, match=f"product {left} \\* {right} is excluded"):
+            multiply(x, y)
+    else:
+        assert multiply(x, y).species == want
+
+
+def test_forbidden_as_zero_excuses_exactly_the_exclusion_pairs(pauli):
+    elements = one_of_each(pauli)
+    excused = set()
+    for left, x in elements.items():
+        for right, y in elements.items():
+            try:
+                out = multiply(x, y, forbidden_as_zero=True)
+            except ForbiddenProduct:
+                continue
+            if out == FormalSum.zero():
+                excused.add((left, right))
+    assert excused == {("column", "column"), ("row", "row")}
+
+
 def test_rep_mismatch(pauli, dirac):
     with pytest.raises(ValueError):
         multiply(Element.basis_spinor(pauli, "u"), Element.basis_spinor(dirac, "uu"))
@@ -111,6 +166,31 @@ def test_formal_sums(pauli):
     # a term that collapses to zero is dropped, unwrapping the sum
     prod2 = multiply(r, up + mv)  # row(u)*u vanishes by antisymmetry
     assert isinstance(prod2, Element) and prod2.species == "row"
+
+
+def test_formal_sum_rejects_mixed_representations(pauli):
+    other = rep_for(4)
+    a = Element.basis_spinor(pauli, "u")
+    m = Element.multivector(pauli, pauli.gamma(1))
+    b = row_of(other, Element.basis_spinor(other, "uu"))
+    n = Element.multivector(other, other.gamma(1))
+    for add in (lambda: (a + m) + b, lambda: b + (a + m), lambda: (a + m) + (b + n)):
+        with pytest.raises(ValueError, match="different representations"):
+            add()
+
+
+def test_formal_sums_are_ordered_and_negate(pauli):
+    a = Element.basis_spinor(pauli, "u")
+    m = Element.multivector(pauli, pauli.gamma(1))
+    assert (a + m) == (m + a)
+    assert [t.species for t in (m + a).terms] == ["column", "multivector"]
+    assert -(a + m) == (-m) + (-a)
+    assert a - (a + m) == -m
+    assert (a + m) - a == m
+    assert (a + m) - (m + a) == FormalSum.zero()
+    for bad in (lambda: (a + m) + 1, lambda: 1 + (a + m), lambda: (a + m) - 1):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_scalar_product_symmetry(pauli):

@@ -5,7 +5,7 @@ import pytest
 from sga.elements import ForbiddenProduct
 from sga.expressions import evaluate_chain, parse_chain
 from sga.representation import RepConfig, Signature, build_representation
-from sga.scalars import INV_SQRT2, ONE, Scalar
+from sga.scalars import INV_SQRT2, ONE
 
 
 @pytest.fixture(scope="module")

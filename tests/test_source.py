@@ -1,4 +1,4 @@
-"""Static checks of the package source: no imported name goes unread, no private or public name goes unused,
+"""Static checks of the package source: no imported name goes unread (in the test modules too), no private or public name goes unused,
 scipy is never imported and numpy only inside functions, and shared state (a Representation's attributes,
 a Monomial's words) is written only by its owner."""
 
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sga"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sga"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,9 +42,13 @@ def test_scanner_finds_unused_imports():
     assert unused_imports(source) == [(2, "math"), (4, "c")]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize(
+    "path",
+    [SRC / m for m in MODULES] + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def eager_imports(source):

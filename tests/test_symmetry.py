@@ -1,6 +1,5 @@
 """Rotors, conjugation, reversal and axis reflections."""
 
-import cmath
 import math
 from dataclasses import replace
 from random import Random
@@ -9,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sga.bitcodes import Bitcode, all_bitcodes
-from sga.blades import CHIRAL, BladeIndex, blade_matrix, decompose_multivector
+from sga.bitcodes import all_bitcodes
+from sga.blades import CHIRAL, BladeIndex, blade_matrix
 from sga.elements import COLUMN, MULTIVECTOR, ROW, Element, outer_product, row_of, scalar_product
-from sga.matrices import Matrix, commutator
+from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
-from sga.scalars import HALF, I, INV_SQRT2, ONE, ZERO, Scalar
+from sga.scalars import I, INV_SQRT2, ONE, Scalar
 from sga.suites import random_multivector, random_spinor
 from sga.symmetry import (
     axis_reflection_classify,
