@@ -651,9 +651,10 @@ class Monomial(Matrix):
 
     Its values and JSON are those of its rows, which are derived from the
     words on each read and not kept, and its hash, Matrix's rule, is read
-    off the words.  Listing its nonzero entries and comparing it with any
-    Matrix walk the words, and a product with a Matrix that is not a
-    Monomial is one ``sandwich`` pass.
+    off the words, as are ``square_sign`` (is its square +-1?) and
+    ``symmetry_sign`` (is it +-its transpose?).  Listing its nonzero
+    entries and comparing it with any Matrix walk the words, and a
+    product with a Matrix that is not a Monomial is one ``sandwich`` pass.
     A product with a numpy array of one or two axes, on either side, is
     the complex array of the same product with ``to_numpy()``, made by
     moving the array's rows or columns by the word and scaling each by
@@ -829,6 +830,20 @@ class Monomial(Matrix):
         if self.v < 0 or self.m or self.e:
             return 0
         return -1 if (self.p + (self.x & self.z).bit_count()) & 1 else 1
+
+    def symmetry_sign(self):
+        """1 if this operator equals its transpose, -1 if it equals minus its transpose, else 0.
+
+        The transpose keeps x, z, m and e, sends v to v ^ (x & m) and adds
+        2|x & z| to the phase, so it is +-this operator only when
+        x & m == 0, with the sign (-1)**|x & z|.  The zero operator is its
+        own transpose.
+        """
+        if self.v < 0:
+            return 1
+        if self.x & self.m:
+            return 0
+        return -1 if (self.x & self.z).bit_count() & 1 else 1
 
     def _words(self):
         return self.n, self.x, self.z, self.m, self.v, self.p, self.e

@@ -9,10 +9,17 @@ Three tables are generated from first principles and never hard-coded:
   * conjugation table: the symmetry of the conjugation operator per
     signature, which depends only on K - M mod 8.
 
-Every sign is computed on the representation's operators (eps, the
-generators and C), which are ``Monomial`` words: products,
-transposes and equality of Pauli strings, with -1 tested as the phase
-i**2.  No row is built.
+Every sign is computed on the representation's own operators (eps,
+the generators and Gamma), which are ``Monomial`` words, signed
+permutations of the bitcode indices; no row is built.  A word is read
+for two signs.  Its square is +-1 by ``square_sign``.  It is
++-symmetric by ``symmetry_sign``: the transpose keeps x, z, m and e and
+sends v to v ^ (x & m), so the word is +-its transpose only when
+x & m == 0, with the sign (-1)**|x & z|.  The vector law needs one
+word product per vector: with eps^T = sigma eps, sigma the symmetry of
+eps, gamma^T eps = sigma (eps gamma)^T, so its sign is sigma times the
+symmetry of eps gamma.  Gamma does not depend on the metric, so one
+build per signature gives C = eps Gamma^T for both metrics.
 
 The period-8 checker asserts row equality at keys eight apart over a
 range of at least nine consecutive values.
@@ -60,16 +67,12 @@ class ConjugationRow:
         return self.difference
 
 
-def _sign(a, b, failure):
-    """+1 if the operators a == b, -1 if a == -b; otherwise an AssertionError."""
-    sign = a.sign_against(b)
-    if not sign:
-        raise AssertionError(failure)
-    return sign
-
-
 def _symmetry_sign(m):
-    return _sign(m.transpose(), m, "matrix is neither symmetric nor antisymmetric")
+    """+1 if the operator m is symmetric, -1 if antisymmetric; otherwise an AssertionError."""
+    sign = m.symmetry_sign()
+    if not sign:
+        raise AssertionError("matrix is neither symmetric nor antisymmetric")
+    return sign
 
 
 def _keys(lo, hi, name):
@@ -96,6 +99,11 @@ def metric_symmetry_table(n_max, n_min=1):
 def commutation_sign(rep, eps):
     """The global sign s with gamma^T eps = s eps gamma for every vector.
 
+    With sigma the symmetry sign of eps, eps^T = sigma eps, so
+    gamma^T eps = sigma (eps gamma)^T and s is sigma times the symmetry
+    sign of eps gamma: one word product per vector.  A sigma of 0, an
+    eps that is not +-symmetric, leaves no uniform sign.
+
     `eps` is a metric operator, a ``Monomial`` such as ``rep.eps``; a
     Matrix of any other type is a ValueError.  The vectors are the
     representation's own, ``rep.gamma(a)``: a timelike one carries a
@@ -106,7 +114,8 @@ def commutation_sign(rep, eps):
     """
     if not isinstance(eps, Monomial):
         raise ValueError("commutation_sign needs a metric operator (a Monomial), not a dense Matrix")
-    signs = {(g.transpose() @ eps).sign_against(eps @ g) for g in map(rep.gamma, range(1, rep.N + 1))}
+    sigma = eps.symmetry_sign()
+    signs = {sigma * (eps @ g).symmetry_sign() for g in map(rep.gamma, range(1, rep.N + 1))}
     if len(signs) != 1 or 0 in signs:
         raise ValueError(f"the vector transpose law has no uniform sign for this metric at N={rep.N}")
     return signs.pop()
@@ -125,9 +134,14 @@ def gamma_commutation_table(n_max, n_min=1):
     return rows
 
 
-def _conjugation_symmetry(spacelike, timelike, metric):
-    rep = build_representation(spacelike=spacelike, timelike=timelike, metric=metric)
-    return _symmetry_sign(rep.C)
+def _conjugation_symmetries(spacelike, timelike):
+    """The symmetry signs of C = eps Gamma^T for the standard and the alternative metric.
+
+    Gamma does not depend on the metric, so one build gives both.
+    """
+    rep = build_representation(spacelike=spacelike, timelike=timelike)
+    gamma_t = rep.Gamma.transpose()
+    return _symmetry_sign(rep.eps_std @ gamma_t), _symmetry_sign(rep.eps_alt @ gamma_t)
 
 
 def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):
@@ -135,21 +149,23 @@ def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):
 
     Each row is computed for `samples_per_row` distinct signatures with
     the same difference and the agreement is asserted, so dependence on
-    K - M alone is verified rather than assumed.
+    K - M alone is verified rather than assumed; a `samples_per_row`
+    below 1 is a ValueError.
     """
+    if samples_per_row < 1:
+        raise ValueError(f"samples_per_row must be at least 1, got {samples_per_row}")
     rows = []
     for d in _keys(d_min, d_max, "K-M"):
         m0 = max(0, -d)
         if d + 2 * m0 < 1:
             m0 += 1
         sigs = tuple((d + m, m) for m in range(m0, m0 + samples_per_row))
-        syms_std = [_conjugation_symmetry(k, m, "standard") for k, m in sigs]
-        syms_alt = [_conjugation_symmetry(k, m, "alternative") for k, m in sigs]
-        if len(set(syms_std)) != 1 or len(set(syms_alt)) != 1:
+        syms = {_conjugation_symmetries(k, m) for k, m in sigs}
+        if len(syms) != 1:
             raise AssertionError(
                 f"conjugation symmetry is not constant across signatures with K-M={d}"
             )
-        rows.append(ConjugationRow(d, sigs, syms_std[0], syms_alt[0]))
+        rows.append(ConjugationRow(d, sigs, *syms.pop()))
     return rows
 
 

@@ -119,6 +119,7 @@ def test_eval_wrong_bitcode_length_exit_two(capsys, code_text, length):
 @pytest.mark.parametrize("argv, named", [
     (("eval", "-K", "4", "g[abc]"), ("g[abc]", "plane number", "'abc'")),
     (("eval", "-K", "4", "g[+x]"), ("g[+x]", "plane number", "'x'")),
+    (("eval", "-K", "3", "a[x]"), ("a[x]", "axis number", "'x'")),
     (("classify-reflection", "-K", "3", "--generators", "1,,2"), ("--generators", "axis numbers", "'' in '1,,2'")),
     (("classify-reflection", "-K", "3", "--generators", ""), ("--generators", "axis numbers", "'' in ''")),
     (("build", "-K", "2", "--timelike-axes", "a"), ("--timelike-axes", "axis numbers", "'a'")),
@@ -333,6 +334,26 @@ def test_eval_orthonormal_tokens_follow_the_signature(capsys):
     code, out, _ = run(capsys, "eval", "-K", "3", "-M", "1", "g[-2] g[-2]")
     assert code == 0
     assert Matrix.from_json(json.loads(out)["value"]) == -Matrix.identity(4)
+
+
+def test_eval_axis_tokens_follow_the_signature(capsys):
+    """a[k] is rep.gamma(k): a spacelike axis squares to 1, a timelike one to -1, and a[N] reaches the projected final vector."""
+    code, out, _ = run(capsys, "eval", "-K", "3", "a[3] a[3]")
+    assert code == 0
+    assert Matrix.from_json(json.loads(out)["value"]) == Matrix.identity(2)
+    code, out, _ = run(capsys, "eval", "-K", "3", "-M", "1", "a[4] a[4]")
+    assert code == 0
+    assert Matrix.from_json(json.loads(out)["value"]) == -Matrix.identity(4)
+    code, out, _ = run(capsys, "eval", "-K", "3", "a[3]")
+    assert out == _json_dumps({"species": "multivector", "value": build_representation(spacelike=3).gamma(3).to_json()}) + "\n"
+
+
+@pytest.mark.parametrize("token", ["a[0]", "a[4]", "a[-1]"])
+def test_eval_axis_out_of_range_exit_two(capsys, token):
+    code, out, err = run(capsys, "eval", "-K", "3", token)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert token in err and "out of range 1..3" in err
 
 
 def test_build_k17_is_compact(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Chain expression parsing and evaluation."""
 
+import re
+
 import pytest
 
 from sga.elements import ForbiddenProduct
@@ -37,6 +39,19 @@ def test_orthonormal_tokens_are_the_plane_vectors_as_built():
     assert parse_chain(dirac, "g[-2]")[0].payload == dirac.gamma(4)
     assert evaluate_chain(dirac, "g[-2] g[-2]").payload.scalar_multiple_of_identity() == -ONE
     assert evaluate_chain(dirac, "g[+2] g[+2]").payload.scalar_multiple_of_identity() == ONE
+
+
+def test_axis_tokens_are_the_representation_vectors():
+    """a[k] is gamma(k), times i when timelike; in the odd project mode a[N] is the final vector, no plane's."""
+    dirac = build_representation(RepConfig(Signature(spacelike=3, timelike=1)))
+    assert [e.payload for e in parse_chain(dirac, "a[1]a[2] a[3] a[4]")] == [dirac.gamma(a) for a in range(1, 5)]
+    assert evaluate_chain(dirac, "a[4] a[4]").payload.scalar_multiple_of_identity() == -ONE
+    odd = build_representation(RepConfig(Signature(spacelike=4, timelike=1)))
+    final = parse_chain(odd, "a[5]")[0].payload
+    assert final == odd.gamma(5) and final not in {m for k in (1, 2) for m in odd.plane_vectors(k)}
+    for token in ("a[0]", "a[6]", "a[x]"):
+        with pytest.raises(ValueError, match=re.escape(token)):
+            parse_chain(odd, token)
 
 
 def test_eval_scalar_example(pauli):

@@ -579,6 +579,13 @@ def test_monomial_square_sign_agrees_with_matrix(a):
     assert a.square_sign() == (1 if square == one else -1 if square == -one else 0)
 
 
+@given(monomials())
+def test_monomial_symmetry_sign_agrees_with_matrix(a):
+    """symmetry_sign reads the words; the definition transposes the plain rows and compares with +-a."""
+    t = plain(a).transpose()
+    assert a.symmetry_sign() == (1 if t == plain(a) else -1 if t == -plain(a) else 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rep_configs(max_n=8), st.integers(0, 2**32))
 def test_equal_matrices_hash_equal_whatever_their_type(config, seed):

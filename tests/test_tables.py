@@ -1,10 +1,14 @@
 """Classification tables: anchors, hand-derived signs, periodicity."""
 
-import pytest
-from hypothesis import given, settings
-from strategies import rep_configs
-from test_kernel import plain
+from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from strategies import rep_configs
+from test_kernel import monomials, plain
+
+from sga.blades import all_chiral_blades, blade_matrix
+from sga.matrices import Monomial
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import I, ONE
 from sga.tables import (
@@ -229,6 +233,75 @@ def test_commutation_sign_matches_the_oracle_in_every_signature_and_mode(config)
         else:
             with pytest.raises(ValueError, match="no uniform sign"):
                 commutation_sign(rep, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_configs(max_n=10), st.integers(0, 2**32))
+def test_symmetry_sign_matches_the_dense_transpose_on_the_built_words(config, seed):
+    """Generators, metrics, Gamma, C, blades, masked and sqrt2-scaled products and the zero word."""
+    rep, rng = build_representation(config), Random(seed)
+    words = [rep.gamma(a) for a in range(1, rep.N + 1)]
+    words += [rep.eps, rep.eps_std, rep.eps_alt, rep.kappa, rep.Gamma, rep.C, rep.pseudoscalar,
+              Monomial.zero(rep.n_bits)]
+    for k in range(1, rep.n_bits + 1):
+        g, gb = rep.gamma_chiral(k), rep.gamma_chiral(k, barred=True)
+        words += [g, gb, g @ gb, gb @ g, g @ g, rep.eps @ g, g @ rep.gamma_chiral(rep.n_bits)]
+    words += [blade_matrix(rep, b) for b in rng.sample(all_chiral_blades(rep), min(12, 4 ** rep.n_bits))]
+    words += [w @ rep.eps for w in words[-4:]]
+    for w in words:
+        assert w.symmetry_sign() == matrix_sign(plain(w).transpose(), w), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_configs(max_n=10), st.data())
+def test_commutation_sign_matches_the_oracle_on_any_word(config, data):
+    """Any word as the metric: the oracle's uniform sign, or a ValueError where it has none.
+
+    Besides random words, each example tries the zero word and the
+    representation's metrics times a unit, which have a uniform sign.
+    """
+    rep = build_representation(config)
+    n = rep.n_bits
+    unit = data.draw(st.tuples(st.integers(0, 3), st.integers(-2, 2)))
+    metrics = [data.draw(monomials(n)) for _ in range(3)]
+    metrics += [Monomial.zero(n), rep.eps.times_unit(*unit), rep.eps_alt.times_unit(*unit), rep.kappa @ rep.eps]
+    for eps in metrics:
+        signs = matrix_commutation_signs(rep, eps)
+        if signs in ({1}, {-1}):
+            assert commutation_sign(rep, eps) == signs.pop(), eps
+        else:
+            with pytest.raises(ValueError, match="no uniform sign"):
+                commutation_sign(rep, eps)
+
+
+def test_commutation_sign_of_a_word_that_is_not_a_metric():
+    """A word that is not +-symmetric, or is one but fails the law for some vector, has no uniform sign."""
+    rep = build_representation(spacelike=6)
+    for eps in (Monomial(3, x=1, m=1), rep.gamma(1) @ rep.eps, rep.gamma_chiral(2)):
+        assert matrix_commutation_signs(rep, eps) not in ({1}, {-1})
+        with pytest.raises(ValueError, match="no uniform sign"):
+            commutation_sign(rep, eps)
+    assert commutation_sign(rep, Monomial.zero(3)) == 1 == matrix_commutation_sign(rep, Monomial.zero(3))
+
+
+@pytest.mark.parametrize("table, builds", [
+    (lambda: conjugation_symmetry_table(-8, 8), 34),  # both metrics off one build per signature
+    (lambda: gamma_commutation_table(17), 17),
+    (lambda: metric_symmetry_table(17), 17),
+])
+def test_each_table_builds_one_representation_per_row_and_sample(monkeypatch, table, builds):
+    import sga.tables
+
+    made = []
+    monkeypatch.setattr(sga.tables, "build_representation", lambda **kw: made.append(kw) or build_representation(**kw))
+    table()
+    assert len(made) == builds
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_conjugation_table_needs_a_sample_per_row(samples):
+    with pytest.raises(ValueError, match="samples_per_row"):
+        conjugation_symmetry_table(2, 3, samples_per_row=samples)
 
 
 def test_a_missing_sign_in_the_commutation_table_is_an_internal_fault(monkeypatch):
