@@ -2,7 +2,7 @@
 
 Tokens, separated by whitespace or juxtaposed:
 
-    e[uud]     column basis spinor for the bitcode (u/d, or arrows)
+    e[uud]     column basis spinor for the bitcode (u/d, or arrows; e[] at dim 1)
     e[uud]'    the matching row spinor (metric-dressed)
     g[2]       chiral vector of plane 2
     g[2bar]    its barred partner
@@ -22,7 +22,7 @@ import re
 from .bitcodes import Bitcode
 from .elements import Element, row_of, simplify_chain
 
-_TOKEN = re.compile(r"e\[([^\]]+)\](')?|g\[([^\]]+)\]|a\[([^\]]+)\]|(\S)")
+_TOKEN = re.compile(r"e\[([^\]]*)\](')?|g\[([^\]]+)\]|a\[([^\]]+)\]|(\S)")
 
 
 def parse_chain(rep, text):
@@ -48,19 +48,22 @@ def parse_chain(rep, text):
 def _gamma_token(rep, spec):
     spec = spec.strip()
     if spec[:1] in ("+", "-"):
-        return rep.plane_vectors(_plane(spec[1:], spec))["+-".index(spec[0])]
+        return rep.plane_vectors(_plane(rep, spec[1:], spec))["+-".index(spec[0])]
     if spec.endswith("bar"):
-        return rep.gamma_chiral(_plane(spec[:-3], spec), barred=True)
-    return rep.gamma_chiral(_plane(spec, spec))
+        return rep.gamma_chiral(_plane(rep, spec[:-3], spec), barred=True)
+    return rep.gamma_chiral(_plane(rep, spec, spec))
 
 
-def _plane(text, spec):
-    """The plane number `text` of the token g[spec]; a ValueError naming the token if it is not a number."""
+def _plane(rep, text, spec):
+    """The plane number `text` of the token g[spec]; a ValueError naming the token unless it is a number in 1..n_bits."""
     try:
-        return int(text)
+        k = int(text)
     except ValueError:
         raise ValueError(f"g[{spec}]: expected a plane number, optionally after + or - "
                          f"or before 'bar', got {text!r}") from None
+    if not 1 <= k <= rep.n_bits:
+        raise ValueError(f"g[{spec}]: plane {k} out of range 1..{rep.n_bits}")
+    return k
 
 
 def _axis_token(rep, spec):

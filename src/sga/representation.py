@@ -89,16 +89,12 @@ class RepConfig:
     signature: Signature
     metric: str = "standard"
     odd_mode: str = "project"
-    gamma_phase_sign: int = 1
-    timelike_pseudoscalar_phase: bool = False
 
     def __post_init__(self):
         if self.metric not in METRIC_CHOICES:
             raise ValueError(f"unknown metric choice {self.metric!r}")
         if self.odd_mode not in ODD_MODES:
             raise ValueError(f"unknown odd mode {self.odd_mode!r}")
-        if self.gamma_phase_sign not in (1, -1):
-            raise ValueError("gamma_phase_sign must be +1 or -1")
         n = self.signature.total
         if self.metric.startswith("prime"):
             if n % 2 == 0 or self.odd_mode == "project":
@@ -148,14 +144,20 @@ class Representation:
     kappa_diag, kappa, eps_std, eps_alt, eps, scalar_axis_matrix (None
     unless an embed odd mode) and Gamma are built with the representation,
     and pseudoscalar and C on first read, since the tables never read
-    them.  The plane words come from ``_even_core``, which builds them
-    once per plane count, so representations with equal ``n_bits`` share
-    the same generator, metric and kappa objects.  The blades are cached
-    on first use.  The blade dictionary reads the metric's map of
-    bitcodes and the raised blades off words, so it caches nothing else
-    here.  Nothing else changes after construction, and a first use
-    yields equal results in any thread, so concurrent first use is
-    harmless.
+    them.  ``__init__`` sets the metrics in one branch per case: even N
+    takes the even core's eps_std and eps_alt, and eps is eps_std for
+    "standard", else eps_alt; ``project`` sets all three to the core's
+    alternative metric; an embed mode keeps the core's eps_std, makes
+    eps_alt the product of i minus_k over the first (N - 1)/2 planes, and
+    eps the metric named (prime_standard = eps_std @ scalar_axis_matrix,
+    prime_alternative = the core's alternative).  The plane words come
+    from ``_even_core``, which builds them once per plane count, so
+    representations with equal ``n_bits`` share the same generator, metric
+    and kappa objects.  The blades are cached on first use.  The blade
+    dictionary reads the metric's map of bitcodes and the raised blades
+    off words, so it caches nothing else here.  Nothing else changes after
+    construction, and a first use yields equal results in any thread, so
+    concurrent first use is harmless.
     """
 
     def __init__(self, config):
@@ -166,91 +168,52 @@ class Representation:
         self.N = n_total
         self.is_odd = n_total % 2 == 1
         self.odd_mode = config.odd_mode if self.is_odd else None
-
-        if self.is_odd and config.odd_mode.startswith("embed"):
-            built_pairs = (n_total + 1) // 2
-        else:
-            built_pairs = n_total // 2
-        self._chiral, self._orth, core_std, core_alt, kappa_diag = _even_core(built_pairs)
-        self.n_bits = built_pairs
-        self.dim = 1 << built_pairs
+        embed = self.is_odd and config.odd_mode != "project"
+        pairs = (n_total + 1) // 2 if embed else n_total // 2
+        self._chiral, self._orth, core_std, core_alt, kappa_diag = _even_core(pairs)
+        self.n_bits = pairs
+        self.dim = 1 << pairs
         self.kappa_diag = kappa_diag
         full = [m for pair in self._orth for m in pair]
 
-        # map the algebra's N orthonormal axes onto built operators (spacelike forms);
-        # slots[a - 1] is axis a's place 2(k - 1) + j among the planes' vectors `full`
-        scalar_axis = None
+        # Map the axes onto built operators (spacelike forms) and set the metrics, one branch per case (see
+        # the class docstring).  _slots[a - 1] is axis a's place 2(k - 1) + j among the plane vectors `full`;
+        # the scalar dimension is slot N - 1 (embed_scalar_n) or N (embed_scalar_n_plus_1).
+        self.scalar_axis_matrix = None
         if not self.is_odd:
-            spacelike = full
-            slots = range(n_total)
+            self._spacelike, self._slots = full, range(n_total)
             self.kappa = kappa_diag
-            self.eps_std = core_std
-            self.eps_alt = core_alt
-        elif config.odd_mode == "project":
-            spacelike = full + [kappa_diag]  # the final vector
-            slots = range(n_total - 1)  # the final vector is no plane's
-            self.kappa = Monomial.identity(self.n_bits)
-            self.eps_std = self.eps_alt = core_alt
+            self.eps_std, self.eps_alt = core_std, core_alt
+            self.eps = core_std if config.metric == "standard" else core_alt
+        elif not embed:
+            self._spacelike, self._slots = full + [kappa_diag], range(n_total - 1)
+            self.kappa = Monomial.identity(pairs)
+            self.eps = self.eps_std = self.eps_alt = core_alt
         else:
-            if config.odd_mode == "embed_scalar_n":
-                active = list(range(n_total - 1)) + [n_total]
-                scalar_axis = full[n_total - 1]
-            else:
-                active = list(range(n_total))
-                scalar_axis = full[n_total]
-            spacelike = [full[a] for a in active]
-            slots = active
+            scalar = n_total - 1 if config.odd_mode == "embed_scalar_n" else n_total
+            self._slots = [s for s in range(n_total + 1) if s != scalar]
+            self._spacelike = [full[s] for s in self._slots]
+            self.scalar_axis_matrix = full[scalar]
             self.kappa = kappa_diag
             self.eps_std = core_std
-            self.eps_alt = self._partial_alt_metric((n_total - 1) // 2)
+            self.eps_alt = Monomial.identity(pairs)
+            for _, minus in self._orth[:(n_total - 1) // 2]:
+                self.eps_alt = self.eps_alt @ minus.times_unit(1)  # i minus_k
+            self.eps = {"standard": core_std, "alternative": self.eps_alt,
+                        "prime_standard": core_std @ full[scalar], "prime_alternative": core_alt}[config.metric]
 
-        self._spacelike = spacelike
-        self._slots = slots
-        self.scalar_axis_matrix = scalar_axis
-        self.eps = self._select_metric(core_alt, scalar_axis)
         self.metric_square_sign = self.eps.square_sign()
         if not self.metric_square_sign:
             raise AssertionError("spinor metric square is not +-1")
         timelike = sig.timelike_axes
         self._gammas = [g.times_unit(1) if a in timelike else g  # timelike: times i
-                        for a, g in enumerate(spacelike, 1)]
-        self.Gamma = self._build_time_product()
+                        for a, g in enumerate(self._spacelike, 1)]
+        raw = Monomial.identity(pairs)  # Gamma: the product of the timelike vectors, phased to square to 1
+        for axis in timelike:
+            raw = raw @ self._gammas[axis - 1]
+        self.Gamma = raw if raw.square_sign() == 1 else raw.times_unit(3 if sig.timelike == 1 else 1)
 
         self._blade_cache = {}
-
-    # -- helpers used during construction --------------------------------
-
-    def _partial_alt_metric(self, pairs):
-        m = Monomial.identity(self.n_bits)
-        for k in range(pairs):
-            m = m @ self._orth[k][1].times_unit(1)  # i minus_k
-        return m
-
-    def _select_metric(self, core_alt, scalar_axis):
-        """The metric the config chooses; `core_alt` is the even core's alternative metric."""
-        choice = self.config.metric
-        if not self.is_odd or self.odd_mode == "project":
-            return self.eps_std if choice in ("standard", "prime_standard") else self.eps_alt
-        if choice == "standard":
-            return self.eps_std
-        if choice == "alternative":
-            return self.eps_alt
-        if choice == "prime_standard":
-            return self.eps_std @ scalar_axis
-        return core_alt  # prime_alternative
-
-    def _build_time_product(self):
-        """Gamma, the phased product of the timelike vectors."""
-        raw = Monomial.identity(self.n_bits)
-        for axis in self.signature.timelike_axes:
-            raw = raw @ self._gammas[axis - 1]
-        phase = 0 if self.config.gamma_phase_sign == 1 else 2  # as a power of i
-        square = raw.square_sign()
-        if not square:
-            raise AssertionError("time product square is not +-1")
-        if square == -1:
-            phase += 3 if self.signature.timelike == 1 else 1
-        return raw.times_unit(phase)
 
     # -- operators built on first read ----------------------------------------
 
@@ -262,8 +225,6 @@ class Representation:
         else:
             for g in self._spacelike:
                 ps = ps @ g
-        if self.config.timelike_pseudoscalar_phase and self.signature.timelike:
-            ps = ps.times_unit(self.signature.timelike)
         return ps
 
     @cached_property

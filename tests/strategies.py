@@ -32,6 +32,4 @@ def rep_configs(draw, max_n=17, odd_mode=None):
         Signature(n - len(axes), len(axes), tuple(axes)),
         metric=metric,
         odd_mode=odd_mode,
-        gamma_phase_sign=draw(st.sampled_from((1, -1))),
-        timelike_pseudoscalar_phase=draw(st.booleans()),
     )

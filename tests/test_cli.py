@@ -11,7 +11,7 @@ from sga.blades import decompose_multivector, spinor_outer_decompose
 from sga.cli import _json_dumps, main
 from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
-from sga.scalars import SQRT2, Scalar
+from sga.scalars import ONE, SQRT2, Scalar
 
 
 def run(capsys, *argv):
@@ -354,6 +354,23 @@ def test_eval_axis_out_of_range_exit_two(capsys, token):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert token in err and "out of range 1..3" in err
+
+
+@pytest.mark.parametrize("token, plane", [("g[9]", 9), ("g[+0]", 0), ("g[3bar]", 3)])
+def test_eval_plane_out_of_range_exit_two(capsys, token, plane):
+    code, out, err = run(capsys, "eval", "-K", "4", token)
+    assert code == 2 and out == ""
+    assert err == f"error: {token}: plane {plane} out of range 1..2\n"
+
+
+def test_eval_writes_the_one_spinor_of_dim_one(capsys):
+    """With no planes the basis spinor's bitcode is empty: e[] is it, and <e|e> is the scalar 1."""
+    code, out, _ = run(capsys, "eval", "-K", "1", "e[]' e[]")
+    assert code == 0
+    assert json.loads(out) == {"species": "scalar", "value": ONE.to_json()}
+    code, out, err = run(capsys, "eval", "-K", "4", "e[]")
+    assert code == 2 and out == ""
+    assert err == "error: bitcode length 0 does not match 2 planes\n"
 
 
 def test_build_k17_is_compact(tmp_path, capsys):

@@ -141,15 +141,11 @@ def oracle_operators(config):
         ps = Matrix.identity(dim).scale(i_power(n // 2))
     else:
         ps = product(spacelike, dim)
-    if config.timelike_pseudoscalar_phase and sig.timelike:
-        ps = ps.scale(i_power(sig.timelike))
     raw = product([gammas[a - 1] for a in sig.timelike_axes], dim)
-    sign = Scalar(config.gamma_phase_sign)
     if (raw @ raw).scalar_multiple_of_identity() == ONE:
-        phase = sign
+        gamma_matrix = raw
     else:
-        phase = (-I if sig.timelike == 1 else I) * sign
-    gamma_matrix = raw.scale(phase)
+        gamma_matrix = raw.scale(-I if sig.timelike == 1 else I)
     return {"gammas": gammas, "eps": eps, "kappa": kappa, "pseudoscalar": ps,
             "Gamma": gamma_matrix, "C": eps @ gamma_matrix.transpose()}
 
@@ -187,8 +183,7 @@ def test_every_metric_and_odd_mode_matches_the_oracle(n):
     for metric, odd_mode in valid_choices(n):
         for axes in ((), (1,), (2, n)):
             config = RepConfig(Signature(n - len(axes), len(axes), axes), metric=metric,
-                               odd_mode=odd_mode, gamma_phase_sign=-1,
-                               timelike_pseudoscalar_phase=True)
+                               odd_mode=odd_mode)
             assert_matches_oracle(config)
 
 

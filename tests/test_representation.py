@@ -340,14 +340,6 @@ def test_plane_vectors_are_the_axes_vectors_and_the_scalar_dimension():
     assert [rep.plane_is_boost(k) for k in (1, 2, 3)] == [False, False, True]
 
 
-def test_pseudoscalar_timelike_phase_flag():
-    plain = rep_for(3, 1)
-    phased = build_representation(
-        RepConfig(Signature(spacelike=3, timelike=1), timelike_pseudoscalar_phase=True)
-    )
-    assert phased.pseudoscalar == plain.pseudoscalar.scale(I)
-
-
 def test_dimension_cap(monkeypatch):
     """Building is uncapped; listing an operator's entries meets the cap."""
     rep = build_representation(RepConfig(Signature(spacelike=18)))
@@ -480,7 +472,7 @@ def test_the_plane_words_are_shared_per_plane_count_and_never_change():
     assert spacelike._orth is core[1] and spacelike.eps_std is core[2] and spacelike.eps_alt is core[3]
     assert all(type(part) is tuple for part in core[:2])
     others = [
-        RepConfig(Signature(4, 2), gamma_phase_sign=-1, timelike_pseudoscalar_phase=True),
+        RepConfig(Signature(4, 2)),
         RepConfig(Signature(3, 3, (1, 4, 6)), metric="alternative"),
         RepConfig(Signature(4, 1), metric="prime_standard", odd_mode="embed_scalar_n"),
         RepConfig(Signature(3, 2), metric="prime_alternative", odd_mode="embed_scalar_n_plus_1"),

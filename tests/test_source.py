@@ -1,11 +1,14 @@
 """Static checks of the package source: no imported name goes unread (in the test modules too), no private or public name goes unused,
-scipy is never imported and numpy only inside functions, and shared state (a Representation's attributes,
-a Monomial's words) is written only by its owner."""
+scipy is never imported and numpy only inside functions, shared state (a Representation's attributes,
+a Monomial's words) is written only by its owner, and the CLI sets every representation option."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from sga.representation import RepConfig, Signature
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sga"
@@ -354,3 +357,26 @@ def test_no_unused_public_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for folder in ("tests", "bench") for p in (SRC.parent.parent / folder).glob("*.py")]
     assert unused_public_names(sources, readers) == []
+
+
+def config_call_keywords(source, function):
+    """The names `function` of the source passes to its RepConfig(...) call, by keyword or by position."""
+    names = [f.name for f in dataclasses.fields(RepConfig)]
+    [func] = [node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    [call] = [node for node in ast.walk(func)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "RepConfig"]
+    return set(names[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_scanner_reads_a_config_call():
+    source = "def f(a):\n    return g(RepConfig(a.sig, odd_mode=a.o))\n"
+    assert config_call_keywords(source, "f") == {"signature", "odd_mode"}
+
+
+def test_every_representation_option_is_a_cli_option():
+    """The CLI sets every RepConfig field, so no representation option is reachable from tests alone."""
+    fields = {f.name for f in dataclasses.fields(RepConfig)}
+    assert config_call_keywords((SRC / "cli.py").read_text(), "_rep_from_args") == fields
+    with pytest.raises(TypeError):
+        RepConfig(Signature(3, 1), gamma_phase_sign=-1)

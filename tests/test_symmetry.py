@@ -338,15 +338,6 @@ def test_dirac_time_product():
     assert rep.C @ rep.C.dagger() == Matrix.identity(4)  # unitary
 
 
-def test_gamma_phase_sign_flag():
-    default = rep_for(3, 1)
-    flipped = build_representation(
-        RepConfig(Signature(spacelike=3, timelike=1), gamma_phase_sign=-1)
-    )
-    assert flipped.Gamma == -default.Gamma
-    assert (flipped.Gamma @ flipped.Gamma).is_identity()
-
-
 def test_double_conjugation_signs():
     rng = Random(7)
     for k, m, want in ((3, 1, 1), (3, 0, -1), (2, 0, 1)):
@@ -498,11 +489,12 @@ def test_reflection_validation():
         axis_reflection_classify(rep, [1, 1])
 
 
-def test_a_dim_one_element_conjugates_by_its_species():
-    # C = -1: a column picks up the sign, a multivector C m* C^-1 does not, and a row picks up eps^T C^T eps = -1
-    rep = rep_for(1, odd_mode="project", gamma_phase_sign=-1)
-    assert rep.dim == 1 and rep.C == Matrix([[Scalar(-1)]])
+@pytest.mark.parametrize("spacelike, timelike", [(1, 0), (0, 1)])
+def test_a_dim_one_element_conjugates_by_its_species(spacelike, timelike):
+    # every dim-1 representation has C = eps = 1, so each species comes back as itself, complex-conjugated
+    rep = rep_for(spacelike, timelike)
+    assert rep.dim == 1 and rep.C == Matrix.identity(1)
     m = Matrix([[Scalar(1, 0, 2)]])  # 1 + 2i
-    for species, want in ((COLUMN, -1), (ROW, -1), (MULTIVECTOR, 1)):
+    for species in (COLUMN, ROW, MULTIVECTOR):
         got = conjugate(rep, Element(species, m, rep))
-        assert got == Element(species, Matrix([[Scalar(want, 0, -2 * want)]]), rep), species
+        assert got == Element(species, Matrix([[Scalar(1, 0, -2)]]), rep), species
