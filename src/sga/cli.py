@@ -3,7 +3,9 @@
 Subcommands: build (dump a representation as JSON), tables (classification
 tables), verify (identity suites), decompose (blade/outer coefficients of
 a matrix file), eval (chain expressions), classify-reflection.  Exit codes:
-0 success, 1 verification failure, 2 usage error or unreadable input, 141
+0 success, 1 a failed check (a verification failure, or an eval chain
+that the exclusion principle refuses; ``--forbidden-as-zero`` reads such
+a chain as zero instead), 2 usage error or unreadable input, 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as in
 ``sga build | head -1``; that case prints nothing.  Identical arguments and
 seed produce byte-identical output.
@@ -158,15 +160,16 @@ def cmd_tables(args):
                 "Conjugation operator symmetry",
                 "K-M",
             )
+        dropped = None  # the value field --metric leaves out, if any
         if args.metric != "both":
             wanted = 0 if args.metric == "standard" else 1
-            fields = (fields[wanted],)
+            dropped, fields = fields[1 - wanted][0], (fields[wanted],)
         if args.format == "md":
             sections.append(render_markdown(rows, title, fields, key))
         elif args.format == "csv":
             sections.append(render_csv(rows, fields, key))
         else:
-            payload[kind] = rows_to_json(rows)
+            payload[kind] = [{k: v for k, v in row.items() if k != dropped} for row in rows_to_json(rows)]
         if args.check_period8:
             report = period8_check(rows)
             if not report["ok"]:
@@ -314,10 +317,11 @@ def _parser():
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("eval", help="evaluate a chain expression")
+    p = sub.add_parser("eval", help="evaluate a chain expression; exit 1 if the exclusion principle refuses it")
     _add_signature_args(p)
     p.add_argument("expression")
-    p.add_argument("--forbidden-as-zero", action="store_true")
+    p.add_argument("--forbidden-as-zero", action="store_true",
+                   help="read a refused product as a zero formal element, so the chain does not fail")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_eval)
 

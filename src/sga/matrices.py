@@ -55,17 +55,14 @@ The arithmetic has three kernels, none of which multiplies two Scalars:
   normalised once.
 
 Every entry is an exact Scalar; float work, such as a rotor at an angle
-outside the quarter turns, runs on numpy arrays.  ``to_numpy`` gives a
-Matrix's array, and a Monomial multiplies an array on either side by
-index (``Monomial @ array``, ``array @ Monomial``), moving its rows or
-columns and scaling them by the units, with no dense copy of its own.
-Any other Matrix times an array, on either side, is a TypeError.
+outside the quarter turns, runs on numpy arrays, and ``to_numpy`` is the
+one way from a Matrix to its array.  A Matrix times an array, on either
+side, is a TypeError.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from collections import defaultdict
 from math import lcm
 
@@ -117,8 +114,7 @@ def _canonical(acc):
 
 class Matrix:
     __slots__ = ("sparse_rows", "nrows", "ncols")
-    # numpy defers every operator to this class, so array @ Matrix calls __rmatmul__, which
-    # only a Monomial has: it acts on the array by index, and any other Matrix is a TypeError
+    # numpy defers every operator to this class, so array @ Matrix is a TypeError, not an object array
     __array_ufunc__ = None
 
     def __init__(self, rows, nrows=None, ncols=None):
@@ -162,13 +158,6 @@ class Matrix:
         return Matrix({i: {0: s} for i, s in enumerate(entries) if not s.is_zero()}, len(entries), 1)
 
     @classmethod
-    def row_vector(cls, entries):
-        """The 1 x len(entries) matrix of `entries`, its nonzero ones written straight into a sparse row."""
-        entries = list(entries)
-        row = {j: s for j, s in enumerate(entries) if not s.is_zero()}
-        return Matrix({0: row} if row else {}, 1, len(entries))
-
-    @classmethod
     def unit_column(cls, dim, index):
         if not 0 <= index < dim:
             raise IndexError("unit column index out of range")
@@ -176,7 +165,10 @@ class Matrix:
 
     @classmethod
     def from_items(cls, nrows, ncols, items):
-        """The matrix whose (i, j) entry is the sum of the values given for it in (i, j, value) items."""
+        """The matrix whose (i, j) entry is the sum of the values given for it in (i, j, value) items.
+
+        An (i, j) outside the shape is a ValueError that names it.
+        """
         rows = {}
         for i, j, v in items:
             row = rows.get(i)
@@ -184,7 +176,14 @@ class Matrix:
                 rows[i] = {j: v}
             else:
                 row[j] = row[j] + v if j in row else v
-        out = {i: row for i in sorted(rows) if 0 <= i < nrows and (row := _canonical(rows[i]))}
+        out = {}
+        for i in sorted(rows):
+            row = rows[i]
+            if not 0 <= i < nrows or min(row) < 0 or max(row) >= ncols:
+                j = next(j for j in row if not (0 <= i < nrows and 0 <= j < ncols))
+                raise ValueError(f"matrix entry index ({i}, {j}) is not in shape [{nrows}, {ncols}]")
+            if row := _canonical(row):
+                out[i] = row
         return Matrix(out, nrows, ncols)
 
     # -- shape ----------------------------------------------------------
@@ -655,10 +654,6 @@ class Monomial(Matrix):
     ``symmetry_sign`` (is it +-its transpose?).  Listing its nonzero
     entries and comparing it with any Matrix walk the words, and a
     product with a Matrix that is not a Monomial is one ``sandwich`` pass.
-    A product with a numpy array of one or two axes, on either side, is
-    the complex array of the same product with ``to_numpy()``, made by
-    moving the array's rows or columns by the word and scaling each by
-    its unit.
 
     The words are validated at the public constructor only.  A word
     operation (product, transpose, scaling by a unit, conjugation,
@@ -731,9 +726,7 @@ class Monomial(Matrix):
     def __matmul__(self, other):
         """The product self @ other: column j goes through other, then through self."""
         if type(other) is not Monomial:
-            if isinstance(other, Matrix):
-                return sandwich(self, other)
-            return self._act_on_array(other, True)
+            return sandwich(self, other) if isinstance(other, Matrix) else NotImplemented
         n = self.n
         if n != other.n:
             raise ValueError("matrix shape mismatch in product")
@@ -747,37 +740,7 @@ class Monomial(Matrix):
                      self.p + other.p + 2 * (x2 & self.z).bit_count(), self.e + other.e)
 
     def __rmatmul__(self, other):
-        if isinstance(other, Matrix):
-            return sandwich(None, other, self)
-        return self._act_on_array(other, False)
-
-    def _act_on_array(self, a, left):
-        """self @ a if `left`, else a @ self, for a numpy array `a` of one or two axes; NotImplemented for any other operand.
-
-        Column j of the operator holds one entry, its unit in row j ^ x,
-        when j & m == v.  So row i of self @ a is row i ^ x of `a` times
-        the unit of column i ^ x, and column j of a @ self is column j ^ x
-        of `a` times the unit of column j; rows and columns without an
-        entry read zero.  No dim x dim array is built and no BLAS product
-        runs, and the result is the complex array of the same product with
-        ``to_numpy()``.  The array already holds dim entries, so the
-        dimension cap does not apply.
-        """
-        np = sys.modules.get("numpy")  # an ndarray means numpy is loaded, so it is never imported here
-        if np is None or not isinstance(a, np.ndarray):
-            return NotImplemented
-        if a.ndim not in (1, 2) or a.shape[0 if left else -1] != self.nrows:
-            raise ValueError("matrix shape mismatch in product")
-        x, z, m, v = self.x, self.z, self.m, self.v
-        u = unit(self.p, self.e).to_complex()
-        units = (u, -u)  # Z**z negates the unit of column j when j & z has an odd number of bits
-        index = range(self.nrows)
-        flipped = [k ^ x for k in index]
-        values = np.array([units[(j & z).bit_count() & 1] if j & m == v else 0j
-                           for j in (flipped if left else index)])
-        if left:
-            return a.take(flipped, 0) * (values[:, None] if a.ndim == 2 else values)
-        return a.take(flipped, -1) * values
+        return sandwich(None, other, self) if isinstance(other, Matrix) else NotImplemented
 
     def times_unit(self, p, e=0):
         """This operator times the unit i**p * sqrt2**e."""
@@ -807,15 +770,10 @@ class Monomial(Matrix):
         return self.times_unit(-2 * self.p)
 
     def sign_against(self, other):
-        """1 if this operator equals `other`, -1 if it equals -other, else 0.
+        """1 if this operator equals the Monomial `other`, -1 if it equals -other, else 0.
 
-        Against a Monomial this reads the words: every word but the phase
-        must agree, and the phases then differ by 0 or 2.
+        Every word but the phase must agree, and the phases then differ by 0 or 2.
         """
-        if type(other) is not Monomial:
-            if self == other:
-                return 1
-            return -1 if self == -other else 0
         if (self.n, self.x, self.z, self.m, self.v, self.e) != (other.n, other.x, other.z, other.m, other.v, other.e):
             return 0
         return (1, 0, -1, 0)[(self.p - other.p) & 3]
@@ -902,10 +860,6 @@ def _word(n, x, z, m, v, p, e):
     out.e = e
     out.nrows = out.ncols = 1 << n
     return out
-
-
-def commutator(a, b):
-    return a @ b - b @ a
 
 
 def anticommutator(a, b):

@@ -10,9 +10,8 @@ up bit of the plane picks up exp(-i*theta/2).  Every other rotor is a
 float rotor whose matrices are numpy complex arrays: the same closed form
 on the generator's ``to_numpy``, or, for any other B (a sum of planes or
 a null B), a scaling-and-squaring exponential.  Rotating by a float
-rotor gives a numpy array.  Float checks multiply those arrays by the
-signed-monomial operators themselves (``Monomial @ array`` moves rows by
-index), not by their ``to_numpy()``.
+rotor gives a numpy array, and float checks multiply those arrays by the
+operators' ``to_numpy()``.
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
@@ -166,16 +165,12 @@ def reverse_multivector(rep, m):
     return reconstruct_from_blades(rep, flipped)
 
 
-def metric_preserved(rep, rotor, tol=None):
-    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within tol (1e-12 if None) for a float one.
-
-    For a float rotor the arrays are multiplied by eps itself, a signed
-    monomial that moves their columns by index; eps's ``to_numpy()`` is
-    only the array the product is compared with.
-    """
+def metric_preserved(rep, rotor):
+    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within 1e-12 on eps's ``to_numpy()`` for a float one."""
     if rotor.mode == "exact":
         return rotor.matrix.transpose() @ rep.eps @ rotor.matrix == rep.eps
-    return abs(rotor.matrix.T @ rep.eps @ rotor.matrix - rep.eps.to_numpy()).max() <= (tol or 1e-12)
+    eps = rep.eps.to_numpy()
+    return abs(rotor.matrix.T @ eps @ rotor.matrix - eps).max() <= 1e-12
 
 
 # -- conjugation ---------------------------------------------------------------

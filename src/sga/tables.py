@@ -82,10 +82,10 @@ def _keys(lo, hi, name):
     return range(lo, hi + 1)
 
 
-def metric_symmetry_table(n_max, n_min=1):
-    """Sign of eps^2 per dimension; equals the symmetry sign of eps."""
+def metric_symmetry_table(n_max):
+    """Sign of eps^2 per dimension N = 1..n_max; equals the symmetry sign of eps."""
     rows = []
-    for n in _keys(n_min, n_max, "N"):
+    for n in _keys(1, n_max, "N"):
         rep = build_representation(spacelike=n)
         eps_std, eps_alt = rep.eps_std, rep.eps_alt
         sq_std = eps_std.square_sign()  # 0 if not +-identity, which no symmetry sign equals
@@ -121,9 +121,9 @@ def commutation_sign(rep, eps):
     return signs.pop()
 
 
-def gamma_commutation_table(n_max, n_min=1):
+def gamma_commutation_table(n_max):
     rows = []
-    for n in _keys(n_min, n_max, "N"):
+    for n in _keys(1, n_max, "N"):
         rep = build_representation(spacelike=n)
         try:
             row = CommutationRow(n, commutation_sign(rep, rep.eps_std), commutation_sign(rep, rep.eps_alt))
@@ -144,22 +144,19 @@ def _conjugation_symmetries(spacelike, timelike):
     return _symmetry_sign(rep.eps_std @ gamma_t), _symmetry_sign(rep.eps_alt @ gamma_t)
 
 
-def conjugation_symmetry_table(d_min, d_max, samples_per_row=2):
+def conjugation_symmetry_table(d_min, d_max):
     """Symmetry of the conjugation operator, keyed by K - M.
 
-    Each row is computed for `samples_per_row` distinct signatures with
-    the same difference and the agreement is asserted, so dependence on
-    K - M alone is verified rather than assumed; a `samples_per_row`
-    below 1 is a ValueError.
+    Each row is computed for two distinct signatures with the same
+    difference and the agreement is asserted, so dependence on K - M
+    alone is verified rather than assumed.
     """
-    if samples_per_row < 1:
-        raise ValueError(f"samples_per_row must be at least 1, got {samples_per_row}")
     rows = []
     for d in _keys(d_min, d_max, "K-M"):
         m0 = max(0, -d)
         if d + 2 * m0 < 1:
             m0 += 1
-        sigs = tuple((d + m, m) for m in range(m0, m0 + samples_per_row))
+        sigs = tuple((d + m, m) for m in range(m0, m0 + 2))
         syms = {_conjugation_symmetries(k, m) for k, m in sigs}
         if len(syms) != 1:
             raise AssertionError(

@@ -132,7 +132,7 @@ def test_metric_column_map_signs():
                     row = rep.basis_spinor(b).transpose() @ rep.eps
                     entries = [ZERO] * rep.dim
                     entries[col] = sign
-                    assert row == Matrix.row_vector(entries), (n, metric, odd_mode, str(b))
+                    assert row == Matrix([entries]), (n, metric, odd_mode, str(b))
                     if rep.odd_mode in (None, "project"):
                         assert col == rep.spinor_index(b.flip())
     assert checked == 5 * 2 + 5 * 8  # even N: two metrics; odd N: two projected, three per embed mode

@@ -97,6 +97,38 @@ def test_tables_csv_and_json(capsys):
     assert [r["difference"] for r in blob["conjugation"]] == list(range(-1, 8))
 
 
+VALUE_FIELDS = {
+    "metric": ("sq_standard", "sq_alternative"),
+    "commutation": ("sign_standard", "sign_alternative"),
+    "conjugation": ("sym_standard", "sym_alternative"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("metric", ["standard", "alternative"])
+def test_tables_show_only_the_selected_metric_in_every_format(capsys, fmt, metric):
+    base = ("tables", "--max-dim", "3", "--km-min", "0", "--km-max", "2", "--format", fmt)
+    code, out, _ = run(capsys, *base, "--metric", metric)
+    _, both, _ = run(capsys, *base)
+    assert code == 0
+    other = "alternative" if metric == "standard" else "standard"
+    if fmt == "md":
+        labels = [line.split(" | ")[0] for line in out.splitlines() if line.startswith("| ") and "mod 8" not in line]
+        assert labels == [f"| {metric}"] * 3
+        assert [line for line in both.splitlines() if not line.startswith(f"| {other} ")] == out.splitlines()
+    elif fmt == "csv":
+        headers = [line for line in out.splitlines() if line.startswith(("N,", "K-M,"))]
+        assert headers == [f"N,{VALUE_FIELDS[kind][metric == 'alternative']}" for kind in ("metric", "commutation")] + [
+            f"K-M,{VALUE_FIELDS['conjugation'][metric == 'alternative']}"]
+    else:
+        blob, full = json.loads(out), json.loads(both)
+        assert blob.keys() == full.keys() == VALUE_FIELDS.keys()
+        for kind, (standard, alternative) in VALUE_FIELDS.items():
+            kept, dropped = (standard, alternative) if metric == "standard" else (alternative, standard)
+            assert blob[kind] == [{k: v for k, v in row.items() if k != dropped} for row in full[kind]]
+            assert all(kept in row for row in blob[kind])
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [(("--max-dim", "0"), "N"), (("--km-min", "3", "--km-max", "2"), "K-M")],

@@ -7,9 +7,7 @@ from random import Random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import rep_configs
 
-from sga.blades import CHIRAL, BladeIndex, blade_matrix
 from sga.cli import main
 from sga.elements import outer_product
 from sga.matrices import (
@@ -18,12 +16,20 @@ from sga.matrices import (
     Monomial,
     OuterProduct,
     anticommutator,
-    commutator,
     max_dimension,
 )
 from sga.representation import build_representation
 from sga.scalars import HALF, I, INV_SQRT2, ONE, SQRT2, ZERO, Scalar
 from sga.symmetry import conjugate
+
+
+def row_vector(entries):
+    """The 1 x len(entries) Matrix of `entries`."""
+    return Matrix([list(entries)])
+
+
+def commutator(a, b):
+    return a @ b - b @ a
 
 
 def rand_scalar(rng):
@@ -209,7 +215,6 @@ ROW_CONSTRUCTORS = [
     ("diagonal", ([ONE, ZERO, I],)),
     ("diagonal", ([],)),
     ("column", ([ONE, HALF],)),
-    ("row_vector", ([ONE, HALF],)),
     ("unit_column", (2, 0)),
     ("from_items", (2, 2, [(0, 1, ONE), (0, 1, ONE), (1, 0, HALF)])),
     ("from_items", (2, 2, [])),
@@ -232,12 +237,23 @@ def test_row_constructors_build_a_plain_matrix_on_the_subclasses(cls, name, args
 
 def test_vectors_write_their_nonzero_entries_and_keep_their_shape():
     assert (Matrix.column([]).nrows, Matrix.column([]).ncols) == (0, 1)
-    assert (Matrix.row_vector([]).nrows, Matrix.row_vector([]).ncols) == (1, 0)
+    assert (row_vector([]).nrows, row_vector([]).ncols) == (1, 0)
     entries = [ZERO, HALF, ZERO, -I]
-    col, row = Matrix.column(iter(entries)), Matrix.row_vector(iter(entries))
+    col, row = Matrix.column(iter(entries)), row_vector(iter(entries))
     assert col.sparse_rows == {1: {0: HALF}, 3: {0: -I}} and col == Matrix([[s] for s in entries])
-    assert row.sparse_rows == {0: {1: HALF, 3: -I}} and row == Matrix([entries])
-    assert Matrix.row_vector([ZERO, ZERO]).sparse_rows == {} and Matrix.row_vector([ZERO, ZERO]).ncols == 2
+    assert row.sparse_rows == {0: {1: HALF, 3: -I}}
+    assert row_vector([ZERO, ZERO]).sparse_rows == {} and row_vector([ZERO, ZERO]).ncols == 2
+
+
+def test_items_outside_the_shape_are_a_value_error():
+    for i, j in ((2, 0), (5, 0), (0, 2), (0, 5), (-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match=rf"\({i}, {j}\) is not in shape \[2, 2\]"):
+            Matrix.from_items(2, 2, [(0, 0, ONE), (i, j, ONE)])
+    with pytest.raises(ValueError, match="not in shape"):
+        Matrix.from_items(0, 0, [(0, 0, ZERO)])
+    summed = Matrix.from_items(2, 3, [(1, 2, ONE), (0, 0, HALF), (1, 2, ONE), (1, 2, -HALF), (0, 0, -HALF)])
+    assert summed == Matrix([[ZERO, ZERO, ZERO], [ZERO, ZERO, Scalar(3, q=2)]])
+    assert summed.to_json() == {"shape": [2, 3], "entries": [[1, 2, summed[1, 2].to_json()]]}
 
 
 @pytest.mark.parametrize("m", [Matrix.identity(2), Monomial(1)], ids=["Matrix", "Monomial"])
@@ -611,65 +627,26 @@ def test_entry_reads_check_both_bounds():
             Matrix.unit_column(4, index)
 
 
-# -- signed monomials acting on numpy arrays ---------------------------------------
-
-
-def array_operators(rep):
-    """eps, C, Gamma, the gammas, a chiral projector, a paired blade and the zero operator: all Monomials."""
-    ops = {"eps": rep.eps, "C": rep.C, "Gamma": rep.Gamma, "zero": Monomial.zero(rep.n_bits)}
-    ops.update((f"gamma_{a}", rep.gamma(a)) for a in range(1, rep.N + 1))
-    if rep.n_bits:
-        # g gbar / 2 projects onto the indices whose plane-1 bit is down: a masked word
-        ops["projector"] = (rep.gamma_chiral(1) @ rep.gamma_chiral(1, barred=True)).scale(HALF)
-        ops["paired blade"] = blade_matrix(rep, BladeIndex(CHIRAL, ((1, False), (1, True))))
-    assert all(type(m) is Monomial for m in ops.values())
-    return ops
-
-
-@settings(max_examples=40, deadline=None)
-@given(rep_configs(max_n=9), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_monomials_act_on_arrays_as_their_numpy_matrices(config, k, complex_values, seed):
-    """M @ X, X @ M and M @ x equal the products with M.to_numpy(): each output entry is one unit times one input entry."""
-    rep = build_representation(config)
-    rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        x = rng.normal(size=shape)
-        return x + 1j * rng.normal(size=shape) if complex_values else x
-
-    left, right, vector = draw(rep.dim, k), draw(k, rep.dim), draw(rep.dim)
-    for name, m in array_operators(rep).items():
-        dense = m.to_numpy()
-        for got, want in ((m @ left, dense @ left), (right @ m, right @ dense),
-                          (m @ vector, dense @ vector), (vector @ m, vector @ dense)):
-            assert got.shape == want.shape and got.dtype == complex, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
-
-
-def test_an_array_of_the_wrong_shape_is_a_value_error():
-    m = build_representation(spacelike=4, timelike=1).C
-    for bad in (np.ones((3, 4)), np.ones(5), np.ones((4, 4, 4)), np.ones(())):
-        with pytest.raises(ValueError):
-            m @ bad
-    for bad in (np.ones((4, 3)), np.ones(5), np.ones((4, 4, 4))):
-        with pytest.raises(ValueError):
-            bad @ m
-
-
 def test_a_matrix_that_is_not_an_operator_times_an_array_is_a_type_error():
-    """Only a Monomial acts on a numpy array; numpy defers to every Matrix instead of wrapping it in an object array."""
-    outer = Matrix.column([ONE, I, ZERO, SQRT2]) @ Matrix.row_vector([HALF, ZERO, -ONE, I])
+    """No Matrix, a Monomial included, multiplies a numpy array: ``to_numpy()`` is the way to floats.
+
+    numpy defers to every Matrix instead of wrapping it in an object array,
+    so either order is a TypeError.
+    """
+    outer = Matrix.column([ONE, I, ZERO, SQRT2]) @ row_vector([HALF, ZERO, -ONE, I])
     assert type(outer) is OuterProduct
     sparse = rand_sparse_matrix(Random(7), 4, 4, density=0.4)
     assert not sparse.is_zero()
+    gamma = build_representation(spacelike=4).gamma(1)
     array = np.eye(4)
-    for m in (Matrix.identity(4), outer, sparse):
+    for m in (Matrix.identity(4), outer, sparse, Monomial.identity(2), gamma):
         with pytest.raises(TypeError):
             m @ array
         with pytest.raises(TypeError):
             array @ m
-    assert isinstance(Monomial.identity(2) @ array, np.ndarray)
-    assert isinstance(array @ Monomial.identity(2), np.ndarray)
+        with pytest.raises(TypeError):
+            m @ array[0]
+    assert np.array_equal(array @ gamma.to_numpy(), gamma.to_numpy())
 
 
 def test_the_conjugate_transpose_of_an_operator_is_an_operator():

@@ -359,6 +359,24 @@ def test_no_unused_public_names():
     assert unused_public_names(sources, readers) == []
 
 
+# public names only the tests read, kept as oracles: the dense view of a Matrix and a bitcode's chirality
+TEST_ORACLES = {("bitcodes.py", "chirality"), ("matrices.py", "rows")}
+
+
+def test_no_public_name_is_read_by_the_tests_alone():
+    """Every public name of the package is read in it, by the benchmark or by ``sga.__all__``, not only by the tests.
+
+    ``__init__.py``, whose imports make ``sga.__all__``, is one of the
+    sources.  A helper only tests need belongs in the tests; the
+    oracles in TEST_ORACLES are the exceptions.
+    """
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for p in (SRC.parent.parent / "bench").glob("*.py")]
+    found = unused_public_names(sources, readers)
+    assert [(module, name) for module, _, name in found if (module, name) not in TEST_ORACLES] == []
+    assert {(module, name) for module, _, name in found} == TEST_ORACLES  # no stale exception
+
+
 def config_call_keywords(source, function):
     """The names `function` of the source passes to its RepConfig(...) call, by keyword or by position."""
     names = [f.name for f in dataclasses.fields(RepConfig)]
