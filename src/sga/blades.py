@@ -365,7 +365,7 @@ def _butterfly(vals, free):
 
 @lru_cache(maxsize=1 << 12)
 def _unpacked(v, width, den, e):
-    """The Scalar of the packed numerators v over den, times sqrt2**e; a basis has few distinct ones."""
+    """The Scalar of the packed numerators v over den, times sqrt2**e (``Scalar.times_unit``); a basis has few distinct ones."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     a = ((v + half) & mask) - half
     v = (v - a) >> width
@@ -373,10 +373,7 @@ def _unpacked(v, width, den, e):
     v = (v - b) >> width
     c = ((v + half) & mask) - half
     d = (v - c) >> width
-    if e & 1:  # (a + b sqrt2) sqrt2 = 2b + a sqrt2
-        a, b, c, d = 2 * b, a, 2 * d, c
-    h = e >> 1
-    return _normalised(a << h, b << h, c << h, d << h, den) if h >= 0 else _normalised(a, b, c, d, den << -h)
+    return _normalised(a, b, c, d, den).times_unit(0, e)
 
 
 def gamma_coefficients(rep, blade, a, b):

@@ -214,7 +214,10 @@ def cmd_verify(args):
 def cmd_decompose(args):
     rep = _rep_from_args(args)
     with open(args.input) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.input}: JSON nested too deeply") from None
     matrix = Matrix.from_json(data)
     if args.basis == "blades":
         coeffs = decompose_multivector(rep, matrix)

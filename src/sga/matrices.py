@@ -35,7 +35,7 @@ only when someone reads them:
   O(dim) or the nonzeros of the other operand instead of dim**2
   entries.
 
-The arithmetic has three kernels, none of which multiplies two Scalars:
+The arithmetic has two kernels, neither of which multiplies two Scalars:
 
 * ``sandwich`` computes A @ m @ B, or A @ conj(m) @ B, for monomials A
   and B (either may be absent) in one pass over m's nonzeros: each entry
@@ -45,14 +45,15 @@ The arithmetic has three kernels, none of which multiplies two Scalars:
   is shared.  A product of a Monomial with any other Matrix,
   ``Matrix.conj`` and ``symmetry.conjugate`` (C psi*, C m* C^dagger)
   all run on it;
-* ``_times_row`` multiplies one Scalar into a row by the
-  Q(i, sqrt2) product formula on raw numerators, one normalised Scalar
-  per entry.  ``Matrix.scale`` by a non-unit and every product row with
-  a single term per entry (each row of an outer product) run on it;
-* in the remaining products every term's numerators come from the same
-  formula, scaled to one common denominator per output row, and are
-  summed per output entry; each nonzero sum becomes one Scalar,
-  normalised once.
+* in a product row with several terms per entry, every term's
+  numerators come from the Q(i, sqrt2) product formula, scaled to one
+  common denominator per output row, and are summed per output entry as
+  ints; each nonzero sum becomes one Scalar, normalised once.
+
+Elsewhere an entry costs one Scalar product (``s * t``): in
+``Matrix.scale`` by a non-unit, in every product row with a single
+term per entry (each row of an outer product), and in the row and the
+column that compare two outer products, each scaled by a pivot entry.
 
 Every entry is an exact Scalar; float work, such as a rotor at an angle
 outside the quarter turns, runs on numpy arrays, and ``to_numpy`` is the
@@ -249,7 +250,7 @@ class Matrix:
             return -self
         if s.is_zero():
             return Matrix.zeros(self.nrows, self.ncols)
-        return Matrix({i: _times_row(s, _numerators(r)) for i, r in self.sparse_rows.items()},
+        return Matrix({i: {j: s * t for j, t in r.items()} for i, r in self.sparse_rows.items()},
                       self.nrows, self.ncols)
 
     def __mul__(self, s):
@@ -470,12 +471,9 @@ class OuterProduct(Matrix):
             return self.v == other.v
         if self.v == other.v:
             return False
-        col, ocol = _column(self.u), _column(other.u)
-        row, orow = self.v.sparse_rows[0], other.v.sparse_rows[0]
-        i, j = next(iter(col)), next(iter(row))
-        if i not in ocol or j not in orow:
-            return False
-        return _same_products(col[i], row, ocol[i], orow) and _same_products(row[j], col, orow[j], ocol)
+        i, j = next(iter(self.u.sparse_rows)), next(iter(self.v.sparse_rows[0]))
+        return (self.v.scale(self.u[i, 0]) == other.v.scale(other.u[i, 0])
+                and self.u.scale(self.v[0, j]) == other.u.scale(other.v[0, j]))
 
     __hash__ = Matrix.__hash__
 
@@ -486,11 +484,6 @@ class OuterProduct(Matrix):
 def _keeps_factors(column, row):
     """True when the product column @ row is kept as an OuterProduct: two nonzeros or more each."""
     return len(row.sparse_rows.get(0, ())) > 1 and len(column.sparse_rows) > 1
-
-
-def _column(m):
-    """{i: entry} of the nonzero entries of a one-column matrix."""
-    return {i: r[0] for i, r in m.sparse_rows.items()}
 
 
 def sandwich(left, m, right=None, conj=False):
@@ -549,61 +542,23 @@ def sandwich(left, m, right=None, conj=False):
     return Matrix(out, m.nrows, m.ncols if right is None else right.ncols)
 
 
-def _numerators(row):
-    """(j, a, b, c, d, q) of each entry of `row`, read once for every factor it meets."""
-    return [(j, t.a, t.b, t.c, t.d, t.q) for j, t in row.items()]
-
-
-def _same_products(s, row, t, other):
-    """True when s * row == t * other for nonzero s and t, on raw product numerators cross-multiplied: no gcd."""
-    return row.keys() == other.keys() and all(
-        _raw_product(s, x, t.q * other[j].q) == _raw_product(t, other[j], s.q * x.q) for j, x in row.items())
-
-
-def _raw_product(s, t, m):
-    """m times the numerators of s * t over s.q * t.q, by the Q(i, sqrt2) product formula."""
-    a1, b1, c1, d1, a2, b2, c2, d2 = s.a, s.b, s.c, s.d, t.a, t.b, t.c, t.d
-    return ((a1 * a2 + 2 * (b1 * b2 - d1 * d2) - c1 * c2) * m, (a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2) * m,
-            (a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)) * m, (a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2) * m)
-
-
-def _times_row(s, terms):
-    """The row {j: s * t} of nonzero s times the entries t of a row, given by their `_numerators`.
-
-    Each entry comes from the Q(i, sqrt2) product formula on the raw
-    numerators over s.q * t.q and is normalised once, so no Scalar is
-    multiplied; as s is nonzero, no entry is zero.
-    """
-    a1, b1, c1, d1, q1 = s.a, s.b, s.c, s.d, s.q
-    tb1, td1 = 2 * b1, 2 * d1  # sqrt2 * sqrt2 = 2
-    return {j: _normalised(a1 * a2 + tb1 * b2 - c1 * c2 - td1 * d2,
-                           a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-                           a1 * c2 + tb1 * d2 + c1 * a2 + td1 * b2,
-                           a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2, q1 * q2)
-            for j, a2, b2, c2, d2, q2 in terms}
-
-
 def _exact_product(left, right):
     """The rows of the product of two matrices, given as their rows.
 
-    A `left` row with one entry s gives s times a row of `right`
-    (``_times_row``), whose numerators are read once for every such s.
-    For the other rows the entries of `right` are rescaled once to
-    numerators over the lcm of its denominators, those of each `left` row
-    to numerators over the lcm of that row's, so every term of an output
-    row shares one denominator.  Per output entry the terms' numerators,
-    from the Q(i, sqrt2) product formula, are summed as ints and the sum
-    becomes one Scalar, normalised once.
+    A `left` row with one entry s gives s times a row of `right`, one
+    Scalar product per entry.  For the other rows the entries of `right`
+    are rescaled once to numerators over the lcm of its denominators,
+    those of each `left` row to numerators over the lcm of that row's, so
+    every term of an output row shares one denominator.  Per output entry
+    the terms' numerators, from the Q(i, sqrt2) product formula, are
+    summed as ints and the sum becomes one Scalar, normalised once.
     """
-    numerators, scaled, out = {}, None, {}
+    scaled, out = None, {}
     for i, row in left.items():
         if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
             [(k, s)] = row.items()
-            if k not in right:
-                continue
-            if k not in numerators:
-                numerators[k] = _numerators(right[k])
-            out[i] = _times_row(s, numerators[k])
+            if k in right:
+                out[i] = {j: s * t for j, t in right[k].items()}
             continue
         if scaled is None:
             q_right = lcm(*{s.q for r in right.values() for s in r.values()})

@@ -16,9 +16,10 @@ float is read as the exact rational of its shortest decimal.
 A product or sum is computed on the numerators and normalised with one
 five-argument gcd, skipped when q is 1; negation and conjugation only
 flip signs and need none.  ``times_unit`` multiplies by a unit the same
-way, with the conjugation folded in on request.  Matrix products sum raw
-numerators per entry themselves and make one Scalar per entry (see
-``matrices``).
+way, with the conjugation folded in on request.  Outside this module
+only the accumulating matrix product (see ``matrices``) writes the
+product formula out again: it sums raw numerators per entry and
+normalises each sum once.  Scaling a matrix makes one ``s * t`` per entry.
 
 The entries of the signed-monomial operators are the units
 i**p * sqrt2**e that ``unit`` makes.

@@ -251,6 +251,14 @@ def test_decompose_malformed_matrix_exit_two(tmp_path, capsys, blob):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_decompose_deeply_nested_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "decompose", "-K", "2", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_reflection(capsys):
     code, out, _ = run(capsys, "classify-reflection", "-K", "3", "-M", "1", "--generators", "4")
     assert code == 0 and out.strip() == "P"

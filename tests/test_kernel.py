@@ -880,6 +880,8 @@ def assert_fast_paths_match_the_rows(rep, rng, outer):
         j = next(j for _, j, _ in outer.v.nonzero_items())
         variants.append(OuterProduct(twin.u + Matrix.unit_column(rep.dim, (i + 1) % rep.dim), twin.v))
         variants.append(OuterProduct(twin.u, twin.v + Matrix.unit_column(rep.dim, (j + 1) % rep.dim).transpose()))
+        # the twin without the pivot-row entry of u, so its row i is zero
+        variants.append(OuterProduct(Matrix({k: r for k, r in twin.u.sparse_rows.items() if k != i}, rep.dim, 1), twin.v))
     for changed in variants:
         want = plain(changed) == rows
         assert (outer == changed) == want and (changed == outer) == want

@@ -476,9 +476,11 @@ def test_operator_matrices_compare_and_hash_like_dense_rows(name):
 
 
 def test_exact_products_make_no_scalar_products(monkeypatch):
-    """The product kernels multiply numerators in plain ints; a product of two Scalars fails here.
+    """The accumulating product and ``sandwich`` multiply numerators in plain ints; a product of two Scalars fails here.
 
-    The operations on dim-64 outer products act on their factors, so reading the rows fails too.
+    Scaling and comparing outer products make Scalar products and are not
+    counted.  The operations on dim-64 outer products act on their
+    factors, so reading the rows fails.
     """
     rng = Random(41)
     a, b = rand_matrix(rng, 16), rand_matrix(rng, 16)
@@ -510,7 +512,6 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     monkeypatch.setattr(Scalar, "__rmul__", counting)
     product = a @ b
     outer = column @ row
-    scaled = a.scale(factor)
     conj_row = conjugate(rep, row)
     with monkeypatch.context() as no_matrices:
         no_matrices.setattr(Matrix, "conj", fail)
@@ -519,13 +520,17 @@ def test_exact_products_make_no_scalar_products(monkeypatch):
     with monkeypatch.context() as factored:
         factored.setattr(OuterProduct, "sparse_rows", property(fail_rows))
         conj_first = conjugate(rep64, first)
-        negated, scaled_second = -first, second.scale(factor)
-        compared = [first == second, first == twin, negated == first]
+        negated = -first
         trace = first.trace()
         times_mv, mv_times = first @ mv, mv @ second
     assert len(calls) == 0
     assert Scalar(2) * Scalar(3) == Scalar(6) and len(calls) == 1  # the count sees a product
     monkeypatch.undo()
+    scaled = a.scale(factor)
+    with monkeypatch.context() as factored:
+        factored.setattr(OuterProduct, "sparse_rows", property(fail_rows))
+        scaled_second = second.scale(factor)
+        compared = [first == second, first == twin, negated == first]
     assert product == naive_product(a, b)
     assert outer == naive_product(column, row)
     assert scaled == Matrix([[factor * x for x in r] for r in a.rows])

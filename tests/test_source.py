@@ -1,6 +1,7 @@
 """Static checks of the package source: no imported name goes unread (in the test modules too), no private or public name goes unused,
 scipy is never imported and numpy only inside functions, shared state (a Representation's attributes,
-a Monomial's words) is written only by its owner, and the CLI sets every representation option."""
+a Monomial's words) is written only by its owner, a Scalar's parts are read only by the ring and its kernels,
+and the CLI sets every representation option."""
 
 import ast
 import dataclasses
@@ -147,26 +148,20 @@ WORD_WRITERS = {("Monomial.__init__", w) for w in MONOMIAL_WORDS} | {("_word", w
 WORD_WRITERS.add(("OuterProduct.__init__", "v"))  # its own row factor
 
 
-def word_stores(source):
-    """(line, scope, name) of each store or delete of an attribute named like a Monomial word.
+def attribute_uses(source, contexts, accessors):
+    """(line, scope, name) of each attribute x.name in one of the ast `contexts`, or named as a literal by a call to one of `accessors`.
 
-    A store is an assignment, augmented assignment or del of x.name, or a
-    setattr, object.__setattr__ or delattr call naming it as a literal;
     `scope` is the dotted path of the enclosing classes and functions.
     """
-    setters = ("setattr", "object.__setattr__", "delattr")
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            name = None
-            if isinstance(child, ast.Attribute) and isinstance(child.ctx, (ast.Store, ast.Del)):
-                name = child.attr
-            elif (isinstance(child, ast.Call) and ast.unparse(child.func) in setters and len(child.args) > 1
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, contexts):
+                out.append((child.lineno, scope, child.attr))
+            elif (isinstance(child, ast.Call) and ast.unparse(child.func) in accessors and len(child.args) > 1
                   and isinstance(child.args[1], ast.Constant)):
-                name = child.args[1].value
-            if name in MONOMIAL_WORDS:
-                out.append((child.lineno, scope, name))
+                out.append((child.lineno, scope, child.args[1].value))
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
             else:
@@ -174,6 +169,16 @@ def word_stores(source):
 
     visit(ast.parse(source), "")
     return sorted(out)
+
+
+def word_stores(source):
+    """(line, scope, name) of each store or delete of an attribute named like a Monomial word.
+
+    A store is an assignment, augmented assignment or del of x.name, or a
+    setattr, object.__setattr__ or delattr call naming it as a literal.
+    """
+    uses = attribute_uses(source, (ast.Store, ast.Del), ("setattr", "object.__setattr__", "delattr"))
+    return [use for use in uses if use[2] in MONOMIAL_WORDS]
 
 
 def test_scanner_finds_word_stores():
@@ -201,6 +206,42 @@ def test_monomial_words_are_written_only_where_a_monomial_is_made(module):
     """Operators are shared between representations, so no code may change a Monomial's words after it is made."""
     stores = word_stores((SRC / module).read_text())
     assert [(line, scope, name) for line, scope, name in stores if (scope, name) not in WORD_WRITERS] == []
+
+
+SCALAR_PARTS = frozenset("abcdq")
+
+# outside scalars.py only these read a Scalar's numerators: a unit's exponents, the accumulating product, the blade transform
+PART_READERS = {("matrices.py", "_unit_exponents"), ("matrices.py", "_exact_product"), ("blades.py", "_plane_transform")}
+
+
+def part_reads(source):
+    """(line, scope, name) of each use of an attribute named like a Scalar part (a, b, c, d, q), or a getattr naming one."""
+    uses = attribute_uses(source, (ast.Load, ast.Store, ast.Del), ("getattr",))
+    return [use for use in uses if use[2] in SCALAR_PARTS]
+
+
+def test_scanner_finds_part_reads():
+    source = (
+        "class A:\n"
+        "    def f(self, s):\n"
+        "        return s.a * s.q\n"
+        "def g(s, t):\n"
+        "    x = [u.d for u in t]\n"
+        "    y = getattr(s, 'c')\n"
+        "    s.b = 1\n"
+        "    return s.ab, s.e, getattr(s, name), x, y\n"
+        "z = lambda s: s.b\n"
+    )
+    assert part_reads(source) == [(3, "A.f", "a"), (3, "A.f", "q"), (5, "g", "d"), (6, "g", "c"), (7, "g", "b"),
+                                  (9, "", "b")]
+
+
+def test_only_the_ring_and_its_kernels_read_scalar_parts():
+    """The Q(i, sqrt2) product is written out in scalars.py and in the accumulating product only, so a fix lands in two places."""
+    found = [(path.name, scope, line, name) for path in sorted(SRC.glob("*.py")) if path.name != "scalars.py"
+             for line, scope, name in part_reads(path.read_text())]
+    assert [read for read in found if read[:2] not in PART_READERS] == []
+    assert {read[:2] for read in found} == PART_READERS  # no stale exception
 
 
 def is_private(name):
