@@ -10,6 +10,11 @@ a chain as zero instead), 2 usage error or unreadable input, 141
 ``sga build | head -1``; that case prints nothing.  Identical arguments and
 seed produce byte-identical output.
 
+Each command imports only the modules it runs, inside its ``cmd_*``
+handler; the parser needs the representation module alone.  So ``sga
+tables`` starts without the blades, elements, expressions, suites and
+symmetry modules, and ``sga build`` without the tables and suites too.
+
 Matrices are written sparse, as {"shape": [nrows, ncols], "entries":
 [[i, j, value], ...]} over their nonzero entries, one entry per line.
 ``decompose --input`` reads that form (however it is indented), a dense
@@ -26,10 +31,6 @@ import json
 import os
 import sys
 
-from .blades import decompose_multivector, spinor_outer_decompose
-from .elements import ForbiddenProduct, FormalSum
-from .expressions import evaluate_chain
-from .matrices import Matrix
 from .representation import (
     METRIC_CHOICES,
     ODD_MODES,
@@ -37,19 +38,12 @@ from .representation import (
     Signature,
     build_representation,
 )
-from .suites import DEFAULT_SEED, EXTRA_SUITES, SUITES, run_suite
-from .symmetry import axis_reflection_classify
-from .tables import (
-    COMMUTATION_FIELDS,
-    CONJUGATION_FIELDS,
-    METRIC_FIELDS,
-    conjugation_symmetry_table,
-    gamma_commutation_table,
-    metric_symmetry_table,
-    period8_check,
-    render_csv,
-    render_markdown,
-    rows_to_json,
+
+# the --suite choices: sorted(suites.SUITES), then sorted(suites.EXTRA_SUITES).  They are
+# listed here so that the parser does not import the suites; a test pins the two together.
+SUITE_NAMES = (
+    "brauer-weyl", "conjugation", "dirac", "pauli", "rotors",
+    "exclusion", "odd-dimensions", "periodicity", "sign-laws", "traces-chains",
 )
 
 
@@ -143,6 +137,19 @@ def cmd_build(args):
 
 
 def cmd_tables(args):
+    from .tables import (
+        COMMUTATION_FIELDS,
+        CONJUGATION_FIELDS,
+        METRIC_FIELDS,
+        conjugation_symmetry_table,
+        gamma_commutation_table,
+        metric_symmetry_table,
+        period8_check,
+        render_csv,
+        render_markdown,
+        rows_to_json,
+    )
+
     kinds = ("metric", "commutation", "conjugation") if args.kind == "all" else (args.kind,)
     sections = []
     payload = {}
@@ -180,7 +187,9 @@ def cmd_tables(args):
 
 
 def cmd_verify(args):
-    checks = run_suite(args.suite, seed=args.seed)
+    from .suites import DEFAULT_SEED, run_suite
+
+    checks = run_suite(args.suite, seed=DEFAULT_SEED if args.seed is None else args.seed)
     failed = [c for c in checks if not c.ok]
     if args.format == "json":
         _emit(
@@ -212,12 +221,17 @@ def cmd_verify(args):
 
 
 def cmd_decompose(args):
+    from .blades import decompose_multivector, spinor_outer_decompose
+    from .matrices import Matrix
+
     rep = _rep_from_args(args)
     with open(args.input) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{args.input}: JSON nested too deeply") from None
+        except ValueError as exc:  # malformed JSON, or bytes that do not decode
+            raise ValueError(f"{args.input}: {exc}") from None
     matrix = Matrix.from_json(data)
     if args.basis == "blades":
         coeffs = decompose_multivector(rep, matrix)
@@ -230,6 +244,9 @@ def cmd_decompose(args):
 
 
 def cmd_eval(args):
+    from .elements import ForbiddenProduct, FormalSum
+    from .expressions import evaluate_chain
+
     rep = _rep_from_args(args)
     try:
         result = evaluate_chain(rep, args.expression, forbidden_as_zero=args.forbidden_as_zero)
@@ -251,6 +268,8 @@ def cmd_eval(args):
 
 
 def cmd_classify(args):
+    from .symmetry import axis_reflection_classify
+
     rep = _rep_from_args(args)
     if args.generators.strip() == "scalar":
         generators = "scalar"
@@ -298,10 +317,10 @@ def _parser():
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument(
         "--suite",
-        choices=sorted(SUITES) + sorted(EXTRA_SUITES) + ["all"],
+        choices=[*SUITE_NAMES, "all"],
         default="all",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # default: suites.DEFAULT_SEED
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_verify)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from sga import suites
 from sga.blades import decompose_multivector, spinor_outer_decompose
-from sga.cli import _json_dumps, main
+from sga.cli import SUITE_NAMES, _json_dumps, main
 from sga.matrices import Matrix
 from sga.representation import RepConfig, Signature, build_representation
 from sga.scalars import ONE, SQRT2, Scalar
@@ -53,6 +54,19 @@ def test_verify_seed_determinism(capsys):
     _, first, _ = run(capsys, "verify", "--suite", "exclusion", "--seed", "7")
     _, second, _ = run(capsys, "verify", "--suite", "exclusion", "--seed", "7")
     assert first == second
+
+
+def test_suite_choices_are_the_suite_registries():
+    """The parser lists the suite names without importing the suites, so they are pinned to the registries here."""
+    assert SUITE_NAMES == (*sorted(suites.SUITES), *sorted(suites.EXTRA_SUITES))
+
+
+def test_verify_seed_defaults_to_the_suites_default(monkeypatch, capsys):
+    seeds = []
+    monkeypatch.setattr(suites, "run_suite", lambda name, seed: seeds.append(seed) or [])
+    run(capsys, "verify", "--suite", "pauli")
+    run(capsys, "verify", "--suite", "pauli", "--seed", "7")
+    assert seeds == [suites.DEFAULT_SEED, 7]
 
 
 def test_eval_examples(capsys):
@@ -257,6 +271,15 @@ def test_decompose_deeply_nested_input_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", "-K", "2", "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "[[1, 0], [0,", "{'entries': []}"], ids=["empty", "truncated", "single-quotes"])
+def test_decompose_unparsable_input_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "decompose", "-K", "2", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_classify_reflection(capsys):

@@ -13,7 +13,7 @@ from sga.representation import RepConfig, Signature
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sga"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -100,7 +100,7 @@ def test_scanner_finds_eager_imports():
     assert eager_imports(source) == [(1, "numpy"), (3, "numpy.linalg"), (5, "numpy"), (8, "scipy.linalg"), (11, "scipy")]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", MODULES)
 def test_no_scipy_and_numpy_only_inside_functions(module):
     assert eager_imports((SRC / module).read_text()) == []
 
@@ -286,18 +286,19 @@ def is_property(node):
     return any(ast.unparse(d) in ("property", "cached_property") for d in node.decorator_list)
 
 
-def unused_names(sources, selected, readers=()):
+def unused_names(sources, selected, readers=(), exported=()):
     """(module, line, name) of each module-level function or class, or method, of `sources` that no source uses.
 
     `sources` maps module names to their source text, and only the names
     that `selected` accepts are reported.  A module-level name is used
-    if any of the sources or of the `readers` texts reads or imports it.
+    if it is `exported` or if any of the sources or of the `readers`
+    texts reads or imports it.
     A method is used if one of them calls it as x.name(...) or imports
     it, and a property if one of them reads it without calling it.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     every = [*trees.values(), *map(ast.parse, readers)]
-    referenced, imported = referenced_names(every), imported_names(every)
+    referenced, imported = referenced_names(every) | set(exported), imported_names(every)
     called, read = member_uses(every)
     called |= imported
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
@@ -319,8 +320,18 @@ def unused_private_names(sources):
     return unused_names(sources, is_private)
 
 
-def unused_public_names(sources, readers):
-    return unused_names(sources, is_public, readers)
+def unused_public_names(sources, readers, exported=()):
+    return unused_names(sources, is_public, readers, exported)
+
+
+def export_table(source):
+    """The public names of a package's ``__init__.py``: the keys of its ``_EXPORTS`` table, which ``__all__`` is read off."""
+    [table] = [node.value for node in ast.parse(source).body
+               if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]]
+    return set(ast.literal_eval(table))
+
+
+EXPORTS = export_table((SRC / "__init__.py").read_text())
 
 
 def test_scanner_finds_unused_private_names():
@@ -363,6 +374,17 @@ def test_scanner_finds_unused_public_names():
     assert ("a", 1, "used") in unused_public_names(sources, [])  # read only outside the package
 
 
+def test_scanner_counts_an_exported_name_as_read():
+    sources = {
+        "__init__.py": '_EXPORTS = {"exported": "a"}\n',
+        "a": "def exported():\n    pass\ndef hidden():\n    pass\n",
+    }
+    exported = export_table(sources["__init__.py"])
+    assert exported == {"exported"}
+    assert unused_public_names(sources, [], exported) == [("a", 3, "hidden")]  # neither exported nor read
+    assert unused_public_names(sources, []) == [("a", 1, "exported"), ("a", 3, "hidden")]
+
+
 def test_scanner_counts_a_method_used_only_when_called_and_a_property_only_when_read():
     sources = {
         "a": (
@@ -397,7 +419,7 @@ def test_no_unused_public_names():
     """Every public function, class and method of the package is read in it, its tests or the benchmark."""
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for folder in ("tests", "bench") for p in (SRC.parent.parent / folder).glob("*.py")]
-    assert unused_public_names(sources, readers) == []
+    assert unused_public_names(sources, readers, EXPORTS) == []
 
 
 # public names only the tests read, kept as oracles: the dense view of a Matrix and a bitcode's chirality
@@ -407,13 +429,13 @@ TEST_ORACLES = {("bitcodes.py", "chirality"), ("matrices.py", "rows")}
 def test_no_public_name_is_read_by_the_tests_alone():
     """Every public name of the package is read in it, by the benchmark or by ``sga.__all__``, not only by the tests.
 
-    ``__init__.py``, whose imports make ``sga.__all__``, is one of the
-    sources.  A helper only tests need belongs in the tests; the
-    oracles in TEST_ORACLES are the exceptions.
+    The names of ``__init__.py``'s export table, which ``sga.__all__`` is
+    read off, count as read.  A helper only tests need belongs in the
+    tests; the oracles in TEST_ORACLES are the exceptions.
     """
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for p in (SRC.parent.parent / "bench").glob("*.py")]
-    found = unused_public_names(sources, readers)
+    found = unused_public_names(sources, readers, EXPORTS)
     assert [(module, name) for module, _, name in found if (module, name) not in TEST_ORACLES] == []
     assert {(module, name) for module, _, name in found} == TEST_ORACLES  # no stale exception
 
