@@ -215,33 +215,23 @@ def dirac_suite(seed=DEFAULT_SEED):
     checks.append(_check("dirac: right-handed singlet", asym("dd", "uu") == half_plus))
     checks.append(_check("dirac: left-handed singlet", asym("ud", "du") == half_minus))
 
-    bivectors = [
+    outer_products = [
         ("dirac: right bivector (uu,uu)", sym("uu", "uu"), g1 @ g2),
         ("dirac: right bivector (uu,dd)", sym("uu", "dd"), -(w11 + w22).scale(HALF)),
         ("dirac: right bivector (dd,dd)", sym("dd", "dd"), g1b @ g2b),
         ("dirac: left bivector (du,du)", sym("du", "du"), g1b @ g2),
         ("dirac: left bivector (du,ud)", sym("du", "ud"), (w11 - w22).scale(HALF)),
         ("dirac: left bivector (ud,ud)", sym("ud", "ud"), g1 @ g2b),
-    ]
-    for name, got, want in bivectors:
-        checks.append(_check(name, got == want))
-
-    vectors = [
         ("dirac: chiral vector (uu,du)", sym("uu", "du"), g2.scale(INV_SQRT2)),
         ("dirac: chiral vector (dd,ud)", sym("dd", "ud"), -(g2b.scale(INV_SQRT2))),
         ("dirac: chiral vector (uu,ud)", sym("uu", "ud"), -(g1.scale(INV_SQRT2))),
         ("dirac: chiral vector (dd,du)", sym("dd", "du"), -(g1b.scale(INV_SQRT2))),
-    ]
-    for name, got, want in vectors:
-        checks.append(_check(name, got == want))
-
-    pseudovectors = [
         ("dirac: pseudovector (uu,du)", asym("uu", "du"), (kappa @ g2).scale(INV_SQRT2)),
         ("dirac: pseudovector (dd,ud)", asym("dd", "ud"), -((kappa @ g2b).scale(INV_SQRT2))),
         ("dirac: pseudovector (uu,ud)", asym("uu", "ud"), -((kappa @ g1).scale(INV_SQRT2))),
         ("dirac: pseudovector (dd,du)", asym("dd", "du"), -((kappa @ g1b).scale(INV_SQRT2))),
     ]
-    for name, got, want in pseudovectors:
+    for name, got, want in outer_products:
         checks.append(_check(name, got == want))
     return checks
 
@@ -270,20 +260,15 @@ def brauer_weyl_suite(seed=DEFAULT_SEED, dimensions=(2, 4, 6, 8, 10, 12)):
 # ---------------------------------------------------------------- sign laws
 
 
-def _standard_sign(code):
-    sign = 1
-    for k, bit in enumerate(code.bits, start=1):
-        if bit and (k - 1) % 2 == 1:
-            sign = -sign
-    return sign
+def _metric_sign(code, parity):
+    """The metric's sign on basis spinor `code`: -1 for each up bit of a plane k with k % 2 == parity.
 
-
-def _alternative_sign(code):
-    sign = 1
-    for k, bit in enumerate(code.bits, start=1):
-        if bit and k % 2 == 1:
-            sign = -sign
-    return sign
+    The standard metric flips at the even planes (parity 0), the
+    alternative one, and the projected odd metric, at the odd planes
+    (parity 1).
+    """
+    flips = sum(1 for k, bit in enumerate(code.bits, start=1) if bit and k % 2 == parity)
+    return -1 if flips % 2 else 1
 
 
 def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
@@ -295,9 +280,9 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
         for code in all_bitcodes(rep.n_bits):
             col = rep.basis_spinor(code)
             flipped = rep.basis_spinor(code.flip())
-            if rep.eps_std @ col != flipped.scale(Scalar(_standard_sign(code))):
+            if rep.eps_std @ col != flipped.scale(Scalar(_metric_sign(code, 0))):
                 ok_std = False
-            if rep.eps_alt @ col != flipped.scale(Scalar(_alternative_sign(code))):
+            if rep.eps_alt @ col != flipped.scale(Scalar(_metric_sign(code, 1))):
                 ok_alt = False
         checks.append(_check(f"sign law: standard metric N={n}, all bitcodes", ok_std))
         checks.append(_check(f"sign law: alternative metric N={n}, all bitcodes", ok_alt))
@@ -305,7 +290,7 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
         rep = build_representation(spacelike=n)
         ok = all(
             rep.eps @ rep.basis_spinor(code)
-            == rep.basis_spinor(code.flip()).scale(Scalar(_alternative_sign(code)))
+            == rep.basis_spinor(code.flip()).scale(Scalar(_metric_sign(code, 1)))
             for code in all_bitcodes(rep.n_bits)
         )
         checks.append(
@@ -329,11 +314,7 @@ def sign_law_suite(seed=DEFAULT_SEED, n_max=12):
             consistent = False
         # the square also follows from composing the sign law with the bit flip
         code = Bitcode.all_up(rep.n_bits)
-        law = (
-            _alternative_sign(code) * _alternative_sign(code.flip())
-            if n % 2
-            else _standard_sign(code) * _standard_sign(code.flip())
-        )
+        law = _metric_sign(code, n % 2) * _metric_sign(code.flip(), n % 2)
         target = row.sq_alternative if n % 2 else row.sq_standard
         if law != target:
             consistent = False
@@ -429,7 +410,7 @@ def rotor_suite(seed=DEFAULT_SEED):
             g = rep.gamma_chiral(k).to_numpy()
             for _ in range(20):
                 theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-                rot = plane_rotor(rep, k, theta, exact=False)
+                rot = plane_rotor(rep, k, theta)
                 ok = ok and metric_preserved(rep, rot)
                 got = rot.matrix @ g @ rot.reverse_matrix
                 ok = ok and abs(got - g * cmath.exp(-1j * theta)).max() <= 1e-12
@@ -441,7 +422,7 @@ def rotor_suite(seed=DEFAULT_SEED):
     g, gb = rep.gamma_chiral(boost_plane).to_numpy(), rep.gamma_chiral(boost_plane, barred=True).to_numpy()
     for _ in range(10):
         theta = rng.uniform(-1.5, 1.5)
-        rot = plane_rotor(rep, boost_plane, theta, exact=False)
+        rot = plane_rotor(rep, boost_plane, theta)
         ok = ok and metric_preserved(rep, rot)
         ok = ok and abs(rot.matrix @ g @ rot.reverse_matrix - g * math.exp(theta)).max() <= 1e-12
         ok = ok and abs(rot.matrix @ gb @ rot.reverse_matrix - gb * math.exp(-theta)).max() <= 1e-12
@@ -470,7 +451,7 @@ def conjugation_suite(seed=DEFAULT_SEED):
         for k in range(1, rep.n_bits + 1):
             if rep.plane_is_boost(k):
                 theta = rng.uniform(-1.5, 1.5)
-                rot = plane_rotor(rep, k, theta, exact=False)
+                rot = plane_rotor(rep, k, theta)
                 c = rep.C.to_numpy()
                 ok = ok and abs(c @ rot.matrix.conj() - rot.matrix @ c).max() <= 1e-12
             else:

@@ -1,17 +1,19 @@
 """Rotors, conjugation and axis reflections.
 
-A rotor is exp(-theta/2 * B) for a bivector B, and one constructor
-builds them all.  A B squaring to -1 gives cos(theta/2) - sin(theta/2) B,
-exact in the scalar ring for theta a multiple of pi/2; a B squaring to
-+1, such as a plane with exactly one timelike axis, gives the hyperbolic
-cosh - sinh B, exact only at zero rapidity.  The sign of the exponent is
-fixed so that the chiral vector of a plane picks up exp(-i*theta) and an
-up bit of the plane picks up exp(-i*theta/2).  Every other rotor is a
-float rotor whose matrices are numpy complex arrays: the same closed form
-on the generator's ``to_numpy``, or, for any other B (a sum of planes or
-a null B), a scaling-and-squaring exponential.  Rotating by a float
-rotor gives a numpy array, and float checks multiply those arrays by the
-operators' ``to_numpy()``.
+A rotor is exp(-theta/2 * B) for a bivector B, and the argument decides
+which of the two rotors it is: `quarters`, an int, asks for the exact
+rotor at theta = quarters * pi/2, and `theta` asks for the float rotor
+at that angle.  Exactly one of them is given.  A B squaring to -1 gives
+cos(theta/2) - sin(theta/2) B, exact in the scalar ring at whole quarter
+turns; a B squaring to +1, such as a plane with exactly one timelike
+axis, gives the hyperbolic cosh - sinh B, exact only at zero quarter
+turns.  The sign of the exponent is fixed so that the chiral vector of
+a plane picks up exp(-i*theta) and an up bit of the plane picks up
+exp(-i*theta/2).  A float rotor's matrices are numpy complex arrays:
+the same closed form on the generator's ``to_numpy``, or, for any other
+B (a sum of planes or a null B), a scaling-and-squaring exponential.
+Rotating by a float rotor gives a numpy array, and float checks multiply
+those arrays by the operators' ``to_numpy()``.
 
 The conjugation operator ``rep.C`` is the metric times the transposed,
 phase normalised product ``rep.Gamma`` of the timelike vectors;
@@ -32,8 +34,6 @@ from .elements import COLUMN, MULTIVECTOR, Element, ROW, SCALAR
 from .matrices import Matrix, Monomial, sandwich
 from .scalars import Scalar, cos_quarter_turns, sin_quarter_turns
 
-QUARTER = math.pi / 2
-
 
 @dataclass(frozen=True)
 class Rotor:
@@ -43,30 +43,25 @@ class Rotor:
     description: str = ""
 
 
-def _rotor(rep, generator, theta, quarters, exact, label):
+def _rotor(rep, generator, theta, quarters, label):
     """exp(-theta/2 * B) for the generator B, a Rotor whose description starts with `label`.
 
-    `quarters` counts quarter turns and demands an exact rotor, as
-    `exact` True does; `exact` None takes one where theta allows it.
+    An int `quarters` gives the exact rotor at theta = quarters * pi/2,
+    and `theta` the float rotor; exactly one of them is given.
     """
-    if quarters is None and theta is None:
-        raise ValueError("a rotor needs an angle theta or a number of quarter turns")
-    exact = quarters is not None or exact
+    if (theta is None) == (quarters is None):
+        raise ValueError("a rotor needs exactly one of theta, a float angle, and quarters, an int")
     square = generator.square_sign()
-    if exact and not square:
-        raise ValueError("exact mode needs a generator squaring to -1")
-    if quarters is None and (exact or exact is None):
-        ratio = theta / QUARTER
-        if abs(ratio - round(ratio)) <= 1e-9:
-            quarters = round(ratio)
-        elif exact:
-            raise ValueError("exact mode needs an angle that is a multiple of pi/2")
-    if quarters is not None and (square < 0 or quarters == 0):
+    if quarters is not None:
+        if not isinstance(quarters, int) or isinstance(quarters, bool):
+            raise ValueError(f"quarters must be an int, not {quarters!r}")
+        if not square:
+            raise ValueError("an exact rotor needs a generator squaring to -1")
+        if square > 0 and quarters:
+            raise ValueError("boost rotors are exact only at zero rapidity")
         cos_part = Monomial.identity(rep.n_bits).scale(cos_quarter_turns(quarters))
         sin_part = generator.scale(sin_quarter_turns(quarters))
         return Rotor(cos_part - sin_part, cos_part + sin_part, "exact", f"{label}, {quarters} quarter turns")
-    if exact:
-        raise ValueError("boost rotors are exact only at zero rapidity")
 
     import numpy as np
 
@@ -93,34 +88,33 @@ def _expm(a):
     return out
 
 
-def plane_rotor(rep, k, theta=None, *, quarters=None, exact=None):
+def plane_rotor(rep, k, theta=None, *, quarters=None):
     """Rotor (or boost) in constructed plane k, generated by the product of the plane's two vectors.
 
-    `quarters` counts exact quarter turns (theta = quarters * pi/2);
-    `theta` is a float angle.  Exact mode refuses angles that are not
-    multiples of pi/2 and refuses boosts at nonzero rapidity, and with
-    `exact` None a boost at nonzero rapidity is a float rotor; a float
-    rotor holds numpy arrays.  The plane that holds the scalar dimension
-    of an embed odd mode is not a rotation plane of the algebra, and
-    raises ValueError.
+    `quarters`, an int, gives the exact rotor at theta = quarters * pi/2,
+    and `theta` the float rotor, whose matrices are numpy arrays; give
+    exactly one.  A boost is exact only at zero quarter turns.  The
+    plane that holds the scalar dimension of an embed odd mode is not a
+    rotation plane of the algebra, and raises ValueError.
     """
     v1, v2 = rep.plane_vectors(k)
     if rep.scalar_axis_matrix in (v1, v2):
         raise ValueError(f"plane {k} holds the scalar dimension of the {rep.odd_mode} odd mode, "
                          "so it is not a rotation plane of the algebra")
-    return _rotor(rep, v1 @ v2, theta, quarters, exact, f"plane {k}")  # orthogonal: v1 @ v2 is the wedge
+    return _rotor(rep, v1 @ v2, theta, quarters, f"plane {k}")  # orthogonal: v1 @ v2 is the wedge
 
 
-def bivector_rotor(rep, generator, theta, exact=False):
+def bivector_rotor(rep, generator, theta=None, *, quarters=None):
     """Rotor exp(-theta/2 * B) for a bivector generator matrix B.
 
-    B*B = -1 gives the closed form cos - sin B and B*B = +1 the
-    hyperbolic one; exact mode takes those at a quarter-turn angle, and
-    a boost only at zero rapidity.  Any other B is a float rotor, its
-    exponential evaluated by scaling and squaring; a float rotor holds
-    numpy arrays.
+    `quarters`, an int, gives the exact rotor at theta = quarters * pi/2,
+    and `theta` the float rotor, whose matrices are numpy arrays; give
+    exactly one.  B*B = -1 gives the closed form cos - sin B and B*B = +1
+    the hyperbolic one, exact only at zero quarter turns.  Any other B
+    only has a float rotor, its exponential evaluated by scaling and
+    squaring.
     """
-    return _rotor(rep, generator, theta, None, bool(exact), "bivector")
+    return _rotor(rep, generator, theta, quarters, "bivector")
 
 
 def rotate(rep, rotor, x):
@@ -131,14 +125,9 @@ def rotate(rep, rotor, x):
     species; a float rotor gives the numpy array of the rotated Matrix or
     payload.  A scalar Element is returned as it is.
     """
-    if isinstance(x, Element):
-        if x.species == SCALAR:
-            return x
-        species, m = x.species, x.payload
-    elif isinstance(x, Matrix):
-        species, m = _species_by_shape(x), x
-    else:
-        raise TypeError("rotate expects a Matrix or an Element")
+    if isinstance(x, Element) and x.species == SCALAR:
+        return x
+    species, m = _species_by_shape(x, "rotate expects a Matrix or an Element")
     if rotor.mode == "float":
         m = m.to_numpy()
     if species == COLUMN:
@@ -150,9 +139,16 @@ def rotate(rep, rotor, x):
     return Element(species, out, rep) if isinstance(x, Element) and rotor.mode == "exact" else out
 
 
-def _species_by_shape(m):
-    """COLUMN, ROW or MULTIVECTOR for a Matrix of one column, one row or neither, in that order."""
-    return COLUMN if m.ncols == 1 else ROW if m.nrows == 1 else MULTIVECTOR
+def _species_by_shape(x, refusal):
+    """(species, Matrix) of an Element, or of a Matrix read as a column, a row or a multivector by its shape, in that order.
+
+    Anything else raises TypeError(refusal).
+    """
+    if isinstance(x, Element):
+        return x.species, x.payload
+    if not isinstance(x, Matrix):
+        raise TypeError(refusal)
+    return (COLUMN if x.ncols == 1 else ROW if x.nrows == 1 else MULTIVECTOR), x
 
 
 def reverse_multivector(rep, m):
@@ -187,14 +183,9 @@ def conjugate(rep, x):
     """
     if isinstance(x, Scalar):
         return x.conjugate()
-    if isinstance(x, Element):
-        if x.species == SCALAR:
-            return Element.scalar(rep, x.payload.conjugate())
-        species, m = x.species, x.payload
-    elif isinstance(x, Matrix):
-        species, m = _species_by_shape(x), x
-    else:
-        raise TypeError("conjugate expects a Scalar, Matrix or Element")
+    if isinstance(x, Element) and x.species == SCALAR:
+        return Element.scalar(rep, x.payload.conjugate())
+    species, m = _species_by_shape(x, "conjugate expects a Scalar, Matrix or Element")
     c = rep.C
     if species == COLUMN:
         out = sandwich(c, m, conj=True)

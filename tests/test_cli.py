@@ -56,6 +56,13 @@ def test_verify_seed_determinism(capsys):
     assert first == second
 
 
+def test_verify_all_prints_the_golden_report(capsys):
+    """`sga verify --suite all --seed 1` prints tests/golden/verify-all-seed1.txt byte for byte."""
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "golden" / "verify-all-seed1.txt").read_bytes()
+
+
 def test_suite_choices_are_the_suite_registries():
     """The parser lists the suite names without importing the suites, so they are pinned to the registries here."""
     assert SUITE_NAMES == (*sorted(suites.SUITES), *sorted(suites.EXTRA_SUITES))

@@ -39,7 +39,8 @@ def test_quarter_turn_rotor_values():
     rot = plane_rotor(rep, 1, quarters=1)
     phase_up = (ONE - I) * INV_SQRT2  # exp(-i pi/4)
     phase_down = (ONE + I) * INV_SQRT2
-    assert rot.matrix == Matrix.diagonal([phase_up, phase_down]) == plane_rotor(rep, 1, math.pi / 2).matrix
+    v1, v2 = rep.plane_vectors(1)
+    assert rot.matrix == Matrix.diagonal([phase_up, phase_down]) == bivector_rotor(rep, v1 @ v2, quarters=1).matrix
     # the chiral vector picks up exp(-i pi/2) = -i
     g = rep.gamma_chiral(1)
     assert rot.matrix @ g @ rot.reverse_matrix == g.scale(-I)
@@ -54,38 +55,40 @@ def plane_sum(rep, *pairs):
     return out
 
 
-ANGLE_ERROR = "exact mode needs an angle that is a multiple of pi/2"
+BOTH_ERROR = "a rotor needs exactly one of theta, a float angle, and quarters, an int"
 BOOST_ERROR = "boost rotors are exact only at zero rapidity"
-GENERATOR_ERROR = "exact mode needs a generator squaring to -1"
+GENERATOR_ERROR = "an exact rotor needs a generator squaring to -1"
 
 
 @pytest.mark.parametrize("build, mode, text", [
     (lambda: plane_rotor(rep_for(2), 1, quarters=3), "exact", "plane 1, 3 quarter turns"),
-    (lambda: plane_rotor(rep_for(2), 1, math.pi), "exact", "plane 1, 2 quarter turns"),
-    (lambda: plane_rotor(rep_for(2), 1, math.pi, exact=True), "exact", "plane 1, 2 quarter turns"),
-    (lambda: plane_rotor(rep_for(2), 1, math.pi, exact=False), "float", "plane 1, angle 3.141592653589793"),
+    (lambda: plane_rotor(rep_for(2), 1, quarters=-2), "exact", "plane 1, -2 quarter turns"),
+    (lambda: plane_rotor(rep_for(2), 1, math.pi), "float", "plane 1, angle 3.141592653589793"),
     (lambda: plane_rotor(rep_for(2), 1, 0.7), "float", "plane 1, angle 0.7"),
-    (lambda: plane_rotor(rep_for(2), 1, 0.7, exact=True), None, ANGLE_ERROR),
+    (lambda: plane_rotor(rep_for(2), 1, 1e-10), "float", "plane 1, angle 1e-10"),
+    (lambda: plane_rotor(rep_for(2), 1, 0), "float", "plane 1, angle 0"),
     (lambda: plane_rotor(rep_for(3, 1), 2, quarters=0), "exact", "plane 2, 0 quarter turns"),
-    (lambda: plane_rotor(rep_for(3, 1), 2, 0.0, exact=True), "exact", "plane 2, 0 quarter turns"),
+    (lambda: plane_rotor(rep_for(3, 1), 2, 0.0), "float", "plane 2, angle 0.0"),
     (lambda: plane_rotor(rep_for(3, 1), 2, quarters=1), None, BOOST_ERROR),
-    (lambda: plane_rotor(rep_for(3, 1), 2, 0.3, exact=True), None, ANGLE_ERROR),
     (lambda: plane_rotor(rep_for(3, 1), 2, math.pi / 2), "float", "plane 2, angle 1.5707963267948966"),
-    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), math.pi / 2, exact=True),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), quarters=1),
      "exact", "bivector, 1 quarter turns"),
     (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), math.pi / 2), "float",
      "bivector, angle 1.5707963267948966"),
-    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), 0.3, exact=True), None, ANGLE_ERROR),
-    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2), (2, 3)), math.pi / 2, exact=True),
-     None, GENERATOR_ERROR),
-    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), 0.0, exact=True),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2), (2, 3)), quarters=1), None, GENERATOR_ERROR),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2), (2, 3)), quarters=0), None, GENERATOR_ERROR),
+    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), quarters=0),
      "exact", "bivector, 0 quarter turns"),
-    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), math.pi, exact=True),
-     None, BOOST_ERROR),
-    (lambda: plane_rotor(rep_for(2), 1), None, "a rotor needs an angle theta or a number of quarter turns"),
+    (lambda: bivector_rotor(rep_for(3, 1), plane_sum(rep_for(3, 1), (1, 4)), quarters=2), None, BOOST_ERROR),
+    (lambda: plane_rotor(rep_for(2), 1), None, BOTH_ERROR),
+    (lambda: plane_rotor(rep_for(2), 1, 0.7, quarters=1), None, BOTH_ERROR),
+    (lambda: plane_rotor(rep_for(2), 1, 0.0, quarters=0), None, BOTH_ERROR),
+    (lambda: plane_rotor(rep_for(3, 1), 2, 0.3, quarters=0), None, BOTH_ERROR),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2))), None, BOTH_ERROR),
+    (lambda: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), math.pi / 2, quarters=1), None, BOTH_ERROR),
 ])
 def test_rotor_angle_dispatch(build, mode, text):
-    """Each way of asking for a rotor gives its mode and description, or its refusal, word for word."""
+    """Quarter turns give the exact rotor and an angle the float one; anything but exactly one of them is refused."""
     if mode is None:
         with pytest.raises(ValueError) as refused:
             build()
@@ -95,16 +98,38 @@ def test_rotor_angle_dispatch(build, mode, text):
         assert (rotor.mode, rotor.description) == (mode, text)
 
 
+@pytest.mark.parametrize("quarters", [1.5, 1.0, True, False, "1"])
+@pytest.mark.parametrize("build", [
+    lambda quarters: plane_rotor(rep_for(2), 1, quarters=quarters),
+    lambda quarters: bivector_rotor(rep_for(4), plane_sum(rep_for(4), (1, 2)), quarters=quarters),
+])
+def test_quarters_must_be_an_int(build, quarters):
+    """A float, a bool or any other non-int count of quarter turns is refused by name, not read as a number."""
+    with pytest.raises(ValueError) as refused:
+        build(quarters)
+    assert str(refused.value) == f"quarters must be an int, not {quarters!r}"
+
+
+@pytest.mark.parametrize("signature", [(2, 0), (4, 0), (5, 0), (3, 1), (4, 1)])
+def test_an_exact_bivector_rotor_is_the_plane_rotor(signature):
+    """bivector_rotor on a plane's generator at whole quarter turns is that plane's exact rotor."""
+    rep = rep_for(*signature)
+    for k in range(1, rep.n_bits + 1):
+        v1, v2 = rep.plane_vectors(k)
+        for q in (0,) if rep.plane_is_boost(k) else (-1, 0, 1, 2, 3, 5):
+            plane, bivector = plane_rotor(rep, k, quarters=q), bivector_rotor(rep, v1 @ v2, quarters=q)
+            assert bivector.mode == "exact"
+            assert (bivector.matrix, bivector.reverse_matrix) == (plane.matrix, plane.reverse_matrix)
+
+
 def test_an_exact_boost_is_the_identity_at_zero_rapidity_only():
-    """A boost at a nonzero whole number of turns is no exact rotor: exact mode refuses it, auto mode gives floats."""
+    """A boost at a nonzero whole number of turns is no exact rotor: quarter turns are refused, an angle gives floats."""
     rep = rep_for(3, 1)
     assert rep.plane_is_boost(2)
     assert plane_rotor(rep, 2, quarters=0).matrix.is_identity()
     for q in (4, 8, -4):
         with pytest.raises(ValueError, match=BOOST_ERROR):
             plane_rotor(rep, 2, quarters=q)
-    with pytest.raises(ValueError, match=BOOST_ERROR):
-        plane_rotor(rep, 2, 2 * math.pi, exact=True)
     v1, v2 = rep.plane_vectors(2)
     b = (v1 @ v2).to_numpy()
     for theta in (2 * math.pi, 4 * math.pi):
@@ -184,7 +209,7 @@ def test_float_rotor_metric_invariance():
     rng = Random(5)
     rep = rep_for(4)
     for _ in range(10):
-        rot = plane_rotor(rep, rng.choice((1, 2)), rng.uniform(-6, 6), exact=False)
+        rot = plane_rotor(rep, rng.choice((1, 2)), rng.uniform(-6, 6))
         assert isinstance(rot.matrix, np.ndarray) and isinstance(rot.reverse_matrix, np.ndarray)
         assert metric_preserved(rep, rot)
     bent = replace(rot, matrix=rot.matrix * (1 + 1e-9))
@@ -195,7 +220,7 @@ def test_float_rotor_metric_invariance():
 def test_rotate_by_a_float_rotor_gives_arrays():
     rep = rep_for(4)
     rng = Random(7)
-    rot = plane_rotor(rep, 2, 0.7, exact=False)
+    rot = plane_rotor(rep, 2, 0.7)
     psi, chi = random_spinor(rep, rng), random_spinor(rep, rng)
     mv = random_multivector(rep, rng)
     row = row_of(rep, chi)
@@ -218,7 +243,7 @@ def test_boost_scaling_laws():
     rep = rep_for(3, 1)
     assert rep.plane_is_boost(2)
     theta = 0.83
-    rot = plane_rotor(rep, 2, theta, exact=False)
+    rot = plane_rotor(rep, 2, theta)
     g = rep.gamma_chiral(2).to_numpy()
     got = rot.matrix @ g @ rot.reverse_matrix
     assert abs(got - g * math.exp(theta)).max() <= 1e-12
@@ -235,7 +260,7 @@ def test_extra_odd_rotations_count():
             generators.append(rep.gamma(a) @ rep.gamma(b))
     assert len(generators) == 3  # N(N-1)/2
     for gen in generators:
-        rot = bivector_rotor(rep, gen, math.pi / 2, exact=True)
+        rot = bivector_rotor(rep, gen, quarters=1)
         assert metric_preserved(rep, rot)
         assert (rot.matrix @ rot.reverse_matrix).is_identity()
 
@@ -243,16 +268,14 @@ def test_extra_odd_rotations_count():
 def test_bivector_rotor_float_matches_exact():
     rep = rep_for(4)
     gen = rep.gamma(1) @ rep.gamma(2)
-    pairs = [(bivector_rotor(rep, gen, math.pi / 2, exact=True), bivector_rotor(rep, gen, math.pi / 2, exact=False))]
+    pairs = [(bivector_rotor(rep, gen, quarters=1), bivector_rotor(rep, gen, math.pi / 2))]
     for k in (1, 2):
-        pairs.append((plane_rotor(rep, k, quarters=1), plane_rotor(rep, k, math.pi / 2, exact=False)))
+        pairs.append((plane_rotor(rep, k, quarters=1), plane_rotor(rep, k, math.pi / 2)))
     for exact, loose in pairs:
         assert exact.mode == "exact" and loose.mode == "float"
         for got, want in ((loose.matrix, exact.matrix), (loose.reverse_matrix, exact.reverse_matrix)):
             assert isinstance(got, np.ndarray)
             assert abs(got - want.to_numpy()).max() <= 1e-12
-    with pytest.raises(ValueError):
-        bivector_rotor(rep, gen, 0.3, exact=True)
 
 
 def relative_error(got, want):
@@ -283,7 +306,7 @@ def test_a_commuting_sum_rotates_as_the_product_of_its_planes(signature):
     v1, v2, v3, v4 = (*rep.plane_vectors(1), *rep.plane_vectors(2))
     for theta in (0.3, 2.9, -7.1, 40):
         rot = bivector_rotor(rep, v1 @ v2 + v3 @ v4, theta)
-        first, second = (plane_rotor(rep, k, theta, exact=False) for k in (1, 2))
+        first, second = (plane_rotor(rep, k, theta) for k in (1, 2))
         assert rot.mode == "float"
         assert relative_error(rot.matrix, first.matrix @ second.matrix) <= 1e-12
         assert relative_error(rot.reverse_matrix, first.reverse_matrix @ second.reverse_matrix) <= 1e-12
@@ -366,7 +389,7 @@ def test_conjugate_commutes_rotations():
     assert conjugate(rep, rot.matrix @ psi) == rot.matrix @ conjugate(rep, psi)
     # and for a float rotor in the boost plane
     c = rep.C.to_numpy()
-    rotf = plane_rotor(rep, 2, 0.6, exact=False)
+    rotf = plane_rotor(rep, 2, 0.6)
     assert abs(c @ rotf.matrix.conj() - rotf.matrix @ c).max() <= 1e-12
     # including a two-plane float rotor
     gen = rep.gamma(1) @ rep.gamma(3)
