@@ -6,11 +6,10 @@ axes.  A chiral blade is the ordered product of its per-plane factors 1,
 g_k, g_kbar or g_k g_kbar - 1 = Z_k, a masked Pauli string too.
 ``blade_matrix`` returns each blade as that ``Monomial``, cached per
 representation as its words, so a decomposition or comparison of a blade
-reads its entries from the words and builds no rows.
-``raised_blade_matrix`` reads the raised blade off that cache by the
-blade's bits: barring every chiral index (k <-> kbar) swaps its two
-plane masks, the metric signs the orthonormal axes, and reversing the
-factor order is the reversal sign.
+builds no rows.  ``raised_blade_matrix`` reads the raised blade off that
+cache by the blade's bits: barring every chiral index (k <-> kbar) swaps
+its two plane masks, the metric signs the orthonormal axes, and
+reversing the factor order is the reversal sign.
 
 Under the Jordan-Wigner twist each factor acts on its plane's index bit
 alone, so entry (r, c) of a blade is a Kronecker product of 2x2 factors
@@ -26,10 +25,20 @@ it the other way.  The butterfly only adds and subtracts, so each value
 travels as one int, its four numerators over a common denominator packed
 in lanes too wide to carry.  That costs O(n 4**n) on dense input and O(n) per
 nonzero in or out on sparse input.  The trace formula of
-``blade_coefficient`` is the reference.  ``verify_isomorphism`` runs
-the transform once per diagonal r ^ c for all basis elements on it:
-element t's lanes sit above those of elements 0..t-1 in one int per
-position, so one butterfly serves them all; the report is the one a
+``blade_coefficient`` is the reference.
+
+The transform keeps the diagonal x = r ^ c, so it runs in two steps.  A
+grouping packs every position of each diagonal into one int,
+element t's lanes above those of elements 0..t-1; then one per-diagonal
+core (``_diagonal_transform``: the Jordan-Wigner signs, the butterfly and
+the read-out) serves every element on that diagonal at once.  There are
+two groupings and one core.  The basis blades of ``verify_isomorphism``
+enter from their words: their rows are walked from (x, z, m, v) and each
+unit i**p * sqrt2**e is packed once, so no entry dict is built.
+Everything else enters from its entries: the outer products, any matrix
+given to ``decompose_multivector`` and blade coefficients being
+reconstructed.  ``verify_isomorphism`` runs the core once per diagonal
+and direction for all basis elements on it; the report is the one a
 round trip of each element alone gives.
 
 Each basis outer product e_a e_b. has a single nonzero entry, and the
@@ -48,7 +57,7 @@ from math import lcm
 
 from .bitcodes import Bitcode, all_bitcodes
 from .elements import Element, multiply, row_of
-from .matrices import Matrix, Monomial
+from .matrices import Matrix, Monomial, _word_rows, check_dimension
 from .scalars import HALF, ONE, Scalar, ZERO, _normalised, unit
 
 CHIRAL = "chiral"
@@ -231,8 +240,11 @@ def blade_coefficient(rep, blade, m):
 def decompose_multivector(rep, m):
     """Exact chiral blade coefficients of a square matrix, by the per-plane transform.
 
-    For odd dimension in project mode the blades are the quotient basis,
-    with the chiral operator identified with one.
+    The matrix enters the transform from its nonzero entries.  A Monomial
+    lists them from its words and so checks the dimension cap once
+    (``max_dimension()``); a matrix already held as entries is taken as
+    it is.  For odd dimension in project mode the blades are the quotient
+    basis, with the chiral operator identified with one.
     """
     if m.nrows != rep.dim or m.ncols != rep.dim:
         raise ValueError("matrix dimension does not match the representation")
@@ -273,33 +285,39 @@ def _jw_flips(x):
     return flips
 
 
-def _plane_transform(n, elements, forward):
-    """[{(r, c): Scalar}] of the nonzero results of the transform of each element {(r, c): Scalar}, forward or back.
+def _packing(n, scalars):
+    """(width, den, [the int of each Scalar]) for a transform on n planes of values among `scalars`.
 
-    It keeps x = r ^ c, so it runs on each x apart, over the planes outside
-    x.  A value travels as the int a + b*2**w + c*2**2w + d*2**3w of its
-    numerators over the common denominator, and element t's value at
-    (r, r ^ x) sits in the bits from t * 4w up of one int per position, so
-    each x runs one butterfly for every element.  Each result is a signed
+    A value travels as the int a + b*2**w + c*2**2w + d*2**3w of its
+    numerators over the common denominator den.  Each result is a signed
     sum of at most 2**n inputs of one element, and w is one bit more than
     such a sum of the largest numerator needs, so no lane carries into the
-    next and a sum or difference of positions is one int operation.  The
-    width is read once per distinct input Scalar, and ``_unpacked`` makes
-    one Scalar per distinct result.
+    next and a sum or difference of positions is one int operation.  This
+    is the one place where the transform reads a Scalar's parts.
     """
-    scalars = {id(s): s for element in elements for s in element.values()}
     den = 1
     top = 0  # the bits of every numerator's magnitude
-    for s in scalars.values():
+    for s in scalars:
         if den % s.q:
             den = lcm(den, s.q)
         top |= abs(s.a) | abs(s.b) | abs(s.c) | abs(s.d)
     width = top.bit_length() + den.bit_length() + n + 1
+    return width, den, [den // s.q * (s.a + (s.b << width) + (s.c << 2 * width) + (s.d << 3 * width))
+                        for s in scalars]
+
+
+def _plane_transform(n, elements, forward):
+    """[{(r, c): Scalar}] of the nonzero results of the transform of each element {(r, c): Scalar}, forward or back.
+
+    The entry side of the transform: each entry joins diagonal x = r ^ c,
+    and element t's value at (r, r ^ x) sits in the bits from t * 4w up of
+    one int per position, so each x runs one ``_diagonal_transform`` for
+    every element.  The width is read once per distinct input Scalar.
+    """
+    scalars = {id(s): s for element in elements for s in element.values()}
+    width, den, ints = _packing(n, scalars.values())
+    packed = dict(zip(scalars, ints))
     slot = 4 * width
-    packed = {
-        k: den // s.q * (s.a + (s.b << width) + (s.c << 2 * width) + (s.d << 3 * width))
-        for k, s in scalars.items()
-    }
     groups = {}  # x -> {r: the int of position (r, r ^ x)}
     for t, element in enumerate(elements):
         shift = t * slot
@@ -309,32 +327,72 @@ def _plane_transform(n, elements, forward):
             if group is None:
                 group = groups[x] = {}
             group[r] = group.get(r, 0) + (packed[id(s)] << shift)
-    full = (1 << n) - 1
-    mask, half, carry = (1 << slot) - 1, 1 << (slot - 1), 1 << slot
     out = [{} for _ in elements]
     for x, group in groups.items():
-        flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
-        if forward:
-            group = {r: -u if (r & flips).bit_count() & 1 else u for r, u in group.items()}
-        e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
-        for r, u in _butterfly(group, ~x & full).items():
-            if not forward and (r & flips).bit_count() & 1:
-                u = -u
-            key, t = (r, r ^ x), 0
-            while u:  # u holds the slots from t up: those below were exactly zero or read off
-                v = u & mask
-                if not v:  # skip to the lowest nonzero slot
-                    skip = ((u & -u).bit_length() - 1) // slot
-                    t += skip
-                    u >>= skip * slot
-                    v = u & mask
-                u >>= slot
-                if v & half:  # a negative slot borrowed one from the slots above it
-                    v -= carry
-                    u += 1
-                out[t][key] = _unpacked(v, width, den, e)
-                t += 1
+        _diagonal_transform(n, x, group, width, den, forward, out)
     return out
+
+
+def _word_transform(n, words):
+    """``_plane_transform`` forward of each Monomial of `words` on n planes, its rows walked from its words.
+
+    The word side of the transform.  Each nonempty row r of a word
+    (x, z, m, v, p, e), as ``_word_rows`` walks them, holds
+    i**(p + 2|(r ^ x) & z|) * sqrt2**e on diagonal x; so each word packs
+    its unit once, the other being its negation, and no entry dict is
+    built.  It walks up to dim rows per word without reading the cap:
+    ``verify_isomorphism``, its caller, checks it once (``check_dimension``).
+    """
+    live = [(t, w) for t, w in enumerate(words) if w.v >= 0]
+    width, den, ints = _packing(n, [unit(w.p, w.e) for _, w in live])
+    slot = 4 * width
+    full = (1 << n) - 1
+    groups = {}  # x -> {r: the int of position (r, r ^ x)}
+    for (t, w), u in zip(live, ints):
+        u <<= t * slot
+        group = groups.get(w.x)
+        if group is None:
+            group = groups[w.x] = {}
+        for r, odd in _word_rows(full, w.x, w.z, w.m, w.v):
+            group[r] = group.get(r, 0) + (-u if odd else u)
+    out = [{} for _ in words]
+    for x, group in groups.items():
+        _diagonal_transform(n, x, group, width, den, True, out)
+    return out
+
+
+def _diagonal_transform(n, x, group, width, den, forward, out):
+    """Transform diagonal x's positions {r: packed int} on n planes, writing element t's nonzero results into out[t].
+
+    The per-diagonal core that both sides share: the Jordan-Wigner signs,
+    the butterfly over the planes outside x, and the read-out of each
+    slot, ``_unpacked`` making one Scalar per distinct result.  A result
+    of the forward transform is keyed by the blade's (r, c) bits, of the
+    inverse one by its entry's position.
+    """
+    flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
+    if forward:
+        group = {r: -u if (r & flips).bit_count() & 1 else u for r, u in group.items()}
+    e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
+    slot = 4 * width
+    mask, half, carry = (1 << slot) - 1, 1 << (slot - 1), 1 << slot
+    for r, u in _butterfly(group, ~x & ((1 << n) - 1)).items():
+        if not forward and (r & flips).bit_count() & 1:
+            u = -u
+        key, t = (r, r ^ x), 0
+        while u:  # u holds the slots from t up: those below were exactly zero or read off
+            v = u & mask
+            if not v:  # skip to the lowest nonzero slot
+                skip = ((u & -u).bit_length() - 1) // slot
+                t += skip
+                u >>= skip * slot
+                v = u & mask
+            u >>= slot
+            if v & half:  # a negative slot borrowed one from the slots above it
+                v -= carry
+                u += 1
+            out[t][key] = _unpacked(v, width, den, e)
+            t += 1
 
 
 def _butterfly(vals, free):
@@ -432,19 +490,25 @@ def verify_isomorphism(rep):
     checks the inverse one.  The transform keeps the diagonal x = r ^ c,
     so the elements are grouped by x and each group runs one transform
     per direction, every element in its own lanes of one int per
-    position: 2**n calls each, not one per element.  The forward results
-    of the outer products go straight into the inverse call.
+    position: 2**n core calls each, not one per element.  The blades
+    enter the transform from their words (``_word_transform``), with no
+    entry dict built; the outer products, built by ``multiply``, enter
+    from their entries, and their forward results, unpacked to Scalars,
+    go straight into the inverse call.  The dimension cap is read once
+    per call.
 
     A blade entry in column j comes back from its outer key unchanged
     exactly when the probe (0, j, 1) does, as no nonzero value equals its
     negation; so a blade fails the outer round trip exactly when it has an
-    entry in a column whose probe does not come back.
+    entry in a column whose probe does not come back, that is a column j
+    with j & m == v.
 
     Returns {"dim", "blades_checked", "outer_checked", "failures": [...]}:
     the failures blade by blade, the outer round trip before the
     self-decomposition, then the outer products with a before b.
     """
     n = rep.n_bits
+    check_dimension(rep.dim)
     probes = [(0, j, 1) for j in range(rep.dim)]
     back = _outer_keys(rep, _outer_keys(rep, probes, True), False)
     unmapped = {j for (_, j, _), probe in zip(probes, back) if probe != (0, j, 1)}
@@ -454,11 +518,11 @@ def verify_isomorphism(rep):
         r, c = blade._planes
         diagonals.setdefault(r ^ c, []).append(t)
     outer_failed, self_failed = set(), set()
-    for ts in diagonals.values():  # one diagonal's entries at a time
-        elements = [{(i, j): s for i, j, s in blade_matrix(rep, blades[t]).nonzero_items()} for t in ts]
-        if unmapped:
-            outer_failed.update(t for t, element in zip(ts, elements) if any(j in unmapped for _, j in element))
-        for t, coeffs in zip(ts, _plane_transform(n, elements, True)):
+    for ts in diagonals.values():  # one diagonal's words at a time
+        words = [blade_matrix(rep, blades[t]) for t in ts]
+        if unmapped:  # a word has an entry in column j exactly when j & m == v
+            outer_failed.update(t for t, w in zip(ts, words) if any(j & w.m == w.v for j in unmapped))
+        for t, coeffs in zip(ts, _word_transform(n, words)):
             if coeffs != {blades[t]._planes: ONE}:
                 self_failed.add(t)
     failures = []

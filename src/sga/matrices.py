@@ -92,6 +92,30 @@ def max_dimension():
     raise ValueError(f"SGA_MAX_DIM must be an integer of at least 1, not {value!r:.30}")
 
 
+def check_dimension(dim):
+    """Refuse to list the entries of a dim-by-dim operator above ``max_dimension()``, naming SGA_MAX_DIM."""
+    if dim > (cap := max_dimension()):
+        raise ValueError(f"matrix dimension {dim} exceeds cap {cap}; raise SGA_MAX_DIM to override")
+
+
+def _word_rows(full, x, z, m, v):
+    """(i, odd) of every nonempty row i of the words x, z, m, v >= 0 on the bits of `full`, i increasing.
+
+    Row i is nonempty when i & m == v ^ (x & m), the bits outside m running
+    over their submasks; its one entry is in column i ^ x, and `odd` is 1
+    when Z**z negates it, that is when (i ^ x) & z has odd weight.  It
+    reads no cap: each caller checks the dimension.
+    """
+    free, base = ~m & full, v ^ (x & m)
+    f = 0
+    while True:
+        i = base | f
+        yield i, ((i ^ x) & z).bit_count() & 1
+        if f == free:
+            return
+        f = (f - free) & free
+
+
 def _unit_exponents(s):
     """(p, e) with nonzero s = i**p * sqrt2**e, or None if s is no such unit."""
     parts = (s.a, s.b, s.c, s.d)
@@ -641,22 +665,16 @@ class Monomial(Matrix):
         Row i is nonempty when i & m == v ^ (x & m); the bits outside m run
         over their submasks.  This is where the words become dim-many
         entries, so a dimension above ``max_dimension()`` is a ValueError
-        here and nowhere else in the operator algebra.
+        here (``check_dimension``) and nowhere else in the operator algebra;
+        the blade transform, which walks the same rows (``_word_rows``),
+        checks it once per call.
         """
         if self.v < 0:
             return
-        if self.nrows > (cap := max_dimension()):
-            raise ValueError(f"matrix dimension {self.nrows} exceeds cap {cap}; raise SGA_MAX_DIM to override")
-        x, z, p = self.x, self.z, self.p
-        free = ~self.m & (self.nrows - 1)
-        base = self.v ^ (x & self.m)
-        f = 0
-        while True:
-            j = (base | f) ^ x
-            yield base | f, j, p ^ 2 * ((j & z).bit_count() & 1)
-            if f == free:
-                return
-            f = (f - free) & free
+        check_dimension(self.nrows)
+        x, p = self.x, self.p
+        for i, odd in _word_rows(self.nrows - 1, x, self.z, self.m, self.v):
+            yield i, i ^ x, p ^ 2 * odd
 
     def _units(self):
         """{q: i**q * sqrt2**e} for the two phases q that Z**z gives the rows."""

@@ -162,11 +162,18 @@ def reverse_multivector(rep, m):
 
 
 def metric_preserved(rep, rotor):
-    """Check the invariance R^T eps R = eps: exactly for an exact rotor, within 1e-12 on eps's ``to_numpy()`` for a float one."""
+    """Check the invariance R^T eps R = eps: exactly for an exact rotor, on eps's ``to_numpy()`` for a float one.
+
+    An entry of R^T eps R sums products of two entries of R, so its
+    rounding error grows as the square of R's largest entry magnitude s: a
+    float rotor passes within 1e-12 * max(1, s)**2, which is 1e-12 for a
+    rotation and grows with a boost's rapidity.
+    """
     if rotor.mode == "exact":
         return rotor.matrix.transpose() @ rep.eps @ rotor.matrix == rep.eps
-    eps = rep.eps.to_numpy()
-    return abs(rotor.matrix.T @ eps @ rotor.matrix - eps).max() <= 1e-12
+    eps, r = rep.eps.to_numpy(), rotor.matrix
+    size = max(1.0, abs(r).max())
+    return abs(r.T @ eps @ r - eps).max() <= 1e-12 * size * size
 
 
 # -- conjugation ---------------------------------------------------------------

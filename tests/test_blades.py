@@ -1,11 +1,12 @@
 """Blade dictionary: coefficients, decompositions, projectors, round trips."""
 
+import re
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from sga import blades
+from sga import blades, matrices
 from sga.bitcodes import Bitcode, all_bitcodes
 from sga.blades import (
     CHIRAL,
@@ -530,11 +531,12 @@ def test_the_lanes_never_carry(n, forward):
 
 
 def test_verify_isomorphism_runs_one_transform_per_diagonal(monkeypatch):
-    """On N=8 the round trip makes at most 3 * 2**n transform calls and reads no blade's rows."""
+    """On N=8 the round trip makes at most 3 * 2**n per-diagonal transform calls and reads no blade's rows."""
     rep = rep_for(8)
     transforms, read = [], []
-    plane_transform, rows = blades._plane_transform, Monomial.sparse_rows
-    monkeypatch.setattr(blades, "_plane_transform", lambda *args: transforms.append(1) or plane_transform(*args))
+    diagonal_transform, rows = blades._diagonal_transform, Monomial.sparse_rows
+    monkeypatch.setattr(blades, "_diagonal_transform",
+                        lambda *args: transforms.append(1) or diagonal_transform(*args))
     monkeypatch.setattr(Monomial, "sparse_rows", property(lambda m: read.append(m) or rows.fget(m)))
     assert not verify_isomorphism(rep)["failures"]
     assert 0 < len(transforms) <= 3 * 2 ** rep.n_bits
@@ -543,3 +545,83 @@ def test_verify_isomorphism_runs_one_transform_per_diagonal(monkeypatch):
     assert not [m for m in read if any(m is b for b in built)]
     built[-1].sparse_rows
     assert read[-1] is built[-1]  # the count sees a read
+
+
+# -- the word side of the transform against the entry side ------------------------------
+
+
+def entry_side(n, words):
+    """The entry-side transform of each word, from its listed nonzero entries."""
+    return blades._plane_transform(n, [{(i, j): s for i, j, s in w.nonzero_items()} for w in words], True)
+
+
+WORD_CONFIGS = [(n, metric, mode) for n in range(1, 11) for metric in ("standard", "alternative")
+                for mode in (ODD_MODES if n % 2 else ("project",))]
+
+
+@pytest.mark.parametrize("n, metric, odd_mode", WORD_CONFIGS)
+def test_the_word_side_agrees_with_the_entry_side_on_every_blade(n, metric, odd_mode):
+    """Each diagonal's blades, read from their words in one call, transform as each blade's entries do alone."""
+    rep = rep_for(n - n // 3, n // 3, metric=metric, odd_mode=odd_mode)
+    diagonals = {}
+    for blade in all_chiral_blades(rep):
+        r, c = blade._planes
+        diagonals.setdefault(r ^ c, []).append(blade_matrix(rep, blade))
+    for words in diagonals.values():
+        assert blades._word_transform(rep.n_bits, words) == [entry_side(rep.n_bits, [w])[0] for w in words]
+
+
+def random_word(rng, n):
+    """A Monomial on n bits with random words: a projector mask, phase and any power of sqrt2, negative or odd."""
+    m = rng.randrange(1 << n)
+    v = rng.randrange(1 << n) & m
+    return Monomial(n, rng.randrange(1 << n), rng.randrange(1 << n), m, v, rng.randrange(4), rng.randint(-5, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_the_word_side_agrees_with_the_entry_side_on_any_word(n):
+    """Masked, sqrt2-scaled and zero words, alone and several in one call on mixed diagonals."""
+    rng = Random(31 + n)
+    words = [random_word(rng, n) for _ in range(12)]
+    words += [Monomial.zero(n), Monomial.identity(n).times_unit(1, -3), Monomial(n, x=(1 << n) - 1, m=(1 << n) - 1)]
+    assert any(w.m for w in words) and any(w.e & 1 for w in words)
+    rng.shuffle(words)
+    assert blades._word_transform(n, words) == entry_side(n, words)
+    for w in words:
+        assert blades._word_transform(n, [w]) == entry_side(n, [w])
+
+
+@pytest.mark.parametrize("n, metric, odd_mode", [(3, "standard", "project"), (4, "alternative", "project"),
+                                                 (5, "alternative", "embed_scalar_n"), (6, "standard", "project")])
+def test_decompose_of_a_monomial_is_that_of_its_plain_matrix(n, metric, odd_mode):
+    rep = rep_for(n - 1, 1, metric=metric, odd_mode=odd_mode)
+    rng = Random(n)
+    words = [rep.eps, rep.kappa, rep.C, rep.gamma(1), rep.gamma(n) @ rep.gamma(1), Monomial.zero(rep.n_bits)]
+    words += [random_word(rng, rep.n_bits) for _ in range(6)]
+    chiral = all_chiral_blades(rep)
+    words += [blade_matrix(rep, blade) for blade in rng.sample(chiral, min(6, len(chiral)))]
+    for m in words:
+        plain = Matrix.from_items(rep.dim, rep.dim, m.nonzero_items())
+        assert type(m) is Monomial and type(plain) is Matrix
+        assert decompose_multivector(rep, m) == decompose_multivector(rep, plain), m
+
+
+def test_the_cap_is_read_once_per_call(monkeypatch):
+    """Above SGA_MAX_DIM the round trip and a blade's decomposition refuse with the cap's message; else one read each."""
+    rep = rep_for(8)
+    blade = blade_matrix(rep, all_chiral_blades(rep)[7])
+    refusal = re.escape(f"matrix dimension {rep.dim} exceeds cap {rep.dim - 1}; raise SGA_MAX_DIM to override")
+    monkeypatch.setenv("SGA_MAX_DIM", str(rep.dim - 1))
+    with pytest.raises(ValueError, match=refusal):
+        verify_isomorphism(rep)
+    with pytest.raises(ValueError, match=refusal):
+        decompose_multivector(rep, blade)
+    monkeypatch.delenv("SGA_MAX_DIM")
+    reads = []
+    max_dimension = matrices.max_dimension
+    monkeypatch.setattr(matrices, "max_dimension", lambda: reads.append(1) or max_dimension())
+    assert not verify_isomorphism(rep)["failures"]
+    assert len(reads) == 1  # not one per blade: there are 256
+    reads.clear()
+    assert decompose_multivector(rep, blade) == {all_chiral_blades(rep)[7]: ONE}
+    assert len(reads) == 1

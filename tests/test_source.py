@@ -210,8 +210,9 @@ def test_monomial_words_are_written_only_where_a_monomial_is_made(module):
 
 SCALAR_PARTS = frozenset("abcdq")
 
-# outside scalars.py only these read a Scalar's numerators: a unit's exponents, the accumulating product, the blade transform
-PART_READERS = {("matrices.py", "_unit_exponents"), ("matrices.py", "_exact_product"), ("blades.py", "_plane_transform")}
+# outside scalars.py only these read a Scalar's numerators: a unit's exponents, the accumulating product, the blade
+# transform's packing
+PART_READERS = {("matrices.py", "_unit_exponents"), ("matrices.py", "_exact_product"), ("blades.py", "_packing")}
 
 
 def part_reads(source):

@@ -214,7 +214,19 @@ def test_float_rotor_metric_invariance():
         assert metric_preserved(rep, rot)
     bent = replace(rot, matrix=rot.matrix * (1 + 1e-9))
     assert not metric_preserved(rep, bent)
-    assert metric_preserved(rep, replace(rot, matrix=rot.matrix * (1 + 1e-15)))  # within the fixed 1e-12
+    assert metric_preserved(rep, replace(rot, matrix=rot.matrix * (1 + 1e-15)))  # within 1e-12: no entry exceeds 1
+
+
+@pytest.mark.parametrize("rapidity", [1.0, 10.0, 20.0, 40.0, -40.0])
+def test_a_boost_preserves_the_metric_at_any_rapidity(rapidity):
+    """A boost's entries reach e**(t/2) and its rounding error their square; a change of 1e-6 of its size still fails."""
+    rep = rep_for(3, 1)
+    assert rep.plane_is_boost(2)
+    rot = plane_rotor(rep, 2, rapidity)
+    size = abs(rot.matrix).max()
+    assert size > 1.5
+    assert metric_preserved(rep, rot)
+    assert not metric_preserved(rep, replace(rot, matrix=rot.matrix + 1e-6 * size))
 
 
 def test_rotate_by_a_float_rotor_gives_arrays():
