@@ -27,19 +27,26 @@ in lanes too wide to carry.  That costs O(n 4**n) on dense input and O(n) per
 nonzero in or out on sparse input.  The trace formula of
 ``blade_coefficient`` is the reference.
 
-The transform keeps the diagonal x = r ^ c, so it runs in two steps.  A
-grouping packs every position of each diagonal into one int,
-element t's lanes above those of elements 0..t-1; then one per-diagonal
-core (``_diagonal_transform``: the Jordan-Wigner signs, the butterfly and
-the read-out) serves every element on that diagonal at once.  There are
-two groupings and one core.  The basis blades of ``verify_isomorphism``
-enter from their words: their rows are walked from (x, z, m, v) and each
-unit i**p * sqrt2**e is packed once, so no entry dict is built.
-Everything else enters from its entries: the outer products, any matrix
-given to ``decompose_multivector`` and blade coefficients being
-reconstructed.  ``verify_isomorphism`` runs the core once per diagonal
-and direction for all basis elements on it; the report is the one a
-round trip of each element alone gives.
+The transform keeps the diagonal x = r ^ c, and it never mixes positions
+in different cosets r & x of it, so it runs in two steps.  A grouping
+packs every position of each diagonal into one int, one lane of 4w bits
+per element; then one per-diagonal core (``_diagonal_lanes``: the
+Jordan-Wigner signs, the butterfly and the walk over the lanes) lists
+each nonzero result as (r, lane, packed value), for every element on
+that diagonal at once.  There are three groupings and one core.  The
+entry side, ``_plane_transform``, gives element t lane t and serves any
+matrix given to ``decompose_multivector`` and blade coefficients being
+reconstructed.  The word side, ``_word_transform``, serves the basis
+blades of ``verify_isomorphism``: their rows are walked from (x, z, m,
+v) and each unit i**p * sqrt2**e is packed once, so no entry dict is
+built.  Both read the core out through ``_diagonal_transform``.  The
+basis outer products of ``verify_isomorphism`` go straight into shared
+lanes: products in disjoint cosets of a diagonal share a lane, so its
+ints hold 2**(n - |x|) lanes, not dim.  Their forward lanes become
+Scalars, which are repacked and summed per position into the inverse
+input, with no coefficient dict built.  So each diagonal runs the core
+once for its blades and once per direction for its outer products; the
+report is the one a round trip of each element alone gives.
 
 Each basis outer product e_a e_b. has a single nonzero entry, and the
 metric is one signed permutation on bitcodes, its word i**p X**x Z**z.
@@ -118,8 +125,8 @@ def all_chiral_blades(rep):
 @lru_cache(maxsize=8)
 def _chiral_blades(n):
     """all_chiral_blades on n planes, frozen, as the ``_blade_of_bits`` objects the blade caches hold."""
-    gens = [(k, barred) for k in range(1, n + 1) for barred in (False, True)]
-    return tuple(_blade_of_bits(*BladeIndex(CHIRAL, combo)._planes)
+    gens = [bits for k in range(n) for bits in ((0, 1 << k), (1 << k, 0))]  # (r, c) of g_k, then of g_kbar
+    return tuple(_blade_of_bits(sum(r for r, _ in combo), sum(c for _, c in combo))
                  for p in range(len(gens) + 1) for combo in combinations(gens, p))
 
 
@@ -364,34 +371,45 @@ def _word_transform(n, words):
 def _diagonal_transform(n, x, group, width, den, forward, out):
     """Transform diagonal x's positions {r: packed int} on n planes, writing element t's nonzero results into out[t].
 
-    The per-diagonal core that both sides share: the Jordan-Wigner signs,
-    the butterfly over the planes outside x, and the read-out of each
-    slot, ``_unpacked`` making one Scalar per distinct result.  A result
-    of the forward transform is keyed by the blade's (r, c) bits, of the
-    inverse one by its entry's position.
+    The read-out of ``_diagonal_lanes``: ``_unpacked`` makes one Scalar per
+    distinct result.  A result of the forward transform is keyed by the
+    blade's (r, c) bits, of the inverse one by its entry's position.
+    """
+    e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
+    for r, t, v in _diagonal_lanes(n, x, group, width, forward):
+        out[t][r, r ^ x] = _unpacked(v, width, den, e)
+
+
+def _diagonal_lanes(n, x, group, width, forward):
+    """(r, t, v) of each nonzero lane t of position (r, r ^ x) after transforming diagonal x's {r: packed int}.
+
+    The per-diagonal core that every transform shares: the Jordan-Wigner
+    signs, the butterfly over the planes outside x, and the walk over each
+    result's lanes of 4 * width bits, v being the lane's signed packed
+    value.  It leaves the scale sqrt2**(|x| - 2n) forward, sqrt2**|x|
+    back, to the read-out.
     """
     flips = _jw_flips(x)  # entries of odd J are negated before the forward butterfly, after the inverse one
     if forward:
         group = {r: -u if (r & flips).bit_count() & 1 else u for r, u in group.items()}
-    e = x.bit_count() - 2 * n if forward else x.bit_count()  # the scale as a power of sqrt2
     slot = 4 * width
     mask, half, carry = (1 << slot) - 1, 1 << (slot - 1), 1 << slot
     for r, u in _butterfly(group, ~x & ((1 << n) - 1)).items():
         if not forward and (r & flips).bit_count() & 1:
             u = -u
-        key, t = (r, r ^ x), 0
-        while u:  # u holds the slots from t up: those below were exactly zero or read off
+        t = 0
+        while u:  # u holds the lanes from t up: those below were exactly zero or read off
             v = u & mask
-            if not v:  # skip to the lowest nonzero slot
+            if not v:  # skip to the lowest nonzero lane
                 skip = ((u & -u).bit_length() - 1) // slot
                 t += skip
                 u >>= skip * slot
                 v = u & mask
             u >>= slot
-            if v & half:  # a negative slot borrowed one from the slots above it
+            if v & half:  # a negative lane borrowed one from the lanes above it
                 v -= carry
                 u += 1
-            out[t][key] = _unpacked(v, width, den, e)
+            yield r, t, v
             t += 1
 
 
@@ -488,14 +506,19 @@ def verify_isomorphism(rep):
     coefficient one, which checks the forward transform on a basis; each
     outer product must come back from its blade coefficients, which
     checks the inverse one.  The transform keeps the diagonal x = r ^ c,
-    so the elements are grouped by x and each group runs one transform
-    per direction, every element in its own lanes of one int per
-    position: 2**n core calls each, not one per element.  The blades
-    enter the transform from their words (``_word_transform``), with no
-    entry dict built; the outer products, built by ``multiply``, enter
-    from their entries, and their forward results, unpacked to Scalars,
-    go straight into the inverse call.  The dimension cap is read once
-    per call.
+    so the elements are grouped by x and each group runs one core call
+    per direction, the elements in lanes of one int per position: 3 *
+    2**n core calls in all, not one per element.  The blades enter the
+    transform from their words (``_word_transform``), each in its own
+    lane, with no entry dict built.  The outer products, built by
+    ``multiply``, are packed straight into the lanes of their diagonals
+    (``_failed_outer_products``).  The transform never mixes the cosets
+    r & x, so products in disjoint cosets share a lane, and a diagonal's
+    ints hold 2**(n - |x|) lanes, not dim.  The forward lanes become
+    Scalars, one per distinct value through ``_unpacked``, and those
+    Scalars, repacked, are summed per position into the inverse input:
+    no coefficient dict is built.  The dimension cap is read once per
+    call.
 
     A blade entry in column j comes back from its outer key unchanged
     exactly when the probe (0, j, 1) does, as no nonzero value equals its
@@ -532,25 +555,65 @@ def verify_isomorphism(rep):
         if t in self_failed:
             failures.append(f"blade {blade.label()} does not decompose to itself")
 
-    codes = all_bitcodes(n)
-    # e_a e_b. is the product of column a and row b, so each spinor is built once
-    columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
-    rows = [row_of(rep, column) for column in columns]
-    products = {}  # x -> {t: {(i, j): s} of the entries on diagonal x of product t = a * dim + b}
-    for t, (column, row) in enumerate(product(columns, rows)):
-        for i, j, s in multiply(column, row).payload.nonzero_items():
-            products.setdefault(i ^ j, {}).setdefault(t, {})[i, j] = s
-    products_failed = set()
-    for diagonal in products.values():
-        elements = list(diagonal.values())
-        rebuilt = _plane_transform(n, _plane_transform(n, elements, True), False)
-        products_failed.update(t for t, element, back in zip(diagonal, elements, rebuilt) if back != element)
     dim = rep.dim
+    codes = all_bitcodes(n)
     failures += [f"outer product ({codes[t // dim]}, {codes[t % dim]}) failed the blade round trip"
-                 for t in sorted(products_failed)]
+                 for t in _failed_outer_products(rep, codes)]
     return {
         "dim": dim,
         "blades_checked": len(blades),
         "outer_checked": dim * dim,
         "failures": failures,
     }
+
+
+def _failed_outer_products(rep, codes):
+    """The sorted t = a * dim + b of the outer products e_a e_b. of the bitcodes `codes` that fail the blade round trip.
+
+    Each product, built by ``multiply``, is packed straight into the lanes
+    of its diagonals.  The butterfly never mixes positions r in different
+    cosets r & x of diagonal x, so products in disjoint cosets share a
+    lane; a product takes the next lane free in every coset it meets.
+    Per diagonal, the forward lanes of ``_diagonal_lanes`` become Scalars,
+    one per distinct value through ``_unpacked``, and those Scalars,
+    repacked by ``_packing``, are summed per position into the inverse
+    input; each rebuilt lane must give back its product's entries.
+    """
+    n = rep.n_bits
+    columns = [Element.column(rep, rep.basis_spinor(a)) for a in codes]
+    rows = [row_of(rep, column) for column in columns]  # e_a e_b. is column a times row b: each built once
+    entries, owners, free = {}, {}, {}  # x -> {(r, lane): s}; (x, coset, lane) -> t; (x, coset) -> next free lane
+    for t, (column, row) in enumerate(product(columns, rows)):
+        items = [(i ^ j, i, s) for i, j, s in multiply(column, row).payload.nonzero_items()]
+        lanes = {}  # x -> the next lane free in every coset that product t meets on diagonal x
+        for x, i, _ in items:
+            lanes[x] = max(lanes.get(x, 0), free.get((x, i & x), 0))
+        for x, i, s in items:
+            key, lane = (x, i & x), lanes[x]
+            free[key] = lane + 1
+            owners[key + (lane,)] = t
+            entries.setdefault(x, {})[i, lane] = s
+    failed = set()
+    for x, diagonal in entries.items():
+        e = x.bit_count()  # the inverse's scale as a power of sqrt2, the forward one's being e - 2n
+        width, den, group = _lane_sums(n, ((r, lane, id(s)) for (r, lane), s in diagonal.items()),
+                                       {id(s): s for s in diagonal.values()})
+        lanes = list(_diagonal_lanes(n, x, group, width, True))
+        scalars = {v: _unpacked(v, width, den, e - 2 * n) for v in {v for _, _, v in lanes}}
+        width, den, group = _lane_sums(n, lanes, scalars)
+        for r, lane, v in _diagonal_lanes(n, x, group, width, False):
+            if _unpacked(v, width, den, e) != diagonal.pop((r, lane), None):
+                failed.add(owners[x, r & x, lane])
+        failed.update(owners[x, r & x, lane] for r, lane in diagonal)  # entries that did not come back
+    return sorted(failed)
+
+
+def _lane_sums(n, placed, scalars):
+    """(width, den, {r: int}) with scalars[key] in lane `lane` of position r, for each (r, lane, key) of `placed`."""
+    width, den, ints = _packing(n, scalars.values())
+    packed = dict(zip(scalars, ints))
+    slot = 4 * width
+    group = {}
+    for r, lane, key in placed:
+        group[r] = group.get(r, 0) + (packed[key] << lane * slot)
+    return width, den, group

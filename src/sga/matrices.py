@@ -570,19 +570,21 @@ def _exact_product(left, right):
     """The rows of the product of two matrices, given as their rows.
 
     A `left` row with one entry s gives s times a row of `right`, one
-    Scalar product per entry.  For the other rows the entries of `right`
-    are rescaled once to numerators over the lcm of its denominators,
-    those of each `left` row to numerators over the lcm of that row's, so
-    every term of an output row shares one denominator.  Per output entry
-    the terms' numerators, from the Q(i, sqrt2) product formula, are
-    summed as ints and the sum becomes one Scalar, normalised once.
+    Scalar product per entry; when s is ``ONE`` it is that row itself,
+    shared, as rows are read-only (``sandwich`` shares rows too).  For the
+    other rows the entries of `right` are rescaled once to numerators
+    over the lcm of its denominators, those of each `left` row to
+    numerators over the lcm of that row's, so every term of an output row
+    shares one denominator.  Per output entry the terms' numerators, from
+    the Q(i, sqrt2) product formula, are summed as ints and the sum
+    becomes one Scalar, normalised once.
     """
     scaled, out = None, {}
     for i, row in left.items():
         if len(row) == 1:  # one term per entry, and no product of nonzeros is zero
             [(k, s)] = row.items()
             if k in right:
-                out[i] = {j: s * t for j, t in right[k].items()}
+                out[i] = right[k] if s is ONE else {j: s * t for j, t in right[k].items()}
             continue
         if scaled is None:
             q_right = lcm(*{s.q for r in right.values() for s in r.values()})

@@ -118,6 +118,18 @@ def test_all_chiral_blades_is_a_fresh_list_of_the_canonical_blades():
     assert all(a is b for a, b in zip(second, reversed(first)))
 
 
+def test_each_chiral_blade_index_is_built_once(monkeypatch):
+    """With both caches cleared, the 4**6 blades on six planes make 4**6 BladeIndex checks, not two per blade."""
+    rep = rep_for(12)
+    first = all_chiral_blades(rep)
+    built, post_init = [], BladeIndex.__post_init__
+    monkeypatch.setattr(BladeIndex, "__post_init__", lambda blade: built.append(1) or post_init(blade))
+    blades._chiral_blades.cache_clear()
+    blades._blade_of_bits.cache_clear()
+    assert all_chiral_blades(rep) == first
+    assert len(built) == 4 ** 6
+
+
 def test_metric_column_map_signs():
     """The map describes the single nonzero of each metric-dressed row spinor, for every metric and odd mode."""
     checked = 0
@@ -491,6 +503,47 @@ def test_injected_faults_give_the_per_element_failures_in_order(monkeypatch, n, 
     assert any("outer round trip" in f and "itself" in g for f, g in zip(failures, failures[1:]))
 
 
+def extra_entries(rep, t, m):
+    """Entries to add to outer product t, whose one entry is m's: for t = 1 mod 3 a second entry, 2, in another
+    coset of its diagonal; for t = 2 mod 3 a second entry, i/sqrt2, on another diagonal."""
+    [(i, j, _)] = m.nonzero_items()
+    x = i ^ j
+    if t % 3 == 1 and x:  # diagonal x has a second coset r & x
+        i2 = i ^ (x & -x)
+        return [(i2, i2 ^ x, Scalar(2))]
+    if t % 3 == 2:
+        return [(i, j ^ 1 if t % 2 else j ^ (rep.dim - 1), HALF * I * SQRT2)]
+    return []
+
+
+@pytest.mark.parametrize("n, metric", [(4, "standard"), (6, "alternative"), (8, "standard")])
+@pytest.mark.parametrize("faulty", [False, True])
+def test_the_shared_lanes_never_mix_products(monkeypatch, n, metric, faulty):
+    """Outer products that gain entries in other cosets and on other diagonals fail as each alone fails, in order."""
+    rep = rep_for(n, metric=metric)
+    if faulty:
+        monkeypatch.setattr(blades, "_unpacked", faulty_unpacked(blades._unpacked))
+    products, multiply = [], blades.multiply
+
+    def widened(column, row):
+        p = multiply(column, row)
+        m = p.payload
+        m = Matrix.from_items(rep.dim, rep.dim, list(m.nonzero_items()) + extra_entries(rep, len(products), m))
+        products.append(m)
+        return type(p)(p.species, m, p.rep)
+
+    monkeypatch.setattr(blades, "multiply", widened)
+    failures = verify_isomorphism(rep)["failures"]
+    assert len(products) == rep.dim ** 2
+    spans = [(len(m.sparse_rows), len({i ^ j for i, j, _ in m.nonzero_items()})) for m in products]
+    assert (2, 1) in spans and (1, 2) in spans  # a second coset of one diagonal, and a second diagonal
+    codes = all_bitcodes(rep.n_bits)
+    alone = [f"outer product ({codes[t // rep.dim]}, {codes[t % rep.dim]}) failed the blade round trip"
+             for t, m in enumerate(products) if reconstruct_from_blades(rep, decompose_multivector(rep, m)) != m]
+    assert [f for f in failures if f.startswith("outer product")] == alone
+    assert (0 < len(alone) < len(products)) if faulty else not failures
+
+
 def random_element(rng, n, count):
     """Up to `count` nonzero {(r, c): Scalar} entries on n bits; at a repeated position the last value is kept."""
     entries = {(rng.randrange(1 << n), rng.randrange(1 << n)): Scalar(
@@ -531,15 +584,15 @@ def test_the_lanes_never_carry(n, forward):
 
 
 def test_verify_isomorphism_runs_one_transform_per_diagonal(monkeypatch):
-    """On N=8 the round trip makes at most 3 * 2**n per-diagonal transform calls and reads no blade's rows."""
+    """On N=8 the round trip runs the shared core 3 * 2**n times, once per diagonal for the blades and twice for
+    the outer products, and reads no blade's rows."""
     rep = rep_for(8)
     transforms, read = [], []
-    diagonal_transform, rows = blades._diagonal_transform, Monomial.sparse_rows
-    monkeypatch.setattr(blades, "_diagonal_transform",
-                        lambda *args: transforms.append(1) or diagonal_transform(*args))
+    diagonal_lanes, rows = blades._diagonal_lanes, Monomial.sparse_rows
+    monkeypatch.setattr(blades, "_diagonal_lanes", lambda *args: transforms.append(1) or diagonal_lanes(*args))
     monkeypatch.setattr(Monomial, "sparse_rows", property(lambda m: read.append(m) or rows.fget(m)))
     assert not verify_isomorphism(rep)["failures"]
-    assert 0 < len(transforms) <= 3 * 2 ** rep.n_bits
+    assert len(transforms) == 3 * 2 ** rep.n_bits
     built = list(rep._blade_cache.values())
     assert len(built) == 4 ** rep.n_bits
     assert not [m for m in read if any(m is b for b in built)]

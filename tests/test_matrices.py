@@ -15,6 +15,7 @@ from sga.matrices import (
     Matrix,
     Monomial,
     OuterProduct,
+    _exact_product,
     anticommutator,
     max_dimension,
 )
@@ -473,6 +474,21 @@ def test_operator_matrices_compare_and_hash_like_dense_rows(name):
     for factor in (Scalar(3), Scalar(1, 1), Scalar(0, 0, 3, 0, 2)):  # not of the form i**p * sqrt2**e
         assert type(op.scale(factor)) is not Monomial  # no unit: the general path
         assert op.scale(factor) == dense.scale(factor)
+
+
+@pytest.mark.parametrize("unit", ["ONE", "-ONE", "Scalar(1)"])
+def test_a_one_entry_row_of_a_unit_gives_the_unit_times_a_row(unit):
+    """A left row with one entry s gives s times a right row, shared as it is only when s is the ONE object."""
+    s = {"ONE": ONE, "-ONE": -ONE, "Scalar(1)": Scalar(1)}[unit]
+    assert (s is ONE) == (unit == "ONE") and s == (-ONE if unit == "-ONE" else ONE)
+    third = Scalar(2, 1, 0, 0, 3)
+    right = {0: {1: HALF, 3: -SQRT2 * I}, 2: {0: third}}
+    left = {0: {2: s}, 1: {0: s}, 3: {1: s}}  # row 3 meets an empty right row
+    out = _exact_product(left, right)
+    assert out == {0: {0: s * third}, 1: {1: s * HALF, 3: s * -SQRT2 * I}}
+    assert (out[1] is right[0]) == (s is ONE)
+    a, b = Matrix(left, 4, 3), Matrix(right, 3, 4)
+    assert check_product(a, b) == Matrix(out, 4, 4)
 
 
 def test_exact_products_make_no_scalar_products(monkeypatch):
